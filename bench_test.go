@@ -109,9 +109,12 @@ func BenchmarkFrameSynthesis(b *testing.B) {
 			Amplitude: 1e-5,
 		}
 	}
+	plan := cfg.NewSynthPlan()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Synthesize(scatterers, rng)
+		g := dsp.AcquireGauss(int64(i))
+		radar.ReleaseFrame(plan.Synthesize(scatterers, g))
+		dsp.ReleaseGauss(g)
 	}
 }
 
@@ -119,9 +122,10 @@ func BenchmarkRangeProfile(b *testing.B) {
 	cfg := radar.TI1443()
 	rng := rand.New(rand.NewSource(3))
 	frame := cfg.Synthesize([]radar.Scatterer{{Range: 3, Amplitude: 1e-5}}, rng)
+	plan := cfg.NewSynthPlan()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.RangeProfile(frame)
+		radar.ReleaseProfile(plan.RangeProfile(frame))
 	}
 }
 
@@ -161,13 +165,14 @@ func BenchmarkAoASpectrum(b *testing.B) {
 	cfg := radar.TI1443()
 	rng := rand.New(rand.NewSource(5))
 	frame := cfg.Synthesize([]radar.Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-4}}, rng)
-	rp := cfg.RangeProfile(frame)
+	plan := cfg.NewSynthPlan()
+	rp := plan.RangeProfile(frame)
 	bin := cfg.BinForRange(4)
-	angles := cfg.ScanAngles()
+	angles := plan.ScanAngles()
 	spec := make([]float64, len(angles))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.AoASpectrumInto(spec, rp, bin, angles)
+		plan.AoASpectrumInto(spec, rp, bin, angles)
 	}
 }
 
@@ -242,7 +247,8 @@ func BenchmarkEndToEndReadF64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := NewReader(WithFloat64Reference())
+	r := NewReader()
+	r.radar.ForceFloat64 = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Read(tag, ReadOptions{Seed: int64(i)}); err != nil {
@@ -261,7 +267,7 @@ func BenchmarkEndToEndReadFullScan(b *testing.B) {
 	r := NewReader()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Read(tag, ReadOptions{Seed: int64(i), DisableIncrementalScan: true}); err != nil {
+		if _, err := readFullScan(context.Background(), r, tag, ReadOptions{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -221,8 +221,7 @@ func TestChaosIncrementalScanMatchesFullScan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("incremental read: %v", err)
 			}
-			opts.DisableIncrementalScan = true
-			full, err := r.ReadContext(context.Background(), tag, opts)
+			full, err := readFullScan(context.Background(), r, tag, opts)
 			if err != nil {
 				t.Fatalf("full-scan read: %v", err)
 			}

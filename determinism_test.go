@@ -8,6 +8,7 @@ package ros
 // randomness and collect results in index order.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,8 +17,6 @@ import (
 	"time"
 
 	"ros/internal/obs"
-	"ros/internal/radar"
-	"ros/internal/scene"
 )
 
 // readCaptureOpts runs one read with the given options and returns the
@@ -33,6 +32,12 @@ func readCaptureOpts(t *testing.T, r *Reader, opts ReadOptions) (*Reading, []byt
 	if err != nil {
 		t.Fatal(err)
 	}
+	return reading, captureBytes(t, reading)
+}
+
+// captureBytes saves a detected reading's capture and returns its bytes.
+func captureBytes(t *testing.T, reading *Reading) []byte {
+	t.Helper()
 	if !reading.Detected {
 		t.Fatal("tag not detected")
 	}
@@ -44,7 +49,16 @@ func readCaptureOpts(t *testing.T, r *Reader, opts ReadOptions) (*Reading, []byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reading, raw
+	return raw
+}
+
+// readFullScan is r.ReadContext with the incremental point-cloud scan
+// disabled: every per-frame scan walks all range bins, the reference the
+// incremental scan is pinned against.
+func readFullScan(ctx context.Context, r *Reader, tag *Tag, opts ReadOptions) (*Reading, error) {
+	cfg := r.driveBy(tag, opts)
+	cfg.DisableIncrementalScan = true
+	return r.run(ctx, tag, cfg)
 }
 
 // readCapture runs one seeded read and returns the reading plus the saved
@@ -112,7 +126,8 @@ func TestReadFloat32DecodeMatchesFloat64Reference(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast := NewReader()
-	ref := NewReader(WithFloat64Reference())
+	ref := NewReader()
+	ref.radar.ForceFloat64 = true
 	for _, seed := range []int64{1, 9, 42} {
 		f32, err := fast.Read(tag, ReadOptions{Seed: seed})
 		if err != nil {
@@ -129,31 +144,28 @@ func TestReadFloat32DecodeMatchesFloat64Reference(t *testing.T) {
 	}
 }
 
-// TestReadIdenticalAcrossMemoState pins the scene/radar memo caches'
-// value-neutrality: a cold-cache read, a warm-cache repeat, and a
-// post-ResetCaches rebuild are all byte-identical.
+// TestReadIdenticalAcrossMemoState pins the Engine caches'
+// value-neutrality: a cold-Engine read, a warm repeat on the same Engine, and
+// a read after Close are all byte-identical.
 func TestReadIdenticalAcrossMemoState(t *testing.T) {
-	scene.ResetCaches()
-	radar.ResetCaches()
-	r := NewReader()
+	e := NewEngine()
+	r := NewReader(WithEngine(e))
 	opts := ReadOptions{Seed: 42, Workers: 2}
 	base, cold := readCaptureOpts(t, r, opts)
-	gauge := obs.Default.Gauge("ros_scene_response_entries", "")
-	if gauge.Value() == 0 {
+	if e.h.Responses.Len() == 0 {
 		t.Error("canonical read left the scene response memo empty — memo never engaged")
 	}
 	_, warm := readCaptureOpts(t, r, opts)
 	if string(warm) != string(cold) {
 		t.Error("memo-warm read differs from memo-cold read")
 	}
-	scene.ResetCaches()
-	radar.ResetCaches()
+	e.Close()
 	rebuilt, raw := readCaptureOpts(t, r, opts)
 	if string(raw) != string(cold) {
-		t.Error("post-ResetCaches read differs from the original cold read")
+		t.Error("read after Close differs from the original cold read")
 	}
 	if rebuilt.Bits != base.Bits || rebuilt.SNRdB != base.SNRdB {
-		t.Errorf("post-ResetCaches outcome diverged: %q/%v vs %q/%v",
+		t.Errorf("read after Close diverged: %q/%v vs %q/%v",
 			rebuilt.Bits, rebuilt.SNRdB, base.Bits, base.SNRdB)
 	}
 }
@@ -173,8 +185,15 @@ func TestReadIdenticalWithIncrementalScanDisabled(t *testing.T) {
 			if incCounter.Value() == before {
 				t.Error("default read never took the incremental scan path")
 			}
-			opts.DisableIncrementalScan = true
-			full, fullCap := readCaptureOpts(t, r, opts)
+			tag, err := NewTag("1011")
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := readFullScan(context.Background(), r, tag, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fullCap := captureBytes(t, full)
 			if inc.Bits != full.Bits || inc.SNRdB != full.SNRdB ||
 				inc.RSSLossDB != full.RSSLossDB || inc.MedianRSSdBm != full.MedianRSSdBm {
 				t.Errorf("incremental scan changed the outcome: %q/%v vs %q/%v",

@@ -4,12 +4,11 @@ import "ros/internal/engine"
 
 // Engine is an explicit resource handle for readers: it owns every piece of
 // memoized state reads accumulate — transform plans, steering tables,
-// scene-response memos, pooled frame buffers, scan states — instead of
-// leaving them in process-global caches. Readers without an Engine keep the
-// global-cache behavior (process-lifetime retention, shared across all
-// readers); readers sharing an Engine share its caches; Close releases
-// everything the Engine owns deterministically, dropping its metric entries
-// with it.
+// scene-response memos, pooled frame buffers, scan states. Readers without an
+// Engine share one process-wide default Engine (process-lifetime retention,
+// reported under engine="default"); readers sharing an Engine share its
+// caches; Close releases everything the Engine owns deterministically,
+// dropping its metric entries with it.
 //
 // Use one Engine per long-lived radar+scene configuration when serving many
 // configurations from one process (the rosd daemon keys an Engine LRU by
@@ -37,7 +36,7 @@ func (e *Engine) Close() {
 func (e *Engine) Closed() bool { return e.h.Closed() }
 
 // WithEngine binds the reader's reads to the engine's caches instead of the
-// process-global ones. Results are byte-identical either way.
+// default Engine's. Results are byte-identical either way.
 func WithEngine(e *Engine) ReaderOption {
 	return func(r *Reader) {
 		r.engine = e.h

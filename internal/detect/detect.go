@@ -38,6 +38,7 @@ import (
 	"ros/internal/cluster"
 	"ros/internal/dsp"
 	"ros/internal/em"
+	"ros/internal/engine"
 	"ros/internal/fault"
 	"ros/internal/geom"
 	"ros/internal/obs"
@@ -118,15 +119,11 @@ type Pipeline struct {
 	// aggregate of azimuth samples, so partial frame loss degrades SNR
 	// rather than correctness.
 	MaxFrameLoss float64
-	// Session, when non-nil, supplies the radar resource handle the run
-	// draws its synthesis plan (and with it steering tables, transform
-	// plans, and frame pools) from; nil uses the process-wide default
-	// session. Results are byte-identical either way.
-	Session *radar.Session
-	// ScanStates, when non-nil, pools the per-worker incremental scan
-	// states; nil uses a process-wide pool. Like the hint state itself it
-	// never affects output, only how much work the scan does.
-	ScanStates *radar.ScanStatePool
+	// Engine supplies the resource handle the run draws its synthesis plan
+	// (and with it steering tables, transform plans, and frame pools) and
+	// its incremental scan states from; nil uses engine.Default(). Results
+	// are byte-identical either way.
+	Engine *engine.Engine
 }
 
 // NewPipeline returns a pipeline with the paper's defaults around the given
@@ -188,32 +185,6 @@ type ObjectReport struct {
 	IsTag bool
 }
 
-// Stats counts the work done by one pipeline run. It is a flat view derived
-// from the run's span tree (Result.Span); per-stage times for the parallel
-// frame loop are summed across workers (CPU time, not wall time), WallNS is
-// the end-to-end wall clock of Run.
-type Stats struct {
-	// Frames is the number of radar frames synthesized (two polarization
-	// modes per pose).
-	Frames int
-	// FFTCalls is the number of fast-time FFTs run by the range
-	// transforms.
-	FFTCalls int64
-	// Workers is the resolved worker count of the frame loop.
-	Workers int
-	// SynthesizeNS, RangeFFTNS and PointCloudNS are the summed per-worker
-	// nanoseconds spent synthesizing baseband frames, range-transforming
-	// them, and extracting point clouds.
-	SynthesizeNS, RangeFFTNS, PointCloudNS int64
-	// ClusterNS covers DBSCAN and cluster summarization; SpotlightNS
-	// covers the per-object beamforming passes (classification features
-	// and decode-mode RCS sampling), summed across the spotlight workers
-	// like the per-frame stage times.
-	ClusterNS, SpotlightNS int64
-	// WallNS is the wall-clock duration of the whole run.
-	WallNS int64
-}
-
 // Result is the output of a full drive-by detection run.
 type Result struct {
 	// Objects lists every cluster that survived the density filter.
@@ -238,12 +209,10 @@ type Result struct {
 	// SamplesScrubbed counts non-finite baseband samples zeroed before the
 	// range transform across the whole run.
 	SamplesScrubbed int
-	// Span is the run's trace tree ("detect" with per-stage children);
-	// Stats is derived from it. Callers that do not retain Span may
-	// Release it to return the nodes to the span pool.
+	// Span is the run's trace tree ("detect" with per-stage children and
+	// the frames, fft_calls and workers attributes). Callers that do not
+	// retain Span may Release it to return the nodes to the span pool.
 	Span *obs.Span
-	// Stats counts the work done by the run (a flat view of Span).
-	Stats Stats
 }
 
 // Span and stage names of the detection pipeline trace.
@@ -255,24 +224,6 @@ const (
 	SpanCluster    = "cluster"
 	SpanSpotlight  = "spotlight"
 )
-
-// StatsFromSpan flattens a detection span tree into the legacy Stats view.
-func StatsFromSpan(sp *obs.Span) Stats {
-	if sp == nil {
-		return Stats{}
-	}
-	return Stats{
-		Frames:       int(sp.IntAttr("frames")),
-		FFTCalls:     sp.IntAttr("fft_calls"),
-		Workers:      int(sp.IntAttr("workers")),
-		SynthesizeNS: sp.ChildDuration(SpanSynthesize).Nanoseconds(),
-		RangeFFTNS:   sp.ChildDuration(SpanRangeFFT).Nanoseconds(),
-		PointCloudNS: sp.ChildDuration(SpanPointCloud).Nanoseconds(),
-		ClusterNS:    sp.ChildDuration(SpanCluster).Nanoseconds(),
-		SpotlightNS:  sp.ChildDuration(SpanSpotlight).Nanoseconds(),
-		WallNS:       sp.Wall().Nanoseconds(),
-	}
-}
 
 // frameData is the per-frame output of the parallel synthesis stage.
 type frameData struct {
@@ -333,7 +284,7 @@ func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth 
 	cloudSp := sp.StartChild(SpanPointCloud)
 	fe := p.Radar.FrontEnd
 	f := p.Radar.CenterFrequency
-	plan := p.synthPlan()
+	plan := p.resources().Session.SynthPlanFor(p.Radar)
 	inj := p.Fault
 	samples := p.Radar.Samples
 	numRx := p.Radar.NumRx
@@ -431,34 +382,28 @@ func (p *Pipeline) synthesizeFaultyFrame(sc *scene.Scene, pose geom.Vec3, vel ge
 	return fd, nil
 }
 
-// synthPlan resolves the run's frame front-end plan through the configured
-// resource handle, falling back to the process-wide default session.
-func (p *Pipeline) synthPlan() *radar.SynthPlan {
-	if p.Session != nil {
-		return p.Session.SynthPlanFor(p.Radar)
+// resources resolves the run's resource handle: Engine, or the default.
+func (p *Pipeline) resources() *engine.Engine {
+	if p.Engine != nil {
+		return p.Engine
 	}
-	return p.Radar.NewSynthPlan()
+	return engine.Default()
 }
-
-// defaultScanStates pools incremental-scan state for pipelines without an
-// explicit handle. Workers interleave frames arbitrarily, so a pooled
-// state's hints describe whichever frame its last holder processed — which
-// is exactly as much as the incremental scan needs: the hint set is a
-// performance prior, never an output input (radar.PointCloudScan falls back
-// to a full scan whenever the hints fail its coverage check), so any
-// provenance keeps the run byte-identical at every worker count.
-var defaultScanStates radar.ScanStatePool
 
 // extractPoints converts the frame's detection-mode point cloud into world
 // coordinates via the plan's scan path. tainted marks frames that passed
 // through the fault layer's sample corruption: their scan starts from a
 // Reset state, so no fault-adjacent frame ever rides on hints and the hint
 // chain restarts from the scrubbed profile's own full scan.
+//
+// Workers interleave frames arbitrarily, so a pooled state's hints describe
+// whichever frame its last holder processed — which is exactly as much as
+// the incremental scan needs: the hint set is a performance prior, never an
+// output input (radar.SynthPlan.PointCloudScan falls back to a full scan
+// whenever the hints fail its coverage check), so any provenance keeps the
+// run byte-identical at every worker count.
 func (p *Pipeline) extractPoints(fd *frameData, pose geom.Vec3, plan *radar.SynthPlan, tainted bool) {
-	pool := p.ScanStates
-	if pool == nil {
-		pool = &defaultScanStates
-	}
+	pool := p.resources().ScanStates
 	st := pool.Get()
 	if tainted {
 		st.Reset()
@@ -684,7 +629,6 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 		res.SamplesScrubbed = scrubbed
 		sp.End()
 		res.Span = sp
-		res.Stats = StatsFromSpan(sp)
 		return res
 	}
 
@@ -788,7 +732,6 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 		spotSp.End()
 		sp.End()
 		res.Span = sp
-		res.Stats = StatsFromSpan(sp)
 		return res, nil
 	}
 	mTagsFound.Inc()
@@ -833,10 +776,9 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	spotSp.SetAttr("samples", len(res.TagU))
 	sp.End()
 	res.Span = sp
-	res.Stats = StatsFromSpan(sp)
 	obs.Logger().Debug("detect: run complete",
 		"objects", len(res.Objects), "tag_index", res.TagIndex,
-		"samples", len(res.TagU), "wall_ms", float64(res.Stats.WallNS)/1e6)
+		"samples", len(res.TagU), "wall_ms", float64(sp.Wall().Nanoseconds())/1e6)
 	return res, nil
 }
 

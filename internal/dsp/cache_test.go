@@ -7,19 +7,28 @@ import (
 	"ros/internal/obs"
 )
 
-// TestCacheGaugesAndReset pins the retention contract of the dsp memo
-// caches: building a plan registers entries in the obs gauges, ResetCaches
-// zeroes them, and transforms built afterwards reproduce the pre-reset
-// output exactly.
-func TestCacheGaugesAndReset(t *testing.T) {
-	planG := obs.Default.Gauge("ros_dsp_plan_cache_entries", "")
-	twidG := obs.Default.Gauge("ros_dsp_twiddle_cache_entries", "")
-	winG := obs.Default.Gauge("ros_dsp_window_cache_entries", "")
+// testPlanSet returns a plan set reporting into fresh unregistered gauges,
+// one per cache name.
+func testPlanSet() (*PlanSet, map[string]*obs.Gauge) {
+	gauges := map[string]*obs.Gauge{}
+	s := NewPlanSet(func(cache string) *obs.Gauge {
+		g := new(obs.Gauge)
+		gauges[cache] = g
+		return g
+	})
+	return s, gauges
+}
 
-	ResetCaches()
+// TestCacheGaugesAndReset pins the retention contract of a plan set's memo
+// caches: building a plan registers entries in its gauges, Clear zeroes
+// them, and transforms built afterwards reproduce the pre-clear output
+// exactly.
+func TestCacheGaugesAndReset(t *testing.T) {
+	s, gauges := testPlanSet()
+	planG, twidG, winG := gauges[CachePlans], gauges[CacheTwiddles], gauges[CacheWindows]
 	for _, g := range []*obs.Gauge{planG, twidG, winG} {
 		if v := g.Value(); v != 0 {
-			t.Fatalf("gauge = %v after reset, want 0", v)
+			t.Fatalf("gauge = %v on a new set, want 0", v)
 		}
 	}
 
@@ -27,10 +36,9 @@ func TestCacheGaugesAndReset(t *testing.T) {
 	for i := range x {
 		x[i] = complex(float64(i%7)-3, float64(i%5)-2)
 	}
-	p := PlanFor(len(x), Hann)
+	p := s.PlanFor(len(x), Hann)
 	before := make([]complex128, len(x))
 	p.Forward(before, x)
-	Hann.CachedCoefficients(len(x))
 
 	if v := planG.Value(); v < 1 {
 		t.Fatalf("plan gauge = %v after PlanFor, want >= 1", v)
@@ -39,24 +47,26 @@ func TestCacheGaugesAndReset(t *testing.T) {
 		t.Fatalf("twiddle gauge = %v after transform, want >= 1", v)
 	}
 	if v := winG.Value(); v < 1 {
-		t.Fatalf("window gauge = %v after CachedCoefficients, want >= 1", v)
+		t.Fatalf("window gauge = %v after PlanFor, want >= 1", v)
 	}
 
-	ResetCaches()
+	s.Clear()
 	for _, g := range []*obs.Gauge{planG, twidG, winG} {
 		if v := g.Value(); v != 0 {
-			t.Fatalf("gauge = %v after second reset, want 0", v)
+			t.Fatalf("gauge = %v after Clear, want 0", v)
 		}
 	}
 
-	// Rebuilt plans must be bit-identical to the pre-reset ones.
-	p2 := PlanFor(len(x), Hann)
-	after := make([]complex128, len(x))
-	p2.Forward(after, x)
-	for i := range after {
-		if after[i] != before[i] {
-			t.Fatalf("bin %d changed across reset: %v -> %v (|d|=%g)",
-				i, before[i], after[i], cmplx.Abs(after[i]-before[i]))
+	// Rebuilt plans must be bit-identical to the pre-clear ones, and to a
+	// fresh uncached plan.
+	for name, p2 := range map[string]*Plan{"rebuilt": s.PlanFor(len(x), Hann), "fresh": NewPlan(len(x), Hann)} {
+		after := make([]complex128, len(x))
+		p2.Forward(after, x)
+		for i := range after {
+			if after[i] != before[i] {
+				t.Fatalf("%s plan: bin %d changed: %v -> %v (|d|=%g)",
+					name, i, before[i], after[i], cmplx.Abs(after[i]-before[i]))
+			}
 		}
 	}
 }

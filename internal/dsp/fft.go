@@ -34,7 +34,8 @@ func IsPow2(n int) bool {
 //
 // Any length is accepted: power-of-two lengths use an iterative radix-2
 // Cooley-Tukey transform, other lengths fall back to Bluestein's chirp-z
-// algorithm. The input slice is not modified.
+// algorithm. The input slice is not modified. The one-shot helpers build
+// their tables on each call; repeated transforms of one size use a Plan.
 func FFT(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	copy(out, x)
@@ -68,7 +69,7 @@ func fftInPlace(x []complex128, inverse bool) {
 		return
 	}
 	if IsPow2(n) {
-		radix2(x, inverse)
+		radix2Roots(x, newTwiddleTable(n), inverse)
 	} else {
 		bluestein(x, inverse)
 	}
@@ -94,22 +95,12 @@ func newTwiddleTable(n int) []complex128 {
 	return t
 }
 
-// twiddleTable returns the default set's cached table for size n.
-func twiddleTable(n int) []complex128 { return defaultPlans.twiddleTable(n) }
-
-// radix2 is an iterative in-place Cooley-Tukey FFT for power-of-two lengths,
-// drawing its twiddle table from the default plan set. Scaling is left to
-// the caller.
-func radix2(x []complex128, inverse bool) {
-	radix2Roots(x, twiddleTable(len(x)), inverse)
-}
-
-// radix2Roots is radix2 over a caller-supplied forward twiddle table
-// (conjugated per butterfly for the inverse transform), which both removes
-// the per-butterfly complex multiply chain of the textbook formulation (and
-// its accumulated rounding) and keeps the per-call allocation at zero.
-// Plans capture their table at build time and call this, so plan execution
-// never touches a shared cache.
+// radix2Roots is an iterative in-place Cooley-Tukey FFT for power-of-two
+// lengths over a caller-supplied forward twiddle table (conjugated per
+// butterfly for the inverse transform), which removes the per-butterfly
+// complex multiply chain of the textbook formulation (and its accumulated
+// rounding). Scaling is left to the caller. Plans capture their table at
+// build time and call this, so plan execution never touches a shared cache.
 func radix2Roots(x []complex128, roots []complex128, inverse bool) {
 	n := len(x)
 	// Bit-reversal permutation.
@@ -149,11 +140,6 @@ type chirpPlan struct {
 	m    int
 }
 
-// chirpPlanFor returns the default set's cached chirp plan.
-func chirpPlanFor(n int, inverse bool) *chirpPlan {
-	return defaultPlans.chirpPlanFor(n, inverse)
-}
-
 // newChirpPlan builds the Bluestein precomputation for one (length,
 // direction) pair; twiddle supplies the radix-2 table for the kernel FFT so
 // the build draws from the owning plan set, not the process.
@@ -183,20 +169,19 @@ func newChirpPlan(n int, inverse bool, twiddle func(int) []complex128) *chirpPla
 
 // bluestein computes an arbitrary-length DFT via the chirp-z transform,
 // expressing it as a convolution that is evaluated with power-of-two FFTs.
-// The chirp and the kernel's FFT depend only on (length, direction) and are
-// cached across calls.
 func bluestein(x []complex128, inverse bool) {
 	n := len(x)
-	p := chirpPlanFor(n, inverse)
+	p := newChirpPlan(n, inverse, newTwiddleTable)
+	roots := newTwiddleTable(p.m)
 	a := make([]complex128, p.m)
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * p.w[k]
 	}
-	radix2(a, false)
+	radix2Roots(a, roots, false)
 	for i := range a {
 		a[i] *= p.bfft[i]
 	}
-	radix2(a, true)
+	radix2Roots(a, roots, true)
 	scale := complex(1/float64(p.m), 0)
 	for k := 0; k < n; k++ {
 		x[k] = a[k] * scale * p.w[k]

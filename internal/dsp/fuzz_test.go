@@ -102,7 +102,7 @@ func FuzzPlanRoundTrip(f *testing.F) {
 			}
 			src[i] = complex(float64(b)/255-0.5, float64(i%7)/7-0.5)
 		}
-		p := PlanFor(n, Rectangular)
+		p := NewPlan(n, Rectangular)
 		freq := make([]complex128, n)
 		back := make([]complex128, n)
 		p.Forward(freq, src)

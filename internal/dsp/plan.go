@@ -64,11 +64,11 @@ type Plan struct {
 	inplace *sync.Pool
 }
 
-// PlanFor returns the default set's cached execution plan for n-point
-// transforms under the given window, building it on first use. It panics if
-// n < 1. Callers holding an explicit resource handle use PlanSet.PlanFor.
-func PlanFor(n int, w Window) *Plan {
-	return defaultPlans.PlanFor(n, w)
+// NewPlan builds a fresh execution plan for n-point transforms under the
+// given window, owned by the caller; PlanSet.PlanFor is its memoized form.
+// It panics if n < 1.
+func NewPlan(n int, w Window) *Plan {
+	return (*PlanSet)(nil).PlanFor(n, w)
 }
 
 func (s *PlanSet) newPlan(n int, w Window) *Plan {

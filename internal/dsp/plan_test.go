@@ -55,7 +55,7 @@ func TestPlanMatchesUnfusedPipeline(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 256, 12, 100, 255} {
 		for _, w := range []Window{Rectangular, Hann, Hamming, Blackman} {
 			for _, inverse := range []bool{false, true} {
-				p := PlanFor(n, w)
+				p := NewPlan(n, w)
 				if p.Size() != n || p.PlanWindow() != w {
 					t.Fatalf("plan identity: size %d window %v", p.Size(), p.PlanWindow())
 				}
@@ -78,7 +78,7 @@ func TestPlanMatchesUnfusedPipeline(t *testing.T) {
 func TestPlanInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{16, 100} {
-		p := PlanFor(n, Hann)
+		p := NewPlan(n, Hann)
 		x := randomSignal(rng, n)
 		want := make([]complex128, n)
 		p.Forward(want, x)
@@ -90,21 +90,25 @@ func TestPlanInPlace(t *testing.T) {
 }
 
 func TestPlanCached(t *testing.T) {
-	if PlanFor(64, Hann) != PlanFor(64, Hann) {
+	s, _ := testPlanSet()
+	if s.PlanFor(64, Hann) != s.PlanFor(64, Hann) {
 		t.Error("PlanFor rebuilt an existing plan")
 	}
-	if PlanFor(64, Hann) == PlanFor(64, Hamming) {
+	if s.PlanFor(64, Hann) == s.PlanFor(64, Hamming) {
 		t.Error("plans of different windows shared")
 	}
-	if PlanFor(64, Hann) == PlanFor(128, Hann) {
+	if s.PlanFor(64, Hann) == s.PlanFor(128, Hann) {
 		t.Error("plans of different sizes shared")
+	}
+	if NewPlan(64, Hann) == NewPlan(64, Hann) {
+		t.Error("NewPlan returned a shared plan")
 	}
 }
 
 func TestPlanForwardMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n, channels = 32, 4
-	p := PlanFor(n, Hann)
+	p := NewPlan(n, Hann)
 	src := randomSignal(rng, channels*n)
 	dst := make([]complex128, channels*n)
 	p.ForwardMany(dst, src, channels, n)
@@ -122,7 +126,7 @@ func TestPlanInverseManyRoundTrip(t *testing.T) {
 	// signal: Inverse(FFT(x)) == x.
 	rng := rand.New(rand.NewSource(10))
 	const n, channels = 64, 3
-	p := PlanFor(n, Rectangular)
+	p := NewPlan(n, Rectangular)
 	src := randomSignal(rng, channels*n)
 	mid := make([]complex128, channels*n)
 	p.ForwardMany(mid, src, channels, n)
@@ -140,7 +144,7 @@ func TestPlanCalibratedToneAmplitude(t *testing.T) {
 	const n = 128
 	const amp = 3.5
 	for _, w := range []Window{Rectangular, Hann, Hamming} {
-		p := PlanFor(n, w)
+		p := NewPlan(n, w)
 		x := make([]complex128, n)
 		for i := range x {
 			s, c := math.Sincos(2 * math.Pi * 5 * float64(i) / n)
@@ -169,8 +173,8 @@ func TestPlanPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("PlanFor(0)", func() { PlanFor(0, Hann) })
-	p := PlanFor(16, Hann)
+	mustPanic("NewPlan(0)", func() { NewPlan(0, Hann) })
+	p := NewPlan(16, Hann)
 	mustPanic("short dst", func() { p.Forward(make([]complex128, 8), make([]complex128, 16)) })
 	mustPanic("short stride", func() {
 		p.ForwardMany(make([]complex128, 64), make([]complex128, 64), 2, 8)
@@ -182,7 +186,7 @@ func TestPlanPanics(t *testing.T) {
 
 func BenchmarkPlanInverse256(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
-	p := PlanFor(256, Hann)
+	p := NewPlan(256, Hann)
 	src := randomSignal(rng, 256)
 	dst := make([]complex128, 256)
 	b.ReportAllocs()
@@ -197,8 +201,8 @@ func BenchmarkUnfusedInverse256(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	src := randomSignal(rng, 256)
 	dst := make([]complex128, 256)
-	win, gain := Hann.CachedCoefficients(256)
-	invGain := 1 / gain
+	win := Hann.Coefficients(256)
+	invGain := 1 / Hann.CoherentGain(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

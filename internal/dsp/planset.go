@@ -1,12 +1,9 @@
 // PlanSet is the dsp layer's resource handle: one set of transform memo
 // caches — fused window+FFT plans, window coefficient tables, twiddle
 // tables, Bluestein chirp plans — owned by whoever constructed it instead of
-// by the process. The package-level entry points (PlanFor,
-// Window.CachedCoefficients, the FFT helpers) remain as thin shims over one
-// default set, so existing callers keep their process-lifetime behavior;
-// long-lived servers juggling many radar configurations build one PlanSet
-// per configuration handle and Clear it deterministically when the handle is
-// retired.
+// by the process. An engine.Engine owns one set per configuration handle and
+// Clears it deterministically when the handle is retired. Callers without a
+// set build fresh tables (NewPlan, the FFT helpers).
 package dsp
 
 import (
@@ -26,13 +23,13 @@ const (
 )
 
 // CacheGauge provisions the entry-count gauge for one named cache of a
-// resource handle. The default set binds the legacy ros_dsp_*_entries
-// gauges; per-Engine sets bind labeled children of one shared vector.
+// resource handle; an Engine binds labeled children of one shared vector.
 type CacheGauge func(cache string) *obs.Gauge
 
 // PlanSet owns the transform memo caches for one configuration handle.
 // Entries are immutable and safe for concurrent use; the set itself is safe
-// for concurrent use by any number of goroutines.
+// for concurrent use by any number of goroutines. A nil *PlanSet memoizes
+// nothing: every call builds fresh tables owned by the caller.
 type PlanSet struct {
 	plans    *obs.CountedMap
 	windows  *obs.CountedMap
@@ -57,6 +54,9 @@ func (s *PlanSet) PlanFor(n int, w Window) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("dsp: PlanFor with size %d", n))
 	}
+	if s == nil {
+		return s.newPlan(n, w)
+	}
 	key := [2]int{n, int(w)}
 	if p, ok := s.plans.Load(key); ok {
 		return p.(*Plan)
@@ -71,9 +71,11 @@ func (s *PlanSet) PlanFor(n int, w Window) *Plan {
 // treat it as read-only (use Window.Coefficients for a private copy).
 func (s *PlanSet) WindowCoefficients(w Window, n int) ([]float64, float64) {
 	key := [2]int{int(w), n}
-	if e, ok := s.windows.Load(key); ok {
-		ent := e.(*windowEntry)
-		return ent.coeffs, ent.gain
+	if s != nil {
+		if e, ok := s.windows.Load(key); ok {
+			ent := e.(*windowEntry)
+			return ent.coeffs, ent.gain
+		}
 	}
 	c := w.Coefficients(n)
 	sum := 0.0
@@ -84,6 +86,9 @@ func (s *PlanSet) WindowCoefficients(w Window, n int) ([]float64, float64) {
 	if len(c) > 0 {
 		gain = sum / float64(len(c))
 	}
+	if s == nil {
+		return c, gain
+	}
 	actual, _ := s.windows.LoadOrStore(key, &windowEntry{coeffs: c, gain: gain})
 	ent := actual.(*windowEntry)
 	return ent.coeffs, ent.gain
@@ -92,6 +97,9 @@ func (s *PlanSet) WindowCoefficients(w Window, n int) ([]float64, float64) {
 // twiddleTable returns the set's cached forward roots of unity for size n:
 // table[j] = exp(-2*pi*i*j/n) for j < n/2.
 func (s *PlanSet) twiddleTable(n int) []complex128 {
+	if s == nil {
+		return newTwiddleTable(n)
+	}
 	if t, ok := s.twiddles.Load(n); ok {
 		return t.([]complex128)
 	}
@@ -103,6 +111,9 @@ func (s *PlanSet) twiddleTable(n int) []complex128 {
 // chirpPlanFor returns the set's cached Bluestein precomputation for one
 // (length, direction) pair.
 func (s *PlanSet) chirpPlanFor(n int, inverse bool) *chirpPlan {
+	if s == nil {
+		return newChirpPlan(n, inverse, newTwiddleTable)
+	}
 	sign := 0
 	if inverse {
 		sign = 1

@@ -10,21 +10,13 @@ package dsp
 // multiply-adds with no loop-carried dependency — the loops the superscalar
 // core (or a vectorizing compiler) can actually overlap.
 //
-// Two implementations sit behind build tags with identical signatures and
-// contracts: the default lane kernel (tone_lanes.go) advances four phasor
-// lanes a stride of step^4 apart, and the `ros_purego` portable kernel
-// (tone_purego.go) is a plain single-lane scalar loop. Both renormalize
-// their phasors every toneRenormInterval samples so multiplicative rounding
-// drift stays bounded on arbitrarily long frames, and both are pinned to a
-// per-sample Sincos reference at 1e-9 by the cross-tag kernel suite
-// (tone_test.go), which CI runs under each tag.
+// The lane kernel (tone_lanes.go) advances four phasor lanes a stride of
+// step^4 apart and renormalizes them every toneRenormInterval samples, so
+// multiplicative rounding drift stays bounded on arbitrarily long frames.
+// tone_test.go pins it to a per-sample Sincos reference at 1e-9.
 
-// toneRenormInterval is the phasor renormalization period of both kernels:
+// toneRenormInterval is the phasor renormalization period of the kernel:
 // |step| = 1 up to rounding, so lane magnitude drifts by ~1 ulp per
 // multiply; rescaling back to the scatterer amplitude every 512 samples
 // bounds the drift at ~1e-13 relative regardless of frame length.
 const toneRenormInterval = 512
-
-// ToneKernel names the tone kernel compiled into this binary ("lanes4" or
-// "purego"), for benchmarks and the build-tag CI matrix.
-func ToneKernel() string { return toneKernelName }

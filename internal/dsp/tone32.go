@@ -4,9 +4,7 @@ package dsp
 // hold the tone at float32 precision (written by ToneFill32, half the lane
 // traffic of the f64 lanes); the rotation and accumulation run in float64
 // after a free widening load, and dst stays complex128 — the narrowing
-// happened once at tone-store time, not per scatterer-accumulate. These are
-// tag-independent (no per-tag specialization to pick between), so unlike
-// ToneFill32 they live outside the ros_purego matrix.
+// happened once at tone-store time, not per scatterer-accumulate.
 
 // AccumulateTone32 adds the float32-lane tone to dst:
 // dst[t] += re[t] + i*im[t].

@@ -1,10 +1,6 @@
-//go:build !ros_purego
-
 package dsp
 
 import "math"
-
-const toneKernelName = "lanes4"
 
 // ToneFill writes the tone cur*step^t into the split re/im lanes for
 // t = 0..len(re)-1. Four phasor lanes advance by step^4 so the four complex

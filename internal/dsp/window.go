@@ -64,21 +64,12 @@ func (w Window) Coefficients(n int) []float64 {
 	return c
 }
 
-// Coefficient tables are memoized per (window, length) in a PlanSet (see
-// planset.go): the range transform windows every channel of every frame with
-// the same table, and recomputing the cosines dominated its profile. Entries
-// are shared read-only across goroutines.
-
+// windowEntry is one memoized coefficient table with its coherent gain (see
+// PlanSet.WindowCoefficients). Entries are shared read-only across
+// goroutines.
 type windowEntry struct {
 	coeffs []float64
 	gain   float64
-}
-
-// CachedCoefficients returns the window coefficients alongside the coherent
-// gain from the default plan set. The returned slice is shared: callers must
-// treat it as read-only (use Coefficients for a private copy).
-func (w Window) CachedCoefficients(n int) ([]float64, float64) {
-	return defaultPlans.WindowCoefficients(w, n)
 }
 
 // ApplyFloat multiplies x by the window coefficients in place and returns x.

@@ -5,9 +5,9 @@
 // pooled frame buffers, and scan states. An Engine is constructed once per
 // configuration handle, passed explicitly through the simulation and
 // detection layers, and released deterministically with Close, which drops
-// the caches and their metric label sets in one step. Code without a handle
-// keeps using the per-package default caches; an Engine never shares state
-// with them or with another Engine.
+// the caches and their metric label sets in one step. It is the only owner of
+// memoized state in the module: callers that pass no Engine resolve to the
+// process-wide Default, and no Engine shares state with another.
 package engine
 
 import (
@@ -21,9 +21,8 @@ import (
 )
 
 // cacheEntries is the one labeled gauge every engine-owned cache reports
-// under, replacing the per-cache global gauges of the default handles. The
-// capacity bounds label-set growth from engine churn; Close deletes an
-// engine's sets, so only leaked engines consume it permanently.
+// under. The capacity bounds label-set growth from engine churn; Close
+// deletes an engine's sets, so only leaked engines consume it permanently.
 var cacheEntries = obs.Default.GaugeVecCapacity(
 	"ros_engine_cache_entries",
 	"Resident entries per engine-owned cache.",
@@ -33,6 +32,16 @@ var cacheEntries = obs.Default.GaugeVecCapacity(
 
 // nextID numbers anonymous engines.
 var nextID atomic.Uint64
+
+// defaultEngine backs every caller that passes no Engine; see Default.
+var defaultEngine = New("default")
+
+// Default returns the process-wide Engine, id "default", that reads without
+// an explicit Engine draw their memoized state from. Its caches live for the
+// process and stay warm across passes (an offline sweep re-reading the same
+// radar reuses them); servers juggling many configurations build one Engine
+// per configuration instead, and Close it when the configuration retires.
+func Default() *Engine { return defaultEngine }
 
 // Engine owns the memoized state for one radar+scene configuration. The
 // exported handles are immutable after New; the Engine is safe for

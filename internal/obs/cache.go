@@ -14,8 +14,8 @@ import (
 // shared, and live until Clear. The working set is bounded by the number of
 // distinct keys the process touches (for this codebase: distinct radar
 // configurations and transform sizes), not by time — a long-lived server
-// cycling through unbounded configurations must call the owning package's
-// ResetCaches hook (or watch the gauge) to bound memory. Clear is safe
+// cycling through unbounded configurations must close the owning Engine
+// (or watch the gauge) to bound memory. Clear is safe
 // under concurrency: values already handed out keep working, and in-flight
 // fills simply repopulate.
 type CountedMap struct {

@@ -28,10 +28,11 @@ func (c Config) DopplerMap(frames []Frame, rx int) (powerMap [][]float64, veloci
 	if rx < 0 || rx >= c.NumRx {
 		return nil, nil, fmt.Errorf("radar: rx %d outside 0..%d", rx, c.NumRx-1)
 	}
-	// Range profiles per frame.
+	// Range profiles per frame, through one plan.
+	rangePlan := c.NewSynthPlan()
 	profiles := make([]RangeProfile, k)
 	for i, f := range frames {
-		profiles[i] = c.RangeProfile(f)
+		profiles[i] = rangePlan.RangeProfile(f)
 	}
 	nBins := c.Samples
 
@@ -39,7 +40,7 @@ func (c Config) DopplerMap(frames []Frame, rx int) (powerMap [][]float64, veloci
 	// window (and its coherent-gain normalization) is fused into the plan's
 	// first butterfly pass, and the three per-bin buffers are reused across
 	// the bin loop.
-	plan := dsp.PlanFor(k, dsp.Hann)
+	plan := dsp.NewPlan(k, dsp.Hann)
 	powerMap = make([][]float64, k)
 	for d := range powerMap {
 		powerMap[d] = make([]float64, nBins)

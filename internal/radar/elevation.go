@@ -51,15 +51,16 @@ func (e ElevationMIMO) SynthesizeElevation(scatterers []Scatterer, rng *rand.Ran
 		panic(fmt.Sprintf("radar: SynthesizeElevation on invalid config: %v", err))
 	}
 	lambda := e.Wavelength()
+	plan := e.Config.NewSynthPlan()
 	out := make([]Frame, 2)
-	out[0] = e.Config.Synthesize(scatterers, rng)
+	out[0] = plan.synthesizeRand(scatterers, rng)
 	shifted := make([]Scatterer, len(scatterers))
 	for i, sc := range scatterers {
 		s := sc
 		s.Phase -= 2 * math.Pi * e.TxHeight * math.Sin(sc.Elevation) / lambda
 		shifted[i] = s
 	}
-	out[1] = e.Config.Synthesize(shifted, rng)
+	out[1] = plan.synthesizeRand(shifted, rng)
 	return out
 }
 
@@ -73,9 +74,10 @@ func (e ElevationMIMO) EstimateElevation(burst []Frame, rangeM, azimuth float64)
 	}
 	bin := e.BinForRange(rangeM)
 	lambda := e.Wavelength()
+	plan := e.Config.NewSynthPlan()
 
 	beam := func(f Frame) complex128 {
-		rp := e.Config.RangeProfile(f)
+		rp := plan.RangeProfile(f)
 		var sum complex128
 		sinAz := math.Sin(azimuth)
 		for k := 0; k < e.NumRx; k++ {

@@ -103,8 +103,8 @@ func refQuantize(chans [][]complex128, bits int) {
 // multiply normalized by the coherent gain, then an in-place IFFT per
 // channel.
 func refRangeProfile(c Config, chans [][]complex128) [][]complex128 {
-	win, gain := dsp.Hann.CachedCoefficients(c.Samples)
-	invGain := 1 / gain
+	win := dsp.Hann.Coefficients(c.Samples)
+	invGain := 1 / dsp.Hann.CoherentGain(c.Samples)
 	out := make([][]complex128, len(chans))
 	for k, ch := range chans {
 		bins := make([]complex128, len(ch))

@@ -1,10 +1,12 @@
 package radar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
 	"ros/internal/dsp"
+	"ros/internal/em"
 )
 
 // Scatterer is one point reflector as seen from the radar for one frame. The
@@ -104,12 +106,45 @@ type SynthPlan struct {
 	pool *framePool
 }
 
-// NewSynthPlan validates the configuration once and returns the default
-// session's frame front-end plan for it. It panics on an invalid config,
-// exactly as Synthesize does. Callers holding an explicit resource handle
-// use Session.SynthPlanFor instead.
+// NewSynthPlan validates the configuration once and builds a fresh frame
+// front-end plan for it, owned by the caller. It panics on an invalid config,
+// exactly as Synthesize does. Reads resolve their plan through a Session
+// (Session.SynthPlanFor), which memoizes it.
 func (c Config) NewSynthPlan() *SynthPlan {
-	return defaultSession.SynthPlanFor(c)
+	return newSynthPlan(c, nil, newSteeringTable)
+}
+
+// newSynthPlan builds the frame front-end plan for c, drawing its range
+// transform from plans (nil builds it fresh) and its steering table from
+// steering. See SynthPlan for the field semantics.
+func newSynthPlan(c Config, plans *dsp.PlanSet, steering func(Config) *steeringTable) *SynthPlan {
+	if err := c.Validate(); err != nil {
+		panic(fmt.Sprintf("radar: synthesis plan on invalid config: %v", err))
+	}
+	lambda := c.Wavelength()
+	p := &SynthPlan{
+		cfg:       c,
+		lambda:    lambda,
+		beatK:     2 * c.Slope / em.C,
+		dopK:      2 / lambda,
+		phaseK:    4 * math.Pi / lambda,
+		stepK:     -2 * math.Pi / c.SampleRate,
+		rxK:       2 * math.Pi * c.RxSpacing / lambda,
+		sigma:     math.Sqrt(c.NoisePerBin()*float64(c.Samples)) / math.Sqrt2,
+		rangePlan: plans.PlanFor(c.Samples, dsp.Hann),
+		steer:     steering(c),
+		pool:      &framePool{},
+	}
+	if c.ADCBits > 0 {
+		// Levels per polarity; Validate bounded ADCBits to (0, 30], so
+		// the shift cannot overflow.
+		p.adcLevels = float64(int(1) << (c.ADCBits - 1))
+	}
+	p.useF32 = c.ADCBits <= 14 && !c.ForceFloat64
+	// Pre-warm one frame buffer so the first frame of a read does not pay
+	// the high-water-mark allocation inside the synthesis loop.
+	p.pool.put(newChanBuf(c.NumRx, c.Samples))
+	return p
 }
 
 // Config returns the radar configuration the plan was built for.
@@ -295,17 +330,22 @@ func (p *SynthPlan) synthTones32(f Frame, buf *chanBuf, scatterers []Scatterer) 
 	return wrote
 }
 
-// Synthesize generates a baseband frame per Eq 2 via the cached per-config
-// plan; see SynthPlan.Synthesize. A nil rng yields a noiseless frame; a
-// non-nil rng seeds one pooled Gauss noise stream from a single rng draw,
-// so the output is a pure function of the rng state.
+// Synthesize generates a baseband frame per Eq 2 through a fresh plan; see
+// SynthPlan.Synthesize and SynthPlan.synthesizeRand.
 func (c Config) Synthesize(scatterers []Scatterer, rng *rand.Rand) Frame {
-	plan := c.NewSynthPlan()
+	return c.NewSynthPlan().synthesizeRand(scatterers, rng)
+}
+
+// synthesizeRand is Synthesize with the noise stream seeded from the rng: a
+// nil rng yields a noiseless frame; a non-nil rng seeds one pooled Gauss
+// noise stream from a single rng draw, so the output is a pure function of
+// the rng state.
+func (p *SynthPlan) synthesizeRand(scatterers []Scatterer, rng *rand.Rand) Frame {
 	if rng == nil {
-		return plan.Synthesize(scatterers, nil)
+		return p.Synthesize(scatterers, nil)
 	}
 	g := dsp.AcquireGauss(int64(rng.Uint64()))
-	f := plan.Synthesize(scatterers, g)
+	f := p.Synthesize(scatterers, g)
 	dsp.ReleaseGauss(g)
 	return f
 }

@@ -69,6 +69,7 @@ func (m MIMOConfig) SynthesizeTDM(scatterers []Scatterer, rng *rand.Rand) []Fram
 		panic(fmt.Sprintf("radar: SynthesizeTDM on invalid config: %v", err))
 	}
 	lambda := m.Wavelength()
+	plan := m.Config.NewSynthPlan()
 	out := make([]Frame, m.NumTx)
 	for tx := 0; tx < m.NumTx; tx++ {
 		txPos := float64(tx) * m.TxSpacing
@@ -78,7 +79,7 @@ func (m MIMOConfig) SynthesizeTDM(scatterers []Scatterer, rng *rand.Rand) []Fram
 			s.Phase += 2 * math.Pi * txPos * math.Sin(sc.Azimuth) / lambda
 			shifted[i] = s
 		}
-		out[tx] = m.Config.Synthesize(shifted, rng)
+		out[tx] = plan.synthesizeRand(shifted, rng)
 	}
 	return out
 }
@@ -94,8 +95,9 @@ func (m MIMOConfig) VirtualAoASpectrum(burst []Frame, bin int, angles []float64)
 	lambda := m.Wavelength()
 	nv := m.VirtualElements()
 	virt := make([]complex128, nv)
+	plan := m.Config.NewSynthPlan()
 	for tx, f := range burst {
-		rp := m.Config.RangeProfile(f)
+		rp := plan.RangeProfile(f)
 		if bin < 0 || bin >= len(rp.Bins[0]) {
 			return nil, fmt.Errorf("radar: bin %d outside profile", bin)
 		}
@@ -132,7 +134,7 @@ func (m MIMOConfig) VirtualAoASpectrum(burst []Frame, bin int, angles []float64)
 // VirtualAoAEstimate returns the angle (radians) of the strongest virtual
 // beamforming response at the range bin nearest rangeM.
 func (m MIMOConfig) VirtualAoAEstimate(burst []Frame, rangeM float64) (float64, error) {
-	angles := m.Config.ScanAngles()
+	angles := scanAngles()
 	spec, err := m.VirtualAoASpectrum(burst, m.BinForRange(rangeM), angles)
 	if err != nil {
 		return 0, err

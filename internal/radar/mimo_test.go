@@ -68,7 +68,7 @@ func TestVirtualArraySeparatesCloseTargets(t *testing.T) {
 		{Range: 4, Azimuth: geom.Rad(6), Amplitude: 1e-4},
 	}
 	burst := m.SynthesizeTDM(sc, nil)
-	angles := m.Config.ScanAngles()
+	angles := scanAngles()
 	spec, err := m.VirtualAoASpectrum(burst, m.BinForRange(4), angles)
 	if err != nil {
 		t.Fatal(err)

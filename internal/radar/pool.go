@@ -116,20 +116,6 @@ func (fp *framePool) put(b *chanBuf) {
 	fp.p.Put(b)
 }
 
-// adoptFrom drains other's buffers into this pool. Used when two goroutines
-// race to build the same synthesis plan: the winner adopts the buffers the
-// discarded plan pre-warmed, so no pooled memory strands in an unreachable
-// pool.
-func (fp *framePool) adoptFrom(other *framePool) {
-	for {
-		v := other.p.Get()
-		if v == nil {
-			return
-		}
-		fp.put(v.(*chanBuf))
-	}
-}
-
 // ReleaseFrame returns a frame's sample buffer to its plan's pool. The
 // caller must not touch the frame afterwards; frames that escape to
 // long-lived results should simply not be released.

@@ -21,9 +21,8 @@ type RangeProfile struct {
 	buf *chanBuf
 }
 
-// RangeProfile applies the range transform of Eq 3 to a frame via the
-// per-read plan: one batched, fused Hann-window IFFT over all channels.
-// See SynthPlan.RangeProfile.
+// RangeProfile applies the range transform of Eq 3 to a frame through a
+// fresh plan; see SynthPlan.RangeProfile.
 func (c Config) RangeProfile(f Frame) RangeProfile {
 	return c.NewSynthPlan().RangeProfile(f)
 }
@@ -66,38 +65,20 @@ func (c Config) BinForRange(r float64) int {
 	return b
 }
 
-// AoASpectrum evaluates Eq 4 at one range bin: conventional beamforming
-// across the Rx array over the given steering angles (radians from
-// boresight). It returns the beamformed power (watts) per angle. When angles
-// is the cached scan grid (ScanAngles), the per-Config precomputed steering
-// kernels are used and the loop runs no trig at all.
-func (c Config) AoASpectrum(rp RangeProfile, bin int, angles []float64) []float64 {
-	out := make([]float64, len(angles))
-	c.AoASpectrumInto(out, rp, bin, angles)
-	return out
-}
-
-// AoASpectrumInto is AoASpectrum writing into a caller-provided buffer (one
-// power per angle), so per-bin scans inside the point-cloud loop allocate
-// nothing. dst must have length len(angles).
-func (c Config) AoASpectrumInto(dst []float64, rp RangeProfile, bin int, angles []float64) {
-	c.aoaSpectrumTab(dst, rp, bin, angles, c.steering())
-}
-
-// ScanAngles returns the plan's AoA scan grid; see Config.ScanAngles. The
-// slice is shared and must be treated as read-only.
+// ScanAngles returns the plan's AoA scan grid: +/-60 deg (the radar antenna
+// FoV, Sec 7.3) in 1-degree steps. The slice is shared and must be treated as
+// read-only; passing it to AoASpectrumInto selects the precomputed-kernel
+// fast path.
 func (p *SynthPlan) ScanAngles() []float64 { return p.steer.angles }
 
-// AoASpectrumInto is Config.AoASpectrumInto against the plan's captured
-// steering table, so the per-bin scan never touches a shared cache.
+// AoASpectrumInto evaluates Eq 4 at one range bin: conventional beamforming
+// across the Rx array over the given steering angles (radians from
+// boresight), writing the beamformed power (watts) per angle into dst, which
+// must have length len(angles). When angles is the plan's scan grid
+// (ScanAngles) the captured steering kernels are used and the loop runs no
+// trig at all.
 func (p *SynthPlan) AoASpectrumInto(dst []float64, rp RangeProfile, bin int, angles []float64) {
-	p.cfg.aoaSpectrumTab(dst, rp, bin, angles, p.steer)
-}
-
-// aoaSpectrumTab evaluates Eq 4 at one range bin against an explicit
-// steering table. When angles is the table's own scan grid the precomputed
-// kernels are used and the loop runs no trig at all.
-func (c Config) aoaSpectrumTab(dst []float64, rp RangeProfile, bin int, angles []float64, tab *steeringTable) {
+	c, tab := &p.cfg, p.steer
 	if bin < 0 || bin >= len(rp.Bins[0]) {
 		panic(fmt.Sprintf("radar: AoA at bin %d of %d", bin, len(rp.Bins[0])))
 	}
@@ -197,42 +178,26 @@ type DetectOptions struct {
 	DisableIncremental bool
 }
 
-// PointCloud extracts detections from a frame: per range bin, non-coherent
-// power across channels against a median-based noise estimate, then an AoA
-// scan for bins above threshold (the standard flow of Sec 3.2).
+// PointCloud extracts detections from a frame through a fresh plan: per
+// range bin, non-coherent power across channels against a median-based noise
+// estimate, then an AoA scan for bins above threshold (the standard flow of
+// Sec 3.2). See SynthPlan.PointCloudScan.
 func (c Config) PointCloud(f Frame, opts DetectOptions) []Detection {
-	return c.PointCloudFromProfile(c.RangeProfile(f), opts)
+	p := c.NewSynthPlan()
+	return p.PointCloudScan(p.RangeProfile(f), opts, nil)
 }
 
-// PointCloudFromProfile is PointCloud for an already-computed range profile
-// (callers that also spotlight objects reuse the profile). It always runs a
-// full scan; streaming callers thread a ScanState through PointCloudScan
-// instead.
-func (c Config) PointCloudFromProfile(rp RangeProfile, opts DetectOptions) []Detection {
-	return c.PointCloudScan(rp, opts, nil)
-}
-
-// PointCloudScan is PointCloudFromProfile with frame-to-frame scan state:
-// st seeds the noise-floor median with the previous frame's estimate and —
-// when a coverage check proves it exact — restricts the candidate loop to
-// the previous frame's above-threshold bins plus a guard band (see
+// PointCloudScan extracts detections from an already-computed range profile
+// against the plan's captured steering table, with frame-to-frame scan
+// state: st seeds the noise-floor median with the previous frame's estimate
+// and — when a coverage check proves it exact — restricts the candidate
+// loop to the previous frame's above-threshold bins plus a guard band (see
 // scan.go). The detections are byte-identical to the full scan for every
 // state; st only changes how much work the scan does. A nil st (or
 // opts.DisableIncremental, or opts.UseCFAR, whose local thresholds need
 // every bin) always walks the full profile.
-func (c Config) PointCloudScan(rp RangeProfile, opts DetectOptions, st *ScanState) []Detection {
-	return c.pointCloudScanTab(rp, opts, st, c.steering())
-}
-
-// PointCloudScan is Config.PointCloudScan against the plan's captured
-// steering table, so the per-frame detection pass never touches a shared
-// cache.
 func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions, st *ScanState) []Detection {
-	return p.cfg.pointCloudScanTab(rp, opts, st, p.steer)
-}
-
-// pointCloudScanTab is the scan body against an explicit steering table.
-func (c Config) pointCloudScanTab(rp RangeProfile, opts DetectOptions, st *ScanState, tab *steeringTable) []Detection {
+	c := p.cfg
 	if opts.ThresholdDB == 0 {
 		opts.ThresholdDB = 12
 	}
@@ -304,15 +269,15 @@ func (c Config) pointCloudScanTab(rp RangeProfile, opts DetectOptions, st *ScanS
 	incremental := false
 	if st != nil && !opts.UseCFAR && st.valid && len(st.active) == n && st.frames < scanRefreshInterval {
 		maxOut := 0.0
-		for i, p := range power {
-			if !st.active[i] && p > maxOut {
-				maxOut = p
+		for i, pw := range power {
+			if !st.active[i] && pw > maxOut {
+				maxOut = pw
 			}
 		}
 		incremental = maxOut < thresh
 	}
 
-	angles := tab.angles
+	angles := p.steer.angles
 	// The median scratch is free again; it holds the AoA spectrum when the
 	// scan grid fits (it does for every config with Samples >= 121 bins).
 	var spec []float64
@@ -334,7 +299,7 @@ func (c Config) pointCloudScanTab(rp RangeProfile, opts DetectOptions, st *ScanS
 		} else if power[i] < thresh || power[i] < power[i-1] || power[i] <= power[i+1] {
 			return
 		}
-		c.aoaSpectrumTab(spec, rp, i, angles, tab)
+		p.AoASpectrumInto(spec, rp, i, angles)
 		// Gate at 20 percent of the strongest response so the 4-element
 		// array's -11 dB sidelobes do not spawn ghost points.
 		maxSpec, _ := dsp.Max(spec)
@@ -343,9 +308,9 @@ func (c Config) pointCloudScanTab(rp RangeProfile, opts DetectOptions, st *ScanS
 		if len(peaks) > opts.MaxPerBin {
 			peaks = peaks[:opts.MaxPerBin]
 		}
-		for _, p := range peaks {
-			az := angles[0] + p.Pos*(angles[1]-angles[0])
-			out = append(out, Detection{Range: r, Azimuth: az, Power: p.Value})
+		for _, pk := range peaks {
+			az := angles[0] + pk.Pos*(angles[1]-angles[0])
+			out = append(out, Detection{Range: r, Azimuth: az, Power: pk.Value})
 		}
 	}
 	if incremental {

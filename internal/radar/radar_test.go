@@ -63,14 +63,18 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 }
 
 func TestSynthPlanCached(t *testing.T) {
+	s := testSession()
 	c := TI1443()
-	if c.NewSynthPlan() != c.NewSynthPlan() {
+	if s.SynthPlanFor(c) != s.SynthPlanFor(c) {
 		t.Error("identical configs yielded distinct plans")
 	}
 	c2 := c
 	c2.Samples = 200
-	if c.NewSynthPlan() == c2.NewSynthPlan() {
+	if s.SynthPlanFor(c) == s.SynthPlanFor(c2) {
 		t.Error("distinct configs shared a plan")
+	}
+	if c.NewSynthPlan() == c.NewSynthPlan() {
+		t.Error("NewSynthPlan returned a shared plan")
 	}
 }
 
@@ -100,8 +104,9 @@ func TestAoAEstimation(t *testing.T) {
 		f := c.Synthesize([]Scatterer{{Range: 4, Azimuth: az, Amplitude: 1e-4}}, nil)
 		rp := c.RangeProfile(f)
 		bin := c.BinForRange(4)
-		angles := c.ScanAngles()
-		spec := c.AoASpectrum(rp, bin, angles)
+		p := c.NewSynthPlan()
+		angles := p.ScanAngles()
+		spec := aoaSpectrum(p, rp, bin, angles)
 		_, idx := dsp.Max(spec)
 		got := geom.Deg(angles[idx])
 		if math.Abs(got-azDeg) > 3 {

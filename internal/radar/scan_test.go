@@ -44,8 +44,8 @@ func TestPointCloudScanMatchesFullScan(t *testing.T) {
 		// brings them back at a jumped range (pop-in outside any guard band).
 		drop := idx >= 40 && idx < 45
 		rp := scanStreamFrame(t, c, plan, idx, drop)
-		want := c.PointCloudFromProfile(rp, opts)
-		got := c.PointCloudScan(rp, opts, &st)
+		want := plan.PointCloudScan(rp, opts, nil)
+		got := plan.PointCloudScan(rp, opts, &st)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("frame %d (drop=%v): incremental %v != full %v", idx, drop, got, want)
 		}
@@ -74,7 +74,7 @@ func TestPointCloudScanRefreshInterval(t *testing.T) {
 	const frames = 2*(scanRefreshInterval+1) + 1
 	for idx := 0; idx < frames; idx++ {
 		rp := scanStreamFrame(t, c, plan, 0, false) // identical frame each time
-		c.PointCloudScan(rp, DetectOptions{}, &st)
+		plan.PointCloudScan(rp, DetectOptions{}, &st)
 		ReleaseProfile(rp)
 	}
 	full := mScanFull.Value() - fullBefore
@@ -96,21 +96,21 @@ func TestPointCloudScanResetForcesFullScan(t *testing.T) {
 	var st ScanState
 	rp := scanStreamFrame(t, c, plan, 0, false)
 	defer ReleaseProfile(rp)
-	c.PointCloudScan(rp, DetectOptions{}, &st) // warm the state
+	plan.PointCloudScan(rp, DetectOptions{}, &st) // warm the state
 	incBefore := mScanIncremental.Value()
-	c.PointCloudScan(rp, DetectOptions{}, &st)
+	plan.PointCloudScan(rp, DetectOptions{}, &st)
 	if mScanIncremental.Value() != incBefore+1 {
 		t.Fatal("warm state did not take the incremental path")
 	}
 	st.Reset()
 	fullBefore := mScanFull.Value()
-	c.PointCloudScan(rp, DetectOptions{}, &st)
+	plan.PointCloudScan(rp, DetectOptions{}, &st)
 	if mScanFull.Value() != fullBefore+1 {
 		t.Error("scan after Reset did not take the full path")
 	}
 	// And the state re-warms afterwards.
 	incBefore = mScanIncremental.Value()
-	c.PointCloudScan(rp, DetectOptions{}, &st)
+	plan.PointCloudScan(rp, DetectOptions{}, &st)
 	if mScanIncremental.Value() != incBefore+1 {
 		t.Error("state did not re-warm after the post-Reset full scan")
 	}
@@ -127,16 +127,16 @@ func TestPointCloudScanOptionsForceFull(t *testing.T) {
 	var st ScanState
 	incBefore := mScanIncremental.Value()
 	for i := 0; i < 3; i++ {
-		want := c.PointCloudFromProfile(rp, DetectOptions{UseCFAR: true})
-		got := c.PointCloudScan(rp, DetectOptions{UseCFAR: true}, &st)
+		want := plan.PointCloudScan(rp, DetectOptions{UseCFAR: true}, nil)
+		got := plan.PointCloudScan(rp, DetectOptions{UseCFAR: true}, &st)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("CFAR pass %d: %v != %v", i, got, want)
 		}
 	}
 	var st2 ScanState
 	for i := 0; i < 3; i++ {
-		want := c.PointCloudFromProfile(rp, DetectOptions{})
-		got := c.PointCloudScan(rp, DetectOptions{DisableIncremental: true}, &st2)
+		want := plan.PointCloudScan(rp, DetectOptions{}, nil)
+		got := plan.PointCloudScan(rp, DetectOptions{DisableIncremental: true}, &st2)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("DisableIncremental pass %d: %v != %v", i, got, want)
 		}
@@ -166,8 +166,8 @@ func TestPointCloudScanRandomProfiles(t *testing.T) {
 		f := plan.Synthesize(sc, g)
 		rp := plan.RangeProfile(f)
 		ReleaseFrame(f)
-		want := c.PointCloudFromProfile(rp, DetectOptions{})
-		got := c.PointCloudScan(rp, DetectOptions{}, &st)
+		want := plan.PointCloudScan(rp, DetectOptions{}, nil)
+		got := plan.PointCloudScan(rp, DetectOptions{}, &st)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: incremental %v != full %v", trial, got, want)
 		}
@@ -187,11 +187,11 @@ func BenchmarkPointCloudIncremental(b *testing.B) {
 	ReleaseFrame(f)
 	defer ReleaseProfile(rp)
 	var st ScanState
-	c.PointCloudScan(rp, DetectOptions{}, &st) // warm
+	plan.PointCloudScan(rp, DetectOptions{}, &st) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.PointCloudScan(rp, DetectOptions{}, &st)
+		plan.PointCloudScan(rp, DetectOptions{}, &st)
 	}
 }
 
@@ -209,6 +209,6 @@ func BenchmarkPointCloudFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.PointCloudFromProfile(rp, DetectOptions{})
+		plan.PointCloudScan(rp, DetectOptions{}, nil)
 	}
 }

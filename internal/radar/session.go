@@ -1,20 +1,14 @@
 // Session is the radar layer's resource handle: the memoized state one
 // radar+scene configuration accumulates — frame synthesis plans (with their
 // pooled frame buffers) and beamforming steering tables — owned by whoever
-// constructed the session instead of by the process. The package-level entry
-// points (Config.NewSynthPlan, Config.Synthesize, the AoA helpers) remain as
-// thin shims over one default session, so existing callers keep their
-// process-lifetime behavior; servers juggling many configurations build one
-// Session per handle and Clear it deterministically when the handle is
-// retired.
+// constructed the session instead of by the process. An engine.Engine owns
+// one Session per configuration handle and Clears it deterministically when
+// the handle is retired; Config.NewSynthPlan builds an unshared plan for
+// callers without one.
 package radar
 
 import (
-	"fmt"
-	"math"
-
 	"ros/internal/dsp"
-	"ros/internal/em"
 	"ros/internal/obs"
 )
 
@@ -43,10 +37,10 @@ type Session struct {
 
 // NewSession returns an empty session drawing transform plans from the given
 // set, with caches mirroring their entry counts into the gauges the provider
-// hands out. A nil plans uses the default plan set.
+// hands out. plans must be non-nil.
 func NewSession(plans *dsp.PlanSet, gauge dsp.CacheGauge) *Session {
 	if plans == nil {
-		plans = dsp.DefaultPlanSet()
+		panic("radar: NewSession needs a plan set")
 	}
 	return &Session{
 		plans:      plans,
@@ -63,53 +57,14 @@ func (s *Session) PlanSet() *dsp.PlanSet { return s.plans }
 // invalid config, exactly as Config.Synthesize does.
 //
 // Two goroutines racing on a cold config both build a plan; LoadOrStore
-// keeps exactly one. The loser's plan has already pre-warmed a pooled frame
-// buffer, so the winner adopts the loser's pool contents instead of leaving
-// them to the collector (and, worse in the pre-session design, instead of
-// the loser handing out a plan whose buffers lived in a discarded pool).
+// keeps exactly one, and the loser's plan — with the one frame buffer it
+// pre-warmed — is left to the collector.
 func (s *Session) SynthPlanFor(c Config) *SynthPlan {
 	if v, ok := s.synthPlans.Load(c); ok {
 		return v.(*SynthPlan)
 	}
-	p := s.newSynthPlan(c)
-	actual, loaded := s.synthPlans.LoadOrStore(c, p)
-	winner := actual.(*SynthPlan)
-	if loaded {
-		winner.pool.adoptFrom(p.pool)
-	}
-	return winner
-}
-
-// newSynthPlan builds the frame front-end plan for c against this session's
-// caches. See SynthPlan for the field semantics.
-func (s *Session) newSynthPlan(c Config) *SynthPlan {
-	if err := c.Validate(); err != nil {
-		panic(fmt.Sprintf("radar: synthesis plan on invalid config: %v", err))
-	}
-	lambda := c.Wavelength()
-	p := &SynthPlan{
-		cfg:       c,
-		lambda:    lambda,
-		beatK:     2 * c.Slope / em.C,
-		dopK:      2 / lambda,
-		phaseK:    4 * math.Pi / lambda,
-		stepK:     -2 * math.Pi / c.SampleRate,
-		rxK:       2 * math.Pi * c.RxSpacing / lambda,
-		sigma:     math.Sqrt(c.NoisePerBin()*float64(c.Samples)) / math.Sqrt2,
-		rangePlan: s.plans.PlanFor(c.Samples, dsp.Hann),
-		steer:     s.steeringFor(c),
-		pool:      &framePool{},
-	}
-	if c.ADCBits > 0 {
-		// Levels per polarity; Validate bounded ADCBits to (0, 30], so
-		// the shift cannot overflow.
-		p.adcLevels = float64(int(1) << (c.ADCBits - 1))
-	}
-	p.useF32 = c.ADCBits <= 14 && !c.ForceFloat64
-	// Pre-warm one frame buffer so the first frame of a read does not pay
-	// the high-water-mark allocation inside the synthesis loop.
-	p.pool.put(newChanBuf(c.NumRx, c.Samples))
-	return p
+	actual, _ := s.synthPlans.LoadOrStore(c, newSynthPlan(c, s.plans, s.steeringFor))
+	return actual.(*SynthPlan)
 }
 
 // steeringFor returns the session's cached steering table for the config's

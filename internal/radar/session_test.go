@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"ros/internal/dsp"
 	"ros/internal/obs"
 )
 
@@ -13,13 +14,16 @@ func testGauge(cache string) *obs.Gauge {
 	return obs.Default.Gauge("test_radar_session_"+cache, "session test scratch gauge")
 }
 
+// testSession returns a fresh session over a fresh plan set.
+func testSession() *Session {
+	return NewSession(dsp.NewPlanSet(testGauge), testGauge)
+}
+
 // TestSessionSynthPlanConcurrentConstruction pins the losing-racer contract
 // of SynthPlanFor: many goroutines requesting the same configuration at once
-// all get the same plan pointer, the cache holds exactly one entry, and the
-// racers' discarded plans leave no trace (their pre-warmed frame buffers are
-// adopted by the winner's pool instead of leaking with the loser).
+// all get the same plan pointer and the cache holds exactly one entry.
 func TestSessionSynthPlanConcurrentConstruction(t *testing.T) {
-	s := NewSession(nil, testGauge)
+	s := testSession()
 	cfg := TI1443()
 
 	const goroutines = 32
@@ -61,37 +65,9 @@ func TestSessionSynthPlanConcurrentConstruction(t *testing.T) {
 	ReleaseFrame(f)
 }
 
-// TestFramePoolAdoption pins the race fix itself: a buffer pre-warmed into a
-// discarded racer's pool is handed to the winner's pool and comes back out
-// re-homed to the winner. Under the race detector sync.Pool intentionally
-// drops a fraction of Put calls, so a single put→adopt→acquire round trip may
-// lose the buffer without any bug in adoption; retry until the buffer
-// survives both puts and assert the contract on that surviving round trip.
-func TestFramePoolAdoption(t *testing.T) {
-	for attempt := 0; attempt < 256; attempt++ {
-		var winner, loser framePool
-		b := newChanBuf(4, 256)
-		loser.put(b)
-		winner.adoptFrom(&loser)
-
-		got := winner.acquire(4, 256, false)
-		if got != b {
-			continue // the pool dropped the buffer on a put; retry
-		}
-		if got.home != &winner {
-			t.Fatal("adopted buffer still homed to the discarded pool")
-		}
-		if extra := loser.acquire(4, 256, false); extra == b {
-			t.Fatal("buffer resident in both pools after adoption")
-		}
-		return
-	}
-	t.Fatal("adopted buffer never survived a pool round trip in 256 attempts")
-}
-
 // TestSessionClear drops both caches and lets the session repopulate.
 func TestSessionClear(t *testing.T) {
-	s := NewSession(nil, testGauge)
+	s := testSession()
 	cfg := TI1443()
 	p1 := s.SynthPlanFor(cfg)
 	if s.synthPlans.Len() != 1 {

@@ -35,19 +35,19 @@ type steeringTable struct {
 	weights []complex128
 }
 
-// steering returns the default session's cached steering table for this
-// config, computing it on first use. Callers holding an explicit resource
-// handle reach their table through Session.SynthPlanFor instead.
-func (c Config) steering() *steeringTable {
-	return defaultSession.steeringFor(c)
-}
-
-func newSteeringTable(c Config) *steeringTable {
+// scanAngles returns the AoA scan grid: +/-60 deg (the radar antenna FoV,
+// Sec 7.3) in 1-degree steps.
+func scanAngles() []float64 {
 	const step = math.Pi / 180
 	var angles []float64
 	for a := -60.0 * step; a <= 60*step+1e-12; a += step {
 		angles = append(angles, a)
 	}
+	return angles
+}
+
+func newSteeringTable(c Config) *steeringTable {
+	angles := scanAngles()
 	t := &steeringTable{
 		numRx:   c.NumRx,
 		angles:  angles,
@@ -64,9 +64,3 @@ func newSteeringTable(c Config) *steeringTable {
 	}
 	return t
 }
-
-// ScanAngles returns the AoA scan grid: +/-60 deg (the radar antenna FoV,
-// Sec 7.3) in 1-degree steps. The slice is cached per array geometry and
-// shared — callers must not modify it. Passing it to AoASpectrum selects the
-// precomputed-kernel fast path.
-func (c Config) ScanAngles() []float64 { return c.steering().angles }

@@ -59,8 +59,9 @@ func testProfile(t testing.TB, c Config) RangeProfile {
 }
 
 func TestScanAnglesCachedAndShared(t *testing.T) {
+	s := testSession()
 	c := TI1443()
-	a, b := c.ScanAngles(), c.ScanAngles()
+	a, b := s.SynthPlanFor(c).ScanAngles(), s.SynthPlanFor(c).ScanAngles()
 	if len(a) != 121 {
 		t.Fatalf("scan grid has %d angles, want 121 (+/-60 deg in 1 deg steps)", len(a))
 	}
@@ -71,18 +72,25 @@ func TestScanAnglesCachedAndShared(t *testing.T) {
 	if math.Abs(a[0]+60*step) > 1e-12 || math.Abs(a[120]-60*step) > 1e-9 {
 		t.Errorf("grid spans [%g, %g] rad, want +/-60 deg", a[0], a[len(a)-1])
 	}
-	// A config with the same geometry shares the table; a different
-	// geometry gets its own.
+	// A config with the same geometry shares the session's table; a
+	// different geometry gets its own.
 	c2 := TI1443()
 	c2.Slope *= 2 // no effect on steering
-	if d := c2.ScanAngles(); &d[0] != &a[0] {
+	if d := s.SynthPlanFor(c2).ScanAngles(); &d[0] != &a[0] {
 		t.Error("same array geometry did not share the steering cache")
 	}
 	c3 := TI1443()
 	c3.NumRx = 8
-	if d := c3.ScanAngles(); &d[0] == &a[0] {
+	if d := s.SynthPlanFor(c3).ScanAngles(); &d[0] == &a[0] {
 		t.Error("different array geometry shared a steering table")
 	}
+}
+
+// aoaSpectrum is SynthPlan.AoASpectrumInto into a fresh slice.
+func aoaSpectrum(p *SynthPlan, rp RangeProfile, bin int, angles []float64) []float64 {
+	out := make([]float64, len(angles))
+	p.AoASpectrumInto(out, rp, bin, angles)
+	return out
 }
 
 func TestAoASpectrumCachedMatchesTrigReference(t *testing.T) {
@@ -90,9 +98,10 @@ func TestAoASpectrumCachedMatchesTrigReference(t *testing.T) {
 	// within 1e-12 of the spectrum peak at every angle and bin.
 	for _, c := range []Config{TI1443(), Commercial()} {
 		rp := testProfile(t, c)
-		angles := c.ScanAngles()
+		p := c.NewSynthPlan()
+		angles := p.ScanAngles()
 		for _, bin := range []int{1, c.BinForRange(2.5), c.BinForRange(4), c.Samples - 2} {
-			got := c.AoASpectrum(rp, bin, angles)
+			got := aoaSpectrum(p, rp, bin, angles)
 			want := refSpectrum(c, rp, bin, angles)
 			if i, ok := specEqual(got, want, 1e-12); !ok {
 				t.Errorf("bin %d angle %d: cached %g vs trig %g", bin, i, got[i], want[i])
@@ -108,7 +117,7 @@ func TestAoASpectrumFallbackMatchesTrigReference(t *testing.T) {
 	rp := testProfile(t, c)
 	angles := []float64{-0.9, -0.31, 0, 0.17, 0.55, 1.02}
 	bin := c.BinForRange(4)
-	got := c.AoASpectrum(rp, bin, angles)
+	got := aoaSpectrum(c.NewSynthPlan(), rp, bin, angles)
 	want := refSpectrum(c, rp, bin, angles)
 	if i, ok := specEqual(got, want, 1e-12); !ok {
 		t.Errorf("angle %d: fallback %g vs trig %g", i, got[i], want[i])
@@ -138,8 +147,9 @@ func TestAoASpectrumWideArrayHeapPath(t *testing.T) {
 	c.NumRx = 20
 	rp := testProfile(t, c)
 	bin := c.BinForRange(4)
-	got := c.AoASpectrum(rp, bin, c.ScanAngles())
-	want := refSpectrum(c, rp, bin, c.ScanAngles())
+	p := c.NewSynthPlan()
+	got := aoaSpectrum(p, rp, bin, p.ScanAngles())
+	want := refSpectrum(c, rp, bin, p.ScanAngles())
 	if i, ok := specEqual(got, want, 1e-12); !ok {
 		t.Errorf("angle %d: cached %g vs trig %g", i, got[i], want[i])
 	}
@@ -153,5 +163,6 @@ func TestAoASpectrumIntoValidatesDst(t *testing.T) {
 			t.Error("short dst accepted")
 		}
 	}()
-	c.AoASpectrumInto(make([]float64, 2), rp, 4, c.ScanAngles())
+	p := c.NewSynthPlan()
+	p.AoASpectrumInto(make([]float64, 2), rp, 4, p.ScanAngles())
 }

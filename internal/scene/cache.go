@@ -4,10 +4,8 @@
 // every read — so the per-scatterer module sums, the dominant cost of
 // decode-mode scene evaluation, are memoized in a ResponseCache. Entries are
 // immutable complex/real values shared across goroutines. The cache is a
-// resource handle: Scene.Responses selects one explicitly, and callers
-// without a handle fall back to the default cache behind the package-level
-// entry points (its entry count is mirrored into ros_scene_response_entries
-// and ResetCaches drops it).
+// resource handle owned by an engine.Engine: Scene.Responses selects one, and
+// a Scene without one evaluates every term directly.
 package scene
 
 import "ros/internal/obs"
@@ -79,19 +77,3 @@ func (rc *ResponseCache) Len() int { return rc.entries.Len() }
 // Clear drops every entry and zeroes the gauge. Subsequent calls recompute
 // and repopulate; results are bit-identical either way.
 func (rc *ResponseCache) Clear() { rc.entries.Clear() }
-
-// defaultResponses is the process-wide cache behind the package-level entry
-// points (Tag.Response, Tag.RCS, Scatterers on a Scene without an explicit
-// handle).
-var defaultResponses = NewResponseCache(obs.Default.Gauge("ros_scene_response_entries",
-	"Resident memoized tag field terms, one per (tag fingerprint, radar position, frequency, term)."), 0)
-
-// DefaultResponseCache returns the process-wide response cache.
-func DefaultResponseCache() *ResponseCache { return defaultResponses }
-
-// ResetCaches drops the default scene memo cache and zeroes its gauge.
-// Intended for long-lived processes cycling through unbounded tag or
-// trajectory sets and for tests that need a cold start.
-func ResetCaches() {
-	defaultResponses.Clear()
-}

@@ -6,19 +6,24 @@ import (
 
 	"ros/internal/coding"
 	"ros/internal/geom"
+	"ros/internal/obs"
 	"ros/internal/stack"
 )
 
 // literalTwin copies a NewTag-built tag into a literal (fp 0) twin that
-// always evaluates directly — the bit-identity reference for the memo.
+// never memoizes — the bit-identity reference for the memo.
 func literalTwin(tag *Tag) *Tag {
 	return &Tag{Layout: tag.Layout, Stack: tag.Stack, Position: tag.Position, Stats: tag.Stats}
 }
 
+// testCache returns an empty response cache reporting into an unregistered
+// gauge.
+func testCache() *ResponseCache { return NewResponseCache(new(obs.Gauge), 0) }
+
 // TestTagResponseMemoMatchesDirect pins the memo's core contract: memoized
 // evaluation is byte-identical to direct evaluation, cold and warm.
 func TestTagResponseMemoMatchesDirect(t *testing.T) {
-	ResetCaches()
+	rc := testCache()
 	tag := testTag(t, "1011", 8)
 	direct := literalTwin(tag)
 	if tag.fp == 0 {
@@ -35,47 +40,40 @@ func TestTagResponseMemoMatchesDirect(t *testing.T) {
 	}
 	for _, p := range probes {
 		want := direct.Response(p, fc)
-		cold := tag.Response(p, fc) // computes and stores
-		warm := tag.Response(p, fc) // served from the memo
-		if cold != want || warm != want {
+		cold := tag.responseCached(rc, p, fc) // computes and stores
+		warm := tag.responseCached(rc, p, fc) // served from the memo
+		if cold != want || warm != want || direct.responseCached(rc, p, fc) != want {
 			t.Errorf("Response(%v): cold %v warm %v direct %v", p, cold, warm, want)
 		}
 		wantP := direct.stackPower(p, fc)
-		coldP := tag.stackPower(p, fc)
-		warmP := tag.stackPower(p, fc)
+		coldP := tag.stackPowerCached(rc, p, fc)
+		warmP := tag.stackPowerCached(rc, p, fc)
 		if coldP != wantP || warmP != wantP {
 			t.Errorf("stackPower(%v): cold %v warm %v direct %v", p, coldP, warmP, wantP)
 		}
-		// The derived quantities flow through the same memo.
-		if tag.RCS(p, fc) != direct.RCS(p, fc) {
-			t.Errorf("RCS(%v) diverges from direct", p)
-		}
-		if tag.ElevationEnvelope(p, fc) != direct.ElevationEnvelope(p, fc) {
-			t.Errorf("ElevationEnvelope(%v) diverges from direct", p)
-		}
 	}
-	if n := defaultResponses.Len(); n == 0 {
-		t.Error("memo is empty after memoized evaluations")
+	if n := rc.Len(); n != 2*len(probes) {
+		t.Errorf("memo holds %d entries after %d probes, want %d", n, len(probes), 2*len(probes))
 	}
 }
 
-// TestResetCachesRebuildIdentical checks that dropping the memo mid-stream
-// changes nothing but timing.
-func TestResetCachesRebuildIdentical(t *testing.T) {
-	ResetCaches()
+// TestResponseCacheClearRebuildIdentical checks that dropping the memo
+// mid-stream changes nothing but timing.
+func TestResponseCacheClearRebuildIdentical(t *testing.T) {
+	rc := testCache()
 	tag := testTag(t, "1101", 8)
 	p := geom.Vec3{X: 1.5, Y: 12, Z: 0.7}
-	before := tag.Response(p, fc)
-	beforeP := tag.stackPower(p, fc)
-	ResetCaches()
-	if n := defaultResponses.Len(); n != 0 {
-		t.Fatalf("ResetCaches left %d entries", n)
+	before := tag.responseCached(rc, p, fc)
+	beforeP := tag.stackPowerCached(rc, p, fc)
+	rc.Clear()
+	if n := rc.Len(); n != 0 {
+		t.Fatalf("Clear left %d entries", n)
 	}
-	if got := tag.Response(p, fc); got != before {
-		t.Errorf("Response after ResetCaches: %v != %v", got, before)
+	if got := tag.responseCached(rc, p, fc); got != before {
+		t.Errorf("Response after Clear: %v != %v", got, before)
 	}
-	if got := tag.stackPower(p, fc); got != beforeP {
-		t.Errorf("stackPower after ResetCaches: %v != %v", got, beforeP)
+	if got := tag.stackPowerCached(rc, p, fc); got != beforeP {
+		t.Errorf("stackPower after Clear: %v != %v", got, beforeP)
 	}
 }
 
@@ -84,7 +82,7 @@ func TestResetCachesRebuildIdentical(t *testing.T) {
 // (driveby places the same layout/stack at several offsets — a positional
 // collision would serve one tag's field for another's).
 func TestTagFingerprintSeparatesTags(t *testing.T) {
-	ResetCaches()
+	rc := testCache()
 	base := testTag(t, "1011", 8)
 	fps := map[uint64]string{base.fp: "base"}
 	add := func(name string, tag *Tag, err error) {
@@ -109,15 +107,15 @@ func TestTagFingerprintSeparatesTags(t *testing.T) {
 	// And the memo keeps them apart end to end: warm both co-located-layout
 	// tags, then check each still answers with its own field.
 	p := geom.Vec3{X: 0.5, Y: 9, Z: 0.4}
-	rBase := base.Response(p, fc)
-	rShift := shifted.Response(p, fc)
+	rBase := base.responseCached(rc, p, fc)
+	rShift := shifted.responseCached(rc, p, fc)
 	if rBase == rShift {
 		t.Fatal("test premise broken: distinct positions gave identical fields")
 	}
-	if got := base.Response(p, fc); got != rBase {
+	if got := base.responseCached(rc, p, fc); got != rBase {
 		t.Error("base tag's memoized field was overwritten by the shifted tag")
 	}
-	if got := shifted.Response(p, fc); got != rShift {
+	if got := shifted.responseCached(rc, p, fc); got != rShift {
 		t.Error("shifted tag's memoized field was overwritten by the base tag")
 	}
 }
@@ -126,16 +124,15 @@ func TestTagFingerprintSeparatesTags(t *testing.T) {
 // checks the wipe: the map never exceeds the cap and keeps absorbing new
 // entries afterwards.
 func TestSceneMemoCapWipes(t *testing.T) {
-	ResetCaches()
-	defer ResetCaches()
+	rc := testCache()
 	for i := 0; i < sceneResponseCap; i++ {
-		defaultResponses.store(responseKey{fp: 1, px: float64(i)}, complex128(0))
+		rc.store(responseKey{fp: 1, px: float64(i)}, complex128(0))
 	}
-	if n := defaultResponses.Len(); n != sceneResponseCap {
+	if n := rc.Len(); n != sceneResponseCap {
 		t.Fatalf("filled memo holds %d entries, want %d", n, sceneResponseCap)
 	}
-	defaultResponses.store(responseKey{fp: 2}, complex128(0))
-	if n := defaultResponses.Len(); n != 1 {
+	rc.store(responseKey{fp: 2}, complex128(0))
+	if n := rc.Len(); n != 1 {
 		t.Errorf("store at capacity left %d entries, want 1 (wipe then insert)", n)
 	}
 }
@@ -175,17 +172,17 @@ func benchTag(b *testing.B, memo bool) *Tag {
 // BenchmarkSceneResponseDirect's full module loop — the per-frame saving a
 // repeated trajectory buys.
 func BenchmarkSceneResponseMemo(b *testing.B) {
-	ResetCaches()
+	rc := testCache()
 	tag := benchTag(b, true)
 	p := geom.Vec3{X: 1, Y: 10, Z: 0.5}
-	if tag.Response(p, fc) == 0 {
+	if tag.responseCached(rc, p, fc) == 0 {
 		b.Fatal("degenerate probe")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var acc complex128
 	for i := 0; i < b.N; i++ {
-		acc += tag.Response(p, fc)
+		acc += tag.responseCached(rc, p, fc)
 	}
 	if cmplx.IsNaN(acc) {
 		b.Fatal("NaN accumulator")

@@ -47,9 +47,8 @@ type Scene struct {
 	// slowly varying interference envelope).
 	Ground *GroundMultipath
 	// Responses, when non-nil, memoizes tag field terms through the given
-	// resource handle instead of the process-wide default cache. Results
-	// are bit-identical either way; ownership is what changes — an Engine
-	// dropping its cache never evicts another handle's entries.
+	// resource handle (an Engine's); nil evaluates every term directly.
+	// Results are bit-identical either way.
 	Responses *ResponseCache
 	// DisablePolSwitching ablates Sec 4.2's PSVAA design: decode-mode
 	// clutter keeps its full co-polarized strength (no cross-pol
@@ -88,10 +87,6 @@ func radarElementAmp(az float64) float64 {
 // per-measurement polarization-rejection spread (nil for deterministic
 // output).
 func (s *Scene) Scatterers(radarPos, radarVel geom.Vec3, mode Mode, fe em.RadarFrontEnd, f float64, rng *rand.Rand) []radar.Scatterer {
-	responses := s.Responses
-	if responses == nil {
-		responses = defaultResponses
-	}
 	lambda := em.Wavelength(f)
 	fogAtten := s.Fog.AttenuationDBPerMeter() + em.RainAttenuationDBPerMeter(s.RainMMPerHour)
 	capHint := 3 * len(s.Tags) // detect mode emits up to 3 points per tag
@@ -155,7 +150,7 @@ func (s *Scene) Scatterers(radarPos, radarVel geom.Vec3, mode Mode, fe em.RadarF
 			if s.blocked(radarPos, t.Position) {
 				continue
 			}
-			resp := t.responseCached(responses, radarPos, f)
+			resp := t.responseCached(s.Responses, radarPos, f)
 			if s.DisablePolSwitching {
 				// Both pair halves re-radiate: +6 dB RCS (Sec 4.2).
 				resp *= 2
@@ -192,7 +187,7 @@ func (s *Scene) Scatterers(radarPos, radarVel geom.Vec3, mode Mode, fe em.RadarF
 			// refElevationGain). This pins the RSS-loss feature near
 			// Fig 13a's ~13 dB for every stack size, shaping choice, and
 			// bit pattern.
-			aperture := t.stackPowerCached(responses, radarPos, f) / refElevationGain
+			aperture := t.stackPowerCached(s.Responses, radarPos, f) / refElevationGain
 			mounted := float64(len(t.Layout.Positions())) / 5
 			rcs := em.FromDBsm(t.Stats.RCSdBsm) * aperture * mounted / 3
 			for i := -1; i <= 1; i++ {

@@ -30,7 +30,7 @@ type Tag struct {
 	Stats ClassStats
 
 	// fp fingerprints the response-relevant geometry (layout, stack,
-	// position), keying the process-wide field-term memo. NewTag computes it
+	// position), keying the field-term memo (ResponseCache). NewTag computes it
 	// eagerly; tags built as literals carry fp 0 and always evaluate
 	// directly. A non-zero fp asserts Layout, Stack, and Position stay
 	// unmodified for the tag's lifetime — mutate them and the memo serves
@@ -103,32 +103,28 @@ func tagFingerprint(layout *coding.Layout, st *stack.Stack, pos geom.Vec3) uint6
 	return h
 }
 
-// Response returns the tag's decode-mode complex reflection coefficient for
-// a radar at the given world position: amplitude^2 is the tag RCS in m^2 and
-// the phase is relative to the tag center (the center's own round-trip phase
-// is applied by the radar model through Scatterer.Range).
-func (t *Tag) Response(radarPos geom.Vec3, f float64) complex128 {
-	return t.responseCached(defaultResponses, radarPos, f)
-}
-
-// responseCached is Response memoizing through an explicit cache; nil skips
+// responseCached is Response memoizing through a cache; nil skips
 // memoization entirely.
 func (t *Tag) responseCached(rc *ResponseCache, radarPos geom.Vec3, f float64) complex128 {
 	if t.fp == 0 || rc == nil {
-		return t.responseDirect(radarPos, f)
+		return t.Response(radarPos, f)
 	}
 	key := responseKey{fp: t.fp, px: radarPos.X, py: radarPos.Y, pz: radarPos.Z, f: f, kind: kindResponse}
 	if v, ok := rc.load(key); ok {
 		return v.(complex128)
 	}
-	r := t.responseDirect(radarPos, f)
+	r := t.Response(radarPos, f)
 	rc.store(key, r)
 	return r
 }
 
-// responseDirect is Response without the memo: the full per-module coherent
-// field sum.
-func (t *Tag) responseDirect(radarPos geom.Vec3, f float64) complex128 {
+// Response returns the tag's decode-mode complex reflection coefficient for
+// a radar at the given world position: amplitude^2 is the tag RCS in m^2 and
+// the phase is relative to the tag center (the center's own round-trip phase
+// is applied by the radar model through Scatterer.Range). It evaluates the
+// full per-module coherent field sum; the read path memoizes it through the
+// scene's ResponseCache.
+func (t *Tag) Response(radarPos geom.Vec3, f float64) complex128 {
 	lambda := em.Wavelength(f)
 	k := 4 * math.Pi / lambda
 	rel := radarPos.Sub(t.Position)
@@ -198,29 +194,24 @@ func (t *Tag) ElevationEnvelope(radarPos geom.Vec3, f float64) float64 {
 	return t.stackPower(radarPos, f) / p0
 }
 
-// stackPower evaluates the per-module coherent sum for the reference stack
-// only (elevation structure without the spatial code).
-func (t *Tag) stackPower(radarPos geom.Vec3, f float64) float64 {
-	return t.stackPowerCached(defaultResponses, radarPos, f)
-}
-
-// stackPowerCached is stackPower memoizing through an explicit cache; nil
-// skips memoization entirely.
+// stackPowerCached is stackPower memoizing through a cache; nil skips
+// memoization entirely.
 func (t *Tag) stackPowerCached(rc *ResponseCache, radarPos geom.Vec3, f float64) float64 {
 	if t.fp == 0 || rc == nil {
-		return t.stackPowerDirect(radarPos, f)
+		return t.stackPower(radarPos, f)
 	}
 	key := responseKey{fp: t.fp, px: radarPos.X, py: radarPos.Y, pz: radarPos.Z, f: f, kind: kindStackPower}
 	if v, ok := rc.load(key); ok {
 		return v.(float64)
 	}
-	p := t.stackPowerDirect(radarPos, f)
+	p := t.stackPower(radarPos, f)
 	rc.store(key, p)
 	return p
 }
 
-// stackPowerDirect is stackPower without the memo.
-func (t *Tag) stackPowerDirect(radarPos geom.Vec3, f float64) float64 {
+// stackPower evaluates the per-module coherent sum for the reference stack
+// only (elevation structure without the spatial code).
+func (t *Tag) stackPower(radarPos geom.Vec3, f float64) float64 {
 	lambda := em.Wavelength(f)
 	k := 4 * math.Pi / lambda
 	rel := radarPos.Sub(t.Position)

@@ -174,8 +174,8 @@ type DriveBy struct {
 	// Engine, when non-nil, supplies the resource handle all memoized state
 	// of the pass — transform plans, steering tables, scene-response memos,
 	// pooled frame buffers, scan states — is drawn from and accounted
-	// against; nil uses the process-wide default caches. Results are
-	// byte-identical either way.
+	// against; nil uses engine.Default(). Results are byte-identical either
+	// way.
 	Engine *engine.Engine
 }
 
@@ -218,9 +218,10 @@ func (d DriveBy) Validate() error {
 	return nil
 }
 
-// Stats counts the work done by one pass. It is a flat view derived from
-// the pass's span tree (Outcome.Span); per-stage frame-loop times are summed
-// across workers (CPU time), WallNS is the end-to-end wall clock.
+// Stats counts the work done by one pass. It is the one flat view of the
+// pass's span tree (Outcome.Span, see StatsFromSpan); per-stage frame-loop
+// times are summed across workers (CPU time), WallNS is the end-to-end wall
+// clock.
 type Stats struct {
 	// Frames is the number of radar frames synthesized (two polarization
 	// modes per pose).
@@ -284,24 +285,27 @@ type Outcome struct {
 	Stats Stats
 }
 
-// StatsFromSpan flattens a pass span tree into the legacy Stats view.
+// StatsFromSpan flattens a pass span tree — the "read" root with its
+// adopted "detect" subtree — into the Stats view.
 func StatsFromSpan(root *obs.Span) Stats {
 	if root == nil {
 		return Stats{}
 	}
-	det := detect.StatsFromSpan(root.Child(detect.SpanRun))
-	return Stats{
-		Frames:       det.Frames,
-		FFTCalls:     det.FFTCalls,
-		Workers:      det.Workers,
-		SynthesizeNS: det.SynthesizeNS,
-		RangeFFTNS:   det.RangeFFTNS,
-		PointCloudNS: det.PointCloudNS,
-		ClusterNS:    det.ClusterNS,
-		SpotlightNS:  det.SpotlightNS,
-		DecodeNS:     root.ChildDuration(SpanDecode).Nanoseconds(),
-		WallNS:       root.Wall().Nanoseconds(),
+	st := Stats{
+		DecodeNS: root.ChildDuration(SpanDecode).Nanoseconds(),
+		WallNS:   root.Wall().Nanoseconds(),
 	}
+	if det := root.Child(detect.SpanRun); det != nil {
+		st.Frames = int(det.IntAttr("frames"))
+		st.FFTCalls = det.IntAttr("fft_calls")
+		st.Workers = int(det.IntAttr("workers"))
+		st.SynthesizeNS = det.ChildDuration(detect.SpanSynthesize).Nanoseconds()
+		st.RangeFFTNS = det.ChildDuration(detect.SpanRangeFFT).Nanoseconds()
+		st.PointCloudNS = det.ChildDuration(detect.SpanPointCloud).Nanoseconds()
+		st.ClusterNS = det.ChildDuration(detect.SpanCluster).Nanoseconds()
+		st.SpotlightNS = det.ChildDuration(detect.SpanSpotlight).Nanoseconds()
+	}
+	return st
 }
 
 // defaults fills zero-valued fields.
@@ -379,14 +383,16 @@ func RunContext(ctx context.Context, cfg DriveBy) (_ *Outcome, rerr error) {
 	if err != nil {
 		return nil, err
 	}
+	eng := cfg.Engine
+	if eng == nil {
+		eng = engine.Default()
+	}
 	sc := &scene.Scene{
 		Tags:                []*scene.Tag{tag},
 		Fog:                 cfg.Fog,
 		RainMMPerHour:       cfg.RainMMPerHour,
 		DisablePolSwitching: cfg.DisablePolSwitching,
-	}
-	if cfg.Engine != nil {
-		sc.Responses = cfg.Engine.Responses
+		Responses:           eng.Responses,
 	}
 	if cfg.GroundMultipath {
 		sc.Ground = scene.DefaultGround()
@@ -485,10 +491,7 @@ func RunContext(ctx context.Context, cfg DriveBy) (_ *Outcome, rerr error) {
 	p.Workers = cfg.Workers
 	p.MaxFrameLoss = cfg.MaxFrameLoss
 	p.Detect.DisableIncremental = cfg.DisableIncrementalScan
-	if cfg.Engine != nil {
-		p.Session = cfg.Engine.Session
-		p.ScanStates = cfg.Engine.ScanStates
-	}
+	p.Engine = eng
 	var inj *fault.Injector
 	if cfg.Fault != nil {
 		inj, err = fault.New(*cfg.Fault)

@@ -3,14 +3,18 @@ package sim
 import (
 	"bytes"
 	"log/slog"
+	"strings"
 	"testing"
 
 	"ros/internal/detect"
+	"ros/internal/dsp"
 	"ros/internal/obs"
+	"ros/internal/radar"
+	"ros/internal/scene"
 )
 
 // TestRunSpanTree checks that a pass produces the documented trace shape and
-// that the legacy Stats view is exactly the flattened span tree.
+// that the Stats view is exactly the flattened span tree.
 func TestRunSpanTree(t *testing.T) {
 	out, err := Run(DriveBy{BeamShaped: true, Seed: 7})
 	if err != nil {
@@ -43,6 +47,33 @@ func TestRunSpanTree(t *testing.T) {
 	}
 	if det.IntAttr("fft_size") == 0 {
 		t.Error("detect span has no fft_size attribute")
+	}
+}
+
+// TestDefaultEngineOwnsCaches: a pass without an explicit Engine memoizes
+// into engine.Default(), which reports under
+// ros_engine_cache_entries{engine="default"}; no per-package cache gauge
+// exists any more.
+func TestDefaultEngineOwnsCaches(t *testing.T) {
+	if _, err := Run(DriveBy{StackModules: 8, FrameBudget: 64, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	resident := map[string]float64{}
+	for _, g := range obs.Default.Snapshot().Gauges {
+		switch {
+		case g.Name == "ros_engine_cache_entries" && g.Labels["engine"] == "default":
+			resident[g.Labels["cache"]] = g.Value
+		case strings.HasPrefix(g.Name, "ros_dsp_"),
+			strings.HasPrefix(g.Name, "ros_radar_") && strings.HasSuffix(g.Name, "_entries"),
+			g.Name == "ros_scene_response_entries":
+			t.Errorf("per-package cache gauge %s is registered", g.Name)
+		}
+	}
+	for _, cache := range []string{dsp.CachePlans, radar.CacheSynthPlans, radar.CacheSteering, scene.CacheResponses} {
+		if resident[cache] < 1 {
+			t.Errorf(`ros_engine_cache_entries{cache=%q,engine="default"} = %v after a pass, want >= 1`,
+				cache, resident[cache])
+		}
 	}
 }
 

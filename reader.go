@@ -19,7 +19,7 @@ import (
 type Reader struct {
 	radar radar.Config
 	// engine is the optional resource handle reads draw memoized state
-	// from; nil uses the process-global default caches (see WithEngine).
+	// from; nil uses the process-wide default Engine (see WithEngine).
 	engine *engine.Engine
 }
 
@@ -39,17 +39,6 @@ func WithCommercialFrontEnd() ReaderOption {
 func WithFrameRate(hz float64) ReaderOption {
 	return func(r *Reader) {
 		r.radar.FrameRate = hz
-	}
-}
-
-// WithFloat64Reference forces full float64 frame synthesis even where the
-// ADC word length leaves float32 headroom. Reads slow down and the thermal
-// noise stream changes (the float32 lane draws a differently-batched
-// realization); decoded bits do not. For A/B verification and numerical
-// forensics, not production reads.
-func WithFloat64Reference() ReaderOption {
-	return func(r *Reader) {
-		r.radar.ForceFloat64 = true
 	}
 }
 
@@ -93,12 +82,6 @@ type ReadOptions struct {
 	// injects nothing); see FaultOptions. A read with Fault nil is
 	// byte-identical to one from a build without the fault layer.
 	Fault *FaultOptions
-	// DisableIncrementalScan makes every per-frame point-cloud scan walk
-	// all range bins instead of seeding candidates from the previous
-	// frame's detections. The read is byte-identical either way (the
-	// incremental scan is exact); this exists for A/B verification and
-	// perf forensics.
-	DisableIncrementalScan bool
 }
 
 // FaultOptions configures deterministic fault injection inside a read: each
@@ -208,6 +191,11 @@ func (r *Reader) ReadContext(ctx context.Context, t *Tag, opts ReadOptions) (*Re
 	if t == nil {
 		return nil, fmt.Errorf("ros: %w: nil tag", roserr.ErrConfig)
 	}
+	return r.run(ctx, t, r.driveBy(t, opts))
+}
+
+// driveBy translates a read of t into the simulated pass configuration.
+func (r *Reader) driveBy(t *Tag, opts ReadOptions) sim.DriveBy {
 	cfg := sim.DriveBy{
 		Bits:          t.bits,
 		StackModules:  t.modules,
@@ -222,8 +210,6 @@ func (r *Reader) ReadContext(ctx context.Context, t *Tag, opts ReadOptions) (*Re
 		Workers:       opts.Workers,
 		Radar:         &r.radar,
 		Engine:        r.engine,
-
-		DisableIncrementalScan: opts.DisableIncrementalScan,
 	}
 	if f := opts.Fault; f != nil {
 		cfg.Fault = &fault.Config{
@@ -236,9 +222,14 @@ func (r *Reader) ReadContext(ctx context.Context, t *Tag, opts ReadOptions) (*Re
 			Delay:         f.Delay,
 		}
 	}
+	return cfg
+}
+
+// run executes the pass and converts its outcome into a Reading.
+func (r *Reader) run(ctx context.Context, t *Tag, cfg sim.DriveBy) (*Reading, error) {
 	out, err := sim.RunContext(ctx, cfg)
 	if err != nil && out == nil {
-		obs.Logger().Error("ros: read failed", "seed", opts.Seed, "err", err)
+		obs.Logger().Error("ros: read failed", "seed", cfg.Seed, "err", err)
 		return nil, err
 	}
 	reading := &Reading{
@@ -269,7 +260,7 @@ func (r *Reader) ReadContext(ctx context.Context, t *Tag, opts ReadOptions) (*Re
 	if err != nil {
 		// Partial read: return what completed alongside the typed error so
 		// callers can both inspect the Reading and branch on errors.Is.
-		obs.Logger().Warn("ros: partial read", "seed", opts.Seed,
+		obs.Logger().Warn("ros: partial read", "seed", cfg.Seed,
 			"frames_completed", reading.Stats.FramesCompleted, "err", err)
 		if out.Detection != nil {
 			out.Detection.Span = nil
@@ -292,7 +283,7 @@ func (r *Reader) ReadContext(ctx context.Context, t *Tag, opts ReadOptions) (*Re
 		// A detected tag with under 8 RCS samples silently produced a
 		// Reading without a capture before the obs layer; say so.
 		obs.Logger().Info("ros: too few RCS samples to archive a capture",
-			"samples", len(out.Detection.TagU), "seed", opts.Seed)
+			"samples", len(out.Detection.TagU), "seed", cfg.Seed)
 	}
 	obs.Logger().Debug("ros: read complete",
 		"detected", reading.Detected, "bits", reading.Bits,
