@@ -21,7 +21,7 @@ BENCH_KERNEL := 'BenchmarkToneFill256$$|BenchmarkToneFill32$$|BenchmarkAccumulat
 # Observability overhead budget (percent) enforced by obs-overhead.
 OBS_OVERHEAD_PCT ?= 2
 
-.PHONY: ci fmt vet build test race bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke
+.PHONY: ci fmt vet build test race generate bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke
 
 ci: fmt vet build race
 
@@ -40,6 +40,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Regenerate checked-in generated code: the DE-GA beam-shaping phase table
+# for the paper's 8/16/32-module stacks (internal/beamshape/phases_gen.go,
+# ~12 s). CI reruns it and fails when the checked-in table differs.
+generate:
+	$(GO) generate ./internal/beamshape
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

@@ -28,10 +28,12 @@ var cacheAllowlist = map[string]bool{
 	"internal/engine/engine.go:defaultEngine": true,
 	// The CountedMap implementation itself.
 	"internal/obs/cache.go": true,
-	// beamshape.Shaped memoizes a DE-GA search (~6.6 s for n=32) whose
-	// result depends on the module count alone, never on a radar config.
-	// Moved into evictable Engines it would re-run once per rosd engine
-	// build; checked-in generated phase vectors are to replace it.
+	// beamshape.Shaped builds the paper's 8/16/32-module stacks from the
+	// checked-in generated phase table (phases_gen.go) and memoizes the
+	// DE-GA search (seconds per size) only for sizes outside it; the memo
+	// also keeps one shared stack per size. The result depends on the
+	// module count alone, never on a radar config, so moved into evictable
+	// Engines it would re-run once per rosd engine build.
 	"internal/beamshape/shape.go": true,
 }
 

@@ -3,6 +3,7 @@ package beamshape
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ros/internal/em"
@@ -160,17 +161,79 @@ func TestShapedStackFarFieldMatchesPaper(t *testing.T) {
 	// Sec 7.2: the fabricated (shaped) 32-stack is ~10.8 cm tall with a
 	// far-field distance of ~6.14 m. Shaping adds TL-growth height to the
 	// uniform stack.
-	rng := rand.New(rand.NewSource(3))
-	res, err := Shape(32, DefaultTargetWidth, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := res.Stack.Height()
+	st := Shaped(32)
+	h := st.Height()
 	if h < 0.088 || h > 0.125 {
 		t.Errorf("shaped 32-stack height = %g m, want ~0.09-0.12 (paper: 0.108)", h)
 	}
-	ff := res.Stack.FarFieldDistance(fc)
+	ff := st.FarFieldDistance(fc)
 	if ff < 4 || ff > 9 {
 		t.Errorf("shaped 32-stack far field = %g m, want ~6 (paper: 6.14)", ff)
+	}
+}
+
+// TestShapedServesPaperSizesFromTable checks that the generated table
+// covers the paper's stack sizes and that Shaped hands every caller the
+// same stack per size.
+func TestShapedServesPaperSizesFromTable(t *testing.T) {
+	for _, n := range []int{8, 16, 32} {
+		if half, ok := shapedHalves[n]; !ok || len(half) != (n+1)/2 {
+			t.Fatalf("n=%d: generated table holds %d half-space weights (present %v), want %d",
+				n, len(half), ok, (n+1)/2)
+		}
+		st := Shaped(n)
+		if st.N() != n {
+			t.Errorf("Shaped(%d) has %d modules", n, st.N())
+		}
+		if st != Shaped(n) {
+			t.Errorf("Shaped(%d) returned two different stacks", n)
+		}
+	}
+}
+
+// TestShapedTableMatchesSearch re-derives every tabulated size with the
+// search and requires Shaped's stacks to match it bit for bit.
+func TestShapedTableMatchesSearch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-runs the DE search for every tabulated size (~12 s)")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("table holds the amd64 search result; %s may fuse multiply-adds and land elsewhere", runtime.GOARCH)
+	}
+	for n := range shapedHalves {
+		res, err := Shape(n, DefaultTargetWidth, rand.New(rand.NewSource(int64(1000+n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Shaped(n)
+		for i := range res.Stack.Heights {
+			if math.Float64bits(got.Heights[i]) != math.Float64bits(res.Stack.Heights[i]) ||
+				math.Float64bits(got.Phases[i]) != math.Float64bits(res.Stack.Phases[i]) {
+				t.Errorf("n=%d module %d: height %v phase %v, search gives %v, %v; run go generate ./internal/beamshape",
+					n, i, got.Heights[i], got.Phases[i], res.Stack.Heights[i], res.Stack.Phases[i])
+			}
+		}
+	}
+}
+
+func TestShapedRejectsSmallStacks(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, 2, 3} {
+		for try := 0; try < 2; try++ {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Shaped(%d) try %d did not panic", n, try)
+					}
+				}()
+				Shaped(n)
+			}()
+		}
+	}
+	shapedMu.Lock()
+	defer shapedMu.Unlock()
+	for n := range shapedOnce {
+		if n < 4 {
+			t.Errorf("Shaped(%d) registered a memo entry before rejecting", n)
+		}
 	}
 }

@@ -180,3 +180,35 @@ func TestPairBoundShape(t *testing.T) {
 		t.Error("pair-bound row missing")
 	}
 }
+
+// TestFig15Shape asserts the distance sweep's shape (EXPERIMENTS.md E11):
+// RSS falls monotonically with distance for every stack size, orders
+// 8 < 16 < 32 modules at every distance, and every read decodes above
+// 14 dB SNR.
+func TestFig15Shape(t *testing.T) {
+	tab := Fig15(context.Background())
+	if len(tab.Rows) < 2 {
+		t.Fatalf("Fig 15 has %d rows", len(tab.Rows))
+	}
+	// Columns: distance, RSS 8/16/32, SNR 8/16/32.
+	prevRSS := make([]float64, 3)
+	for i, r := range tab.Rows {
+		d := cellFloat(t, r[0])
+		for m := 0; m < 3; m++ {
+			rss := cellFloat(t, r[1+m])
+			if i > 0 && rss >= prevRSS[m] {
+				t.Errorf("%s at %g m: RSS %g dBm does not fall from %g dBm", tab.Columns[1+m], d, rss, prevRSS[m])
+			}
+			if m > 0 && rss <= cellFloat(t, r[m]) {
+				t.Errorf("at %g m: %s %g dBm not above %s %s dBm", d, tab.Columns[1+m], rss, tab.Columns[m], r[m])
+			}
+			prevRSS[m] = rss
+			if snr := cellFloat(t, r[4+m]); snr <= 14 {
+				t.Errorf("at %g m: %s = %g dB, want > 14", d, tab.Columns[4+m], snr)
+			}
+		}
+	}
+	if t.Failed() {
+		t.Log("\n" + tab.String())
+	}
+}

@@ -105,7 +105,7 @@ type DriveBy struct {
 	// StackModules is the number of PSVAAs per stack (8, 16 or 32).
 	StackModules int
 	// BeamShaped selects elevation beam shaping (Sec 4.3); the Fig 14
-	// baseline sets it false.
+	// baseline sets it false. Shaping needs at least 4 modules.
 	BeamShaped bool
 	// Standoff is the radar-to-tag closest distance in meters.
 	Standoff float64
@@ -186,6 +186,8 @@ func (d DriveBy) Validate() error {
 	switch {
 	case d.StackModules < 0:
 		return fmt.Errorf("sim: %w: negative stack modules %d", roserr.ErrConfig, d.StackModules)
+	case d.BeamShaped && d.StackModules > 0 && d.StackModules < 4:
+		return fmt.Errorf("sim: %w: beam shaping needs at least 4 modules, got %d", roserr.ErrConfig, d.StackModules)
 	case d.Standoff < 0 || math.IsNaN(d.Standoff):
 		return fmt.Errorf("sim: %w: negative standoff %g", roserr.ErrConfig, d.Standoff)
 	case d.HalfSpan < 0 || math.IsNaN(d.HalfSpan):

@@ -24,6 +24,8 @@ func TestDriveByValidateRejections(t *testing.T) {
 		cfg  DriveBy
 	}{
 		{"negative stack modules", DriveBy{StackModules: -1}},
+		{"shaped stack below 4 modules", DriveBy{StackModules: 3, BeamShaped: true}},
+		{"shaped single module", DriveBy{StackModules: 1, BeamShaped: true}},
 		{"negative standoff", DriveBy{Standoff: -3}},
 		{"NaN standoff", DriveBy{Standoff: math.NaN()}},
 		{"negative half-span", DriveBy{HalfSpan: -1}},

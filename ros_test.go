@@ -40,6 +40,25 @@ func TestNewTagOptions(t *testing.T) {
 	}
 }
 
+// TestSmallStackTagReadsAsUnshaped pins that a default (beam-shaped) tag
+// with fewer than the 4 modules shaping needs is built, reported and read as
+// a uniform stack: every read succeeds, not just the first.
+func TestSmallStackTagReadsAsUnshaped(t *testing.T) {
+	tag, err := NewTag("11", WithStackModules(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag.BeamShaped() {
+		t.Error("2-module tag reports beam shaping it cannot have")
+	}
+	r := NewReader()
+	for i := 0; i < 2; i++ {
+		if _, err := r.Read(tag, ReadOptions{Standoff: 1, Seed: int64(i + 1)}); err != nil {
+			t.Fatalf("read %d of a 2-module tag: %v", i+1, err)
+		}
+	}
+}
+
 func TestNewTagErrors(t *testing.T) {
 	if _, err := NewTag(""); err == nil {
 		t.Error("empty bits accepted")

@@ -31,7 +31,8 @@ type tagConfig struct {
 // WithStackModules sets the number of PSVAAs stacked per position (8, 16 or
 // 32 in the paper's evaluation; default 32). More modules raise the RCS —
 // and the reading range — at the cost of a longer far-field distance
-// (Fig 15).
+// (Fig 15). Beam shaping needs at least 4 modules: a smaller stack is
+// built uniform and its tag reports BeamShaped false.
 func WithStackModules(n int) TagOption {
 	return func(c *tagConfig) error {
 		if n < 1 {
@@ -80,8 +81,9 @@ func NewTag(bits string, opts ...TagOption) (*Tag, error) {
 	if err != nil {
 		return nil, err
 	}
+	shaped := cfg.beamShaped && cfg.modules >= 4
 	var st *stack.Stack
-	if cfg.beamShaped && cfg.modules >= 4 {
+	if shaped {
 		st = beamshape.Shaped(cfg.modules)
 	} else {
 		st = stack.NewUniform(cfg.modules)
@@ -90,7 +92,7 @@ func NewTag(bits string, opts ...TagOption) (*Tag, error) {
 		layout:  layout,
 		stack:   st,
 		bits:    bits,
-		shaped:  cfg.beamShaped,
+		shaped:  shaped,
 		modules: cfg.modules,
 	}, nil
 }
