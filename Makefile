@@ -21,7 +21,7 @@ BENCH_KERNEL := 'BenchmarkToneFill256$$|BenchmarkToneFill32$$|BenchmarkAccumulat
 # Observability overhead budget (percent) enforced by obs-overhead.
 OBS_OVERHEAD_PCT ?= 2
 
-.PHONY: ci fmt vet build test race generate bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke
+.PHONY: ci fmt vet build test race generate bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke rosperf-test
 
 ci: fmt vet build race
 
@@ -61,15 +61,22 @@ bench-trend:
 
 # Canonical read-service load profile: 1k+ concurrent mixed-configuration
 # reads against an in-process rosd, appending batch-latency, queue-depth and
-# per-tenant goodput/fairness quantiles to the checked-in trend file. 96
-# distinct configurations against the default LRU capacity of 64 force
-# engine eviction under load (the bounded-residency contract), and the 4x
+# per-tenant goodput/fairness quantiles to the checked-in trend file. The 96
+# configurations (standoffs, clutter) span two radar front ends, so they
+# share two engines and the default 64-engine LRU never evicts here;
+# TestLoadHarness runs eviction under load through a capacity-1 LRU. The 4x
 # flood against armed per-tenant quotas pins the isolation contract in the
 # same run. Run alongside bench-trend in PRs that touch the service, the
 # client, or the engine/cache layers.
 rosd-load:
 	$(GO) run ./cmd/rosd-load -reads 1024 -concurrency 32 -configs 96 \
 		-tenants 4 -flood 4 -tenant-rate 2 -tenant-burst 200 -trend BENCH_trend.jsonl
+
+# Vet and short-test the benchmark module. benchmark/ is its own module
+# (ros/benchmark), so root `go test ./...` skips it; this catches an API
+# change that breaks rosperf before the benchmark runs.
+rosperf-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # Reduced-scale load smoke for CI: same harness, no trend append.
 rosd-load-smoke:

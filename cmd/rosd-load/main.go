@@ -9,7 +9,7 @@
 // Usage:
 //
 //	rosd-load [-reads 1024] [-concurrency 32] [-batch 8] [-configs 8]
-//	          [-tenants 4] [-flood 1] [-frames 48] [-engines 64]
+//	          [-tenants 4] [-flood 1] [-frames 96] [-engines 64]
 //	          [-queue 256] [-tenant-rate 0] [-tenant-burst 0] [-hedge 0]
 //	          [-url http://host:port] [-trend BENCH_trend.jsonl]
 //
@@ -51,7 +51,7 @@ func main() {
 	configs := flag.Int("configs", 8, "distinct configurations to mix")
 	tenants := flag.Int("tenants", 4, "distinct tenant labels to cycle")
 	flood := flag.Int("flood", 1, "tenant-0 sends this many times everyone else's share")
-	frames := flag.Int("frames", 48, "frame budget per read")
+	frames := flag.Int("frames", 96, "frame budget per read")
 	engines := flag.Int("engines", 64, "engine LRU capacity (in-process server)")
 	queue := flag.Int("queue", 256, "admission queue depth (in-process server)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant quota in reads/s (in-process server; 0 disables)")
@@ -93,8 +93,8 @@ func main() {
 	fmt.Printf("  engines resident %d  evictions %d  outcomes %v  per-read errors %d\n",
 		report.EnginesResident, report.Evictions, report.Outcomes, report.Errors)
 	for _, tr := range report.Tenants {
-		fmt.Printf("  %-10s reads %5d  ok %5d  throttled %5d  goodput %7.1f rps  batch p50 %.2f ms  p99 %.2f ms\n",
-			tr.Tenant, tr.Reads, tr.OK, tr.Throttled, tr.GoodputRPS, tr.BatchP50MS, tr.BatchP99MS)
+		fmt.Printf("  %-10s reads %5d  ok %5d  misread %5d  throttled %5d  goodput %7.1f rps  batch p50 %.2f ms  p99 %.2f ms\n",
+			tr.Tenant, tr.Reads, tr.OK, tr.Misreads, tr.Throttled, tr.GoodputRPS, tr.BatchP50MS, tr.BatchP99MS)
 	}
 	if report.FairnessRatio > 0 {
 		fmt.Printf("  fairness ratio (min/max in-quota goodput) %.3f\n", report.FairnessRatio)

@@ -2,10 +2,11 @@
 // of read requests and answers each one independently, while the standard
 // observability endpoints (/metrics, /metrics.json, /debug/flight,
 // /debug/vars, /debug/pprof/) expose the process's state and /healthz and
-// /readyz answer the orchestrator. Engines — the per-configuration resource
-// handles holding transform plans, steering tables, scene memos and pooled
-// buffers — live in a capacity-bounded LRU, so resident memory tracks the
-// working set of configurations.
+// /readyz answer the orchestrator. Engines — one resource handle per radar
+// configuration, holding transform plans, steering tables, scene memos and
+// pooled buffers shared by every scene read through that radar — live in a
+// capacity-bounded LRU, so resident memory tracks the radar configurations
+// in use.
 //
 // SIGTERM or SIGINT starts a graceful drain: readiness flips to 503, new
 // batches are refused, in-flight reads finish within the -drain budget, and
@@ -34,7 +35,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
-	engines := flag.Int("engines", 64, "engine LRU capacity (distinct resident configurations)")
+	engines := flag.Int("engines", 64, "engine LRU capacity (distinct resident radar configurations)")
 	queue := flag.Int("queue", 256, "admission limit: max in-flight reads before batches get 429")
 	batch := flag.Int("batch", 64, "max reads per batch")
 	workers := flag.Int("workers", 0, "executor pool size (0 = GOMAXPROCS)")

@@ -1,13 +1,15 @@
 // Package engine ties the per-layer resource handles — dsp.PlanSet,
 // radar.Session, scene.ResponseCache, radar.ScanStatePool — into one Engine
-// owning every piece of memoized state a radar+scene configuration
-// accumulates: transform plans, steering tables, scene-response memos,
-// pooled frame buffers, and scan states. An Engine is constructed once per
-// configuration handle, passed explicitly through the simulation and
-// detection layers, and released deterministically with Close, which drops
-// the caches and their metric label sets in one step. It is the only owner of
-// memoized state in the module: callers that pass no Engine resolve to the
-// process-wide Default, and no Engine shares state with another.
+// owning every piece of memoized state the reads it serves accumulate:
+// transform plans, steering tables, scene-response memos, pooled frame
+// buffers, and scan states. Every one of those caches is content-addressed,
+// so reads of different scenes can share an Engine (rosd keeps one per radar
+// front end). An Engine is constructed once, passed explicitly through the
+// simulation and detection layers, and released deterministically with
+// Close, which drops the caches and their metric label sets in one step. It
+// is the only owner of memoized state in the module: callers that pass no
+// Engine resolve to the process-wide Default, and no Engine shares state
+// with another.
 package engine
 
 import (
@@ -39,11 +41,12 @@ var defaultEngine = New("default")
 // Default returns the process-wide Engine, id "default", that reads without
 // an explicit Engine draw their memoized state from. Its caches live for the
 // process and stay warm across passes (an offline sweep re-reading the same
-// radar reuses them); servers juggling many configurations build one Engine
-// per configuration instead, and Close it when the configuration retires.
+// radar reuses them); servers juggling many radar configurations build one
+// Engine per radar configuration instead, and Close it when that radar
+// retires.
 func Default() *Engine { return defaultEngine }
 
-// Engine owns the memoized state for one radar+scene configuration. The
+// Engine owns the memoized state for the reads that share it. The
 // exported handles are immutable after New; the Engine is safe for
 // concurrent use, including Close racing in-flight reads (values already
 // handed out stay valid — Close only drops cache entries and metrics).

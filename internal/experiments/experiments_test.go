@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"ros/internal/em"
 )
 
 // cellFloat parses a numeric table cell.
@@ -206,6 +208,37 @@ func TestFig15Shape(t *testing.T) {
 			if snr := cellFloat(t, r[4+m]); snr <= 14 {
 				t.Errorf("at %g m: %s = %g dB, want > 14", d, tab.Columns[4+m], snr)
 			}
+		}
+	}
+	if t.Failed() {
+		t.Log("\n" + tab.String())
+	}
+}
+
+// TestFig16cShape asserts the fog sweep's shape (EXPERIMENTS.md E14): every
+// fog level decodes above the paper's 15 dB, and the fog model attenuates
+// clear < light < heavy. SNR is not asserted to order by fog: fog costs
+// ~0.2 dB at tag ranges, well inside the seed-to-seed spread of one read.
+func TestFig16cShape(t *testing.T) {
+	levels := []em.FogLevel{em.FogClear, em.FogLight, em.FogHeavy}
+	for i := 1; i < len(levels); i++ {
+		lo, hi := levels[i-1], levels[i]
+		if lo.AttenuationDBPerMeter() >= hi.AttenuationDBPerMeter() {
+			t.Errorf("%s attenuates %g dB/m, not below %s at %g dB/m",
+				lo, lo.AttenuationDBPerMeter(), hi, hi.AttenuationDBPerMeter())
+		}
+	}
+	tab := Fig16c(context.Background())
+	if len(tab.Rows) != len(levels) {
+		t.Fatalf("Fig 16c has %d rows, want %d", len(tab.Rows), len(levels))
+	}
+	// Columns: fog level, SNR.
+	for i, r := range tab.Rows {
+		if r[0] != levels[i].String() {
+			t.Errorf("row %d is %q, want %q", i, r[0], levels[i])
+		}
+		if snr := cellFloat(t, r[1]); snr <= 15 {
+			t.Errorf("%s: SNR %g dB, want > 15", r[0], snr)
 		}
 	}
 	if t.Failed() {

@@ -33,7 +33,8 @@ type LoadConfig struct {
 	// single-tenant, so per-tenant fairness is measurable end to end.
 	BatchSize int
 	// Configs is the number of distinct radar+scene configurations mixed
-	// into the stream (default 8); each becomes one engine in the LRU.
+	// into the stream (default 8). Configurations on one radar front end
+	// share an engine; see loadRead for the front ends in the mix.
 	Configs int
 	// Tenants is the number of distinct tenant labels cycled through the
 	// stream (default 4).
@@ -41,9 +42,9 @@ type LoadConfig struct {
 	// FloodFactor makes tenant-0 a flooder: it sends FloodFactor times an
 	// in-quota tenant's share of the stream (default 1 — uniform traffic).
 	FloodFactor int
-	// FrameBudget caps each read's simulated frames (default 48 — the
-	// pipeline refuses passes under 32 frames; 48 exercises it end to end
-	// while keeping a 1k-read run fast).
+	// FrameBudget caps each read's simulated frames (default 96, the
+	// smallest budget that decodes the stream's tag right; 48 and 80 frames
+	// decode it wrong, which the report counts as misreads).
 	FrameBudget int
 	// MaxRetries bounds the client's retries per batch (default 64).
 	MaxRetries int
@@ -73,7 +74,7 @@ func (c LoadConfig) withDefaults() LoadConfig {
 		c.FloodFactor = 1
 	}
 	if c.FrameBudget <= 0 {
-		c.FrameBudget = 48
+		c.FrameBudget = 96
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 64
@@ -84,14 +85,16 @@ func (c LoadConfig) withDefaults() LoadConfig {
 // TenantReport is one tenant's slice of a load run, as its clients saw it.
 type TenantReport struct {
 	Tenant string `json:"tenant"`
-	// Reads is the tenant's share of the stream; OK completed successfully,
-	// Throttled were refused by quota (in-result overload errors or whole
-	// batches still 429 after retries), Errors is everything else typed.
+	// Reads is the tenant's share of the stream; OK decoded the requested
+	// bits, Misreads decoded other bits, Throttled were refused by quota
+	// (in-result overload errors or whole batches still 429 after retries),
+	// Errors is everything else typed.
 	Reads     int `json:"reads"`
 	OK        int `json:"ok"`
+	Misreads  int `json:"misreads"`
 	Throttled int `json:"throttled"`
 	Errors    int `json:"errors"`
-	// GoodputRPS is OK reads per wall second of the run.
+	// GoodputRPS is OK (correctly decoded) reads per wall second of the run.
 	GoodputRPS float64 `json:"goodput_rps"`
 	// BatchP50MS/P99MS are the tenant's client-observed batch latencies
 	// (including the client's backoff waits).
@@ -120,7 +123,9 @@ type LoadReport struct {
 	Errors int `json:"errors"`
 	// Throttled counts reads refused by tenant quota.
 	Throttled int `json:"throttled"`
-	// Outcomes counts reads by result label (ok, no_tag, ...).
+	// Outcomes counts reads by result label (ok, misread, no_tag, ...); a
+	// read that decoded bits other than the requested ones is a misread,
+	// never ok.
 	Outcomes map[string]int `json:"outcomes"`
 	// Tenants reports each tenant's goodput, sorted by tenant name.
 	Tenants []TenantReport `json:"tenants,omitempty"`
@@ -132,8 +137,8 @@ type LoadReport struct {
 	EnginesResident int `json:"engines_resident"`
 	// Evictions counts Engines the LRU closed to stay at capacity over the
 	// run (in-process runs only; zero against a remote URL). A run with more
-	// distinct configurations than EngineCapacity must report a nonzero
-	// count — that is the bounded-residency contract under mixed load.
+	// radar front ends than EngineCapacity must report a nonzero count —
+	// that is the bounded-residency contract under mixed load.
 	Evictions int64   `json:"evictions"`
 	WallMS    float64 `json:"wall_ms"`
 	// BatchP50MS/P99MS/MaxMS are client-observed per-batch latencies.
@@ -147,10 +152,15 @@ type LoadReport struct {
 	QueueDepthP99 float64 `json:"queue_depth_p99"`
 }
 
+// outcomeMisread labels a read that completed and decoded bits other than
+// the ones it requested. Only the harness knows the requested bits, so the
+// label lives in LoadReport.Outcomes, not in the server's read counters.
+const outcomeMisread = "misread"
+
 // tenantAgg accumulates one tenant's outcomes during the run.
 type tenantAgg struct {
-	reads, ok, throttled, errs int
-	lats                       []float64
+	reads, ok, misreads, throttled, errs int
+	lats                                 []float64
 }
 
 // RunLoad drives cfg.Reads reads through the service — tenant-0 at
@@ -254,12 +264,18 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				report.EnginesResident = res.EnginesResident
 				for i := range res.Results {
 					r := &res.Results[i]
-					report.Outcomes[resultOutcome(r)]++
+					outcome := resultOutcome(r)
+					if outcome == outcomeOK && (i >= len(tb.batch.Reads) || r.Bits != tb.batch.Reads[i].Bits) {
+						outcome = outcomeMisread
+					}
+					report.Outcomes[outcome]++
 					switch {
 					case r.Error != nil && r.Error.Kind == "overload":
 						agg.throttled++
 					case r.Error != nil:
 						agg.errs++
+					case outcome == outcomeMisread:
+						agg.misreads++
 					default:
 						agg.ok++
 					}
@@ -347,6 +363,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			Tenant:     name,
 			Reads:      a.reads,
 			OK:         a.ok,
+			Misreads:   a.misreads,
 			Throttled:  a.throttled,
 			Errors:     a.errs,
 			BatchP50MS: quantile(a.lats, 0.50),
@@ -378,19 +395,24 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	return report, nil
 }
 
-// loadRead builds the i-th read of the stream: configurations cycle so the
-// engine LRU sees a mix, and standoff varies per configuration so distinct
-// configurations really are distinct scenes (different fingerprints,
-// different engines). The 2 cm standoff step keeps even a 96-configuration
-// sweep inside the detectable envelope (~3–5 m at the default frame budget),
-// so outcome counts measure the service, not the physics.
+// loadRead builds the i-th read of the stream: configurations cycle so
+// every batch mixes scenes, standoff varies per configuration so distinct
+// configurations really are distinct scenes, clutter alternates, and
+// configurations 2 and 3 of every 4 use the commercial front end, so the
+// stream spans two engines and a capacity-1 LRU evicts under load.
+// Standoffs stay within 30 cm of 3 m (2 cm apart up to 15 configurations,
+// closer beyond): at 96 frames the tag reads right there on both front
+// ends, while from ~3.7 m out some seeds misread, so outcome counts measure
+// the service, not the physics.
 func loadRead(cfg LoadConfig, tenant string, seed int64) ReadRequest {
 	conf := int(seed) % cfg.Configs
+	step := 0.3 / math.Max(15, float64(cfg.Configs))
 	return ReadRequest{
 		Tenant:      tenant,
 		Bits:        "1111",
-		Standoff:    3 + 0.02*float64(conf),
+		Standoff:    3 + step*float64(conf),
 		WithClutter: conf%2 == 1,
+		Commercial:  conf%4 >= 2,
 		FrameBudget: cfg.FrameBudget,
 		Workers:     1,
 		Seed:        seed,

@@ -15,20 +15,21 @@ import (
 // to, for request translation and fingerprinting.
 func radarDefault() radar.Config { return radar.TI1443() }
 
-// engineKey condenses a pass configuration into the LRU key: everything that
-// shapes the engine's memoized state (radar geometry, scene content) and
-// nothing that varies read to read without touching it (seed, fault plan,
-// worker count). Two requests with equal keys share an engine; the key
-// doubles as the "engine" gauge label and the wire-visible engine id.
+// engineKey condenses a pass configuration into the LRU key: the effective
+// radar configuration and nothing else. Every cache an Engine owns is
+// content-addressed — transform plans by (size, window), synthesis plans and
+// steering tables by radar.Config, scene responses by tag fingerprint and
+// exact geometry — so reads of different scenes on one front end share one
+// Engine without sharing answers, and a new standoff, tag, fog level or
+// frame budget reuses the warm radar state instead of rebuilding it. Two
+// requests with equal keys share an engine; the key doubles as the "engine"
+// gauge label and the wire-visible engine id.
 func engineKey(cfg sim.DriveBy) string {
-	c := cfg
-	c.Seed, c.Fault, c.Workers, c.Engine = 0, nil, 0, nil
 	rc := radarDefault()
-	if c.Radar != nil {
-		rc = *c.Radar
+	if cfg.Radar != nil {
+		rc = *cfg.Radar
 	}
-	c.Radar = nil
-	return obs.Fingerprint(fmt.Sprintf("%+v", c), fmt.Sprintf("%+v", rc))
+	return obs.Fingerprint(fmt.Sprintf("%+v", rc))
 }
 
 // engineLRU is the capacity-bounded engine cache of the read service. get

@@ -1,10 +1,11 @@
 // Package rosd implements the RoS read service: a zero-dependency HTTP/JSON
 // daemon serving batched drive-by reads for many radar+scene configurations
-// from one process. Each distinct configuration gets an engine.Engine from a
-// capacity-bounded LRU (eviction closes the engine, releasing its caches and
-// metric entries deterministically), so resident memory tracks the working
-// set of configurations instead of growing with every configuration ever
-// seen — the failure mode the process-global caches had.
+// from one process. Each radar front end gets one engine.Engine, shared by
+// every scene read through it, from a capacity-bounded LRU (eviction closes
+// the engine, releasing its caches and metric entries deterministically), so
+// resident memory tracks the radar configurations in use instead of growing
+// with every configuration ever seen — the failure mode the process-global
+// caches had.
 //
 // Admission happens in two layers. Per tenant, a token bucket enforces each
 // tenant's quota (Config.TenantRate/TenantBurst): a read past its tenant's
@@ -120,9 +121,9 @@ const (
 type Config struct {
 	// Addr is the listen address for Start (default "localhost:0").
 	Addr string
-	// EngineCapacity bounds the configuration LRU; the least recently used
-	// engine is closed when a new configuration would exceed it.
-	// Default 64.
+	// EngineCapacity bounds the engine LRU, which holds one engine per
+	// radar configuration; the least recently used engine is closed when a
+	// new radar configuration would exceed it. Default 64.
 	EngineCapacity int
 	// MaxQueueDepth is the admission limit: a batch is refused with 429
 	// when accepting it would push in-flight reads past this depth.
@@ -494,8 +495,9 @@ type ReadResult struct {
 	Partial         bool    `json:"partial,omitempty"`
 	FramesCompleted int     `json:"frames_completed,omitempty"`
 	FramesDropped   int     `json:"frames_dropped,omitempty"`
-	// Engine is the configuration fingerprint keying the engine that
-	// served the read (the "engine" label of ros_engine_cache_entries).
+	// Engine is the radar-configuration fingerprint keying the engine that
+	// served the read (the "engine" label of ros_engine_cache_entries);
+	// every read on one radar front end reports the same id.
 	Engine string     `json:"engine,omitempty"`
 	WallMS float64    `json:"wall_ms"`
 	Error  *ErrorInfo `json:"error,omitempty"`

@@ -39,7 +39,8 @@ func fastRead(seed int64) ReadRequest {
 }
 
 // TestServeBatch is the service smoke test: a mixed batch answers 200 with
-// one result per request, successful reads decode the tag, and the
+// one result per request, successful reads decode the tag, reads of
+// different tags and scenes on one radar share that radar's engine, and the
 // observability endpoints expose the service metrics and flight entries.
 func TestServeBatch(t *testing.T) {
 	srv := New(Config{})
@@ -74,11 +75,14 @@ func TestServeBatch(t *testing.T) {
 	if r := out.Results[3]; r.Error != nil || !r.Detected || r.FramesDropped == 0 {
 		t.Fatalf("read 3 = %+v, want a degraded-but-successful faulted read", r)
 	}
-	if out.Results[0].Engine == out.Results[1].Engine {
-		t.Fatal("distinct configurations mapped to the same engine")
+	for _, i := range []int{1, 3} {
+		if out.Results[i].Engine != out.Results[0].Engine {
+			t.Fatalf("read %d on the default radar got engine %s, read 0 got %s",
+				i, out.Results[i].Engine, out.Results[0].Engine)
+		}
 	}
-	if out.EnginesResident < 2 {
-		t.Fatalf("engines resident = %d, want >= 2", out.EnginesResident)
+	if out.EnginesResident != 1 {
+		t.Fatalf("engines resident = %d, want 1 (one radar front end)", out.EnginesResident)
 	}
 
 	for _, probe := range []struct{ path, want string }{
@@ -187,39 +191,60 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestEngineLRUEviction: driving more distinct configurations than the LRU
-// capacity keeps residency bounded, closes the evicted engines, and keeps
-// serving correctly.
+// TestEngineLRUEviction: alternating the default and commercial front ends
+// through a capacity-1 LRU evicts on every switch, keeps residency bounded,
+// closes each evicted engine (its cache gauges leave the exposition), and
+// keeps serving correctly.
 func TestEngineLRUEviction(t *testing.T) {
-	srv := New(Config{EngineCapacity: 2})
+	srv := New(Config{EngineCapacity: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for i := 0; i < 5; i++ {
+	evictionsBefore := mEvictions.Value()
+	engines := make([]string, 5)
+	for i := range engines {
 		req := fastRead(int64(i + 1))
-		req.Standoff = 3 + 0.25*float64(i) // distinct scene -> distinct engine
+		req.Commercial = i%2 == 1 // a new front end -> a new engine
 		status, out := postReads(t, ts, []ReadRequest{req})
 		if status != http.StatusOK {
-			t.Fatalf("config %d: status %d", i, status)
+			t.Fatalf("read %d: status %d", i, status)
 		}
-		if r := out.Results[0]; r.Error != nil || !r.Detected {
-			t.Fatalf("config %d: result %+v", i, r)
+		if r := out.Results[0]; r.Error != nil || !r.Detected || r.Bits != req.Bits {
+			t.Fatalf("read %d: result %+v", i, r)
 		}
-		if out.EnginesResident > 2 {
-			t.Fatalf("config %d: %d engines resident, capacity 2", i, out.EnginesResident)
+		if out.EnginesResident != 1 {
+			t.Fatalf("read %d: %d engines resident, capacity 1", i, out.EnginesResident)
 		}
+		engines[i] = out.Results[0].Engine
 	}
-	if got := srv.engines.Len(); got != 2 {
-		t.Fatalf("resident engines = %d, want 2", got)
+	if engines[0] == engines[1] || engines[0] != engines[2] || engines[1] != engines[3] {
+		t.Fatalf("engine ids %v, want one per front end", engines)
 	}
-	if got := mEvictions.Value(); got < 3 {
-		t.Fatalf("evictions = %d, want >= 3", got)
+	if got := srv.engines.Len(); got != 1 {
+		t.Fatalf("resident engines = %d, want 1", got)
+	}
+	if got := mEvictions.Value() - evictionsBefore; got != 4 {
+		t.Fatalf("evictions = %d, want 4 (one per front-end switch)", got)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(buf.String(), fmt.Sprintf("engine=%q", engines[4])) {
+		t.Fatalf("resident engine %s missing from the exposition", engines[4])
+	}
+	if strings.Contains(buf.String(), fmt.Sprintf("engine=%q", engines[3])) {
+		t.Fatalf("evicted engine %s still reports cache gauges; not closed", engines[3])
 	}
 }
 
-// TestEngineReuseAcrossBatches: equal configurations map to the same engine
-// (the key excludes seed and worker count), so repeat reads hit warm caches.
+// TestEngineReuseAcrossBatches: reads on one radar front end map to the same
+// engine whatever their scene, seed or worker count, so a read at a new
+// standoff hits warm radar caches.
 func TestEngineReuseAcrossBatches(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
@@ -229,9 +254,10 @@ func TestEngineReuseAcrossBatches(t *testing.T) {
 	_, first := postReads(t, ts, []ReadRequest{fastRead(1)})
 	req := fastRead(99)
 	req.Workers = 2
+	req.Standoff = 3.5
 	_, second := postReads(t, ts, []ReadRequest{req})
 	if first.Results[0].Engine != second.Results[0].Engine {
-		t.Fatalf("same configuration mapped to engines %s and %s",
+		t.Fatalf("same radar mapped to engines %s and %s",
 			first.Results[0].Engine, second.Results[0].Engine)
 	}
 }
@@ -267,15 +293,16 @@ func TestPerTenantMetrics(t *testing.T) {
 
 // TestLoadHarness runs the load harness at reduced scale (the full 1k-read
 // profile belongs to cmd/rosd-load): mixed configurations and tenants over
-// concurrent clients, every read accounted for, residency bounded by the
-// LRU capacity.
+// concurrent clients, every read accounted for and decoded right, and the
+// stream's two radar front ends evicting each other from a capacity-1 LRU
+// while reads are in flight.
 func TestLoadHarness(t *testing.T) {
 	reads, concurrency := 96, 8
 	if testing.Short() {
 		reads, concurrency = 32, 4
 	}
 	report, err := RunLoad(LoadConfig{
-		Server:      Config{EngineCapacity: 3, MaxQueueDepth: 64},
+		Server:      Config{EngineCapacity: 1, MaxQueueDepth: 64},
 		Reads:       reads,
 		Concurrency: concurrency,
 		BatchSize:   4,
@@ -292,17 +319,20 @@ func TestLoadHarness(t *testing.T) {
 	if total != reads {
 		t.Fatalf("outcomes account for %d of %d reads", total, reads)
 	}
+	if n := report.Outcomes[outcomeMisread]; n != 0 {
+		t.Fatalf("%d of %d reads decoded the wrong bits: outcomes %v", n, reads, report.Outcomes)
+	}
 	if report.Outcomes["ok"] != reads {
 		t.Fatalf("outcomes = %v, want all %d ok", report.Outcomes, reads)
 	}
 	if report.Errors != 0 {
 		t.Fatalf("%d per-read errors under clean load", report.Errors)
 	}
-	if report.EnginesResident > 3 {
-		t.Fatalf("engines resident = %d, capacity 3", report.EnginesResident)
+	if report.EnginesResident != 1 {
+		t.Fatalf("engines resident = %d, capacity 1", report.EnginesResident)
 	}
 	if report.Evictions == 0 {
-		t.Fatal("5 configurations through a capacity-3 LRU evicted nothing")
+		t.Fatal("two front ends through a capacity-1 LRU evicted nothing")
 	}
 	if report.BatchP99MS < report.BatchP50MS {
 		t.Fatalf("p99 %.2f ms below p50 %.2f ms", report.BatchP99MS, report.BatchP50MS)

@@ -9,6 +9,7 @@ import (
 
 	"ros/internal/em"
 	"ros/internal/fault"
+	"ros/internal/radar"
 	"ros/internal/roserr"
 	"ros/internal/sim"
 )
@@ -18,8 +19,12 @@ import (
 // configuration and seed run in-process — equal detection, bits and sample
 // count, and SNR and median RSS equal to the bit after the JSON round-trip.
 // Each case spells its DriveBy out by hand, so the request-to-config mapping
-// is under test too.
+// is under test too. The default-radar cases differ in tag, standoff, fog
+// and fault plan yet must be served by one shared engine, so the comparison
+// also proves that sharing an engine across scenes changes no output.
 func TestWireMatchesInProcess(t *testing.T) {
+	commercial := radar.TI1443()
+	commercial.FrontEnd = em.CommercialRadar()
 	cases := []struct {
 		name string
 		req  ReadRequest
@@ -44,6 +49,13 @@ func TestWireMatchesInProcess(t *testing.T) {
 			cfg: sim.DriveBy{Bits: "1101", Workers: 1, Seed: 5,
 				Fault: &fault.Config{Seed: 11, FrameDropRate: 0.1, CorruptRate: 0.05, BurstRate: 0.05}},
 		},
+		{
+			name: "commercial front end",
+			req: ReadRequest{Bits: "1011", Standoff: 3.2, Commercial: true,
+				Workers: 2, Seed: 4},
+			cfg: sim.DriveBy{Bits: "1011", Standoff: 3.2, Radar: &commercial,
+				Workers: 2, Seed: 4},
+		},
 	}
 
 	srv := New(Config{})
@@ -61,6 +73,13 @@ func TestWireMatchesInProcess(t *testing.T) {
 	}
 	if len(resp.Results) != len(cases) {
 		t.Fatalf("%d results for %d reads", len(resp.Results), len(cases))
+	}
+	for i, tc := range cases {
+		shared := tc.cfg.Radar == nil
+		if got := resp.Results[i].Engine == resp.Results[0].Engine; got != shared {
+			t.Fatalf("%s: engine %s, default-radar engine %s; want shared %v",
+				tc.name, resp.Results[i].Engine, resp.Results[0].Engine, shared)
+		}
 	}
 
 	for i, tc := range cases {
