@@ -21,7 +21,7 @@ BENCH_KERNEL := 'BenchmarkToneFill256$$|BenchmarkToneFill32$$|BenchmarkAccumulat
 # Observability overhead budget (percent) enforced by obs-overhead.
 OBS_OVERHEAD_PCT ?= 2
 
-.PHONY: ci fmt vet build test race generate bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke rosperf-test
+.PHONY: ci fmt vet build test race generate golden bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke rosperf-test
 
 ci: fmt vet build race
 
@@ -46,6 +46,15 @@ race:
 # ~12 s). CI reruns it and fails when the checked-in table differs.
 generate:
 	$(GO) generate ./internal/beamshape
+
+# Regenerate the checked-in golden digest of the reproduction
+# (testdata/golden_reads.txt): a fixed seed x configuration grid of full
+# reads recording detection, decoded bits, SNR, point count, tag centroid
+# and detection-mode RSS. TestGoldenDigest compares against it on every
+# `go test`; regenerate only for a deliberate behaviour change and explain
+# the diff.
+golden:
+	$(GO) test -run '^TestGoldenDigest$$' -update-golden .
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
