@@ -266,7 +266,7 @@ func TestChaosScanResetsAfterFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := inj.Kinds(reading.Stats.Frames / 2)
+	kinds := inj.Kinds(reading.Stats.FramesCompleted + reading.Stats.FramesDropped)
 	if kinds.Burst == 0 {
 		t.Fatal("schedule injected no bursts; raise the rate")
 	}
@@ -328,7 +328,8 @@ func TestChaosFlightRecorder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			poses := reading.Stats.Frames / 2
+			// A complete read accounts for every pose as completed or dropped.
+			poses := reading.Stats.FramesCompleted + reading.Stats.FramesDropped
 			kinds := inj.Kinds(poses)
 			if kinds.Total() == 0 {
 				t.Fatalf("schedule injected nothing over %d poses; raise the rate", poses)

@@ -12,10 +12,11 @@ import (
 )
 
 // spotlightFixture synthesizes one drive-by pass and clusters it, returning
-// everything the spotlight stage consumes. The returned profiles stay pooled
-// for the benchmark's lifetime (never released), which is fine for a test
-// process.
-func spotlightFixture(b *testing.B) (*Pipeline, []frameData, []cluster.Stats, []geom.Vec3) {
+// everything the spotlight stage consumes: the frames hold detection-mode
+// profiles and decode-mode scatterers, which dec reads in closed form. The
+// returned profiles stay pooled for the benchmark's lifetime (never
+// released), which is fine for a test process.
+func spotlightFixture(b *testing.B) (*Pipeline, []frameData, *decodeReader, []cluster.Stats, []geom.Vec3) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	sc := buildScene(b, "1111", true, rng)
@@ -42,31 +43,32 @@ func spotlightFixture(b *testing.B) (*Pipeline, []frameData, []cluster.Stats, []
 	if len(cands) == 0 {
 		b.Fatal("no clusters survived the density filter")
 	}
-	return p, frames, cands, truth
+	dec := &decodeReader{cfg: &p.Radar, plan: p.resources().Session.SynthPlanFor(p.Radar), seed: 1}
+	return p, frames, dec, cands, truth
 }
 
 // BenchmarkSpotlight measures the per-object classification kernel (both
 // polarization modes spotlighted across the whole pass per object) — the
 // sequential-tail stage the parallel spotlight pass distributes.
 func BenchmarkSpotlight(b *testing.B) {
-	p, frames, cands, truth := spotlightFixture(b)
+	p, frames, dec, cands, truth := spotlightFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, st := range cands {
-			p.classifyObject(st, frames, truth, 14.2, 0.18)
+			p.classifyObject(st, frames, dec, truth, 14.2, 0.18)
 		}
 	}
 }
 
 // BenchmarkTagSampling measures the pass-2 decode-mode RCS sampling kernel
-// for one full pass.
+// (one closed-form decode bin per frame) for one full pass.
 func BenchmarkTagSampling(b *testing.B) {
-	p, frames, cands, truth := spotlightFixture(b)
+	p, frames, dec, cands, truth := spotlightFixture(b)
 	tagPos := cands[0].Centroid
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range truth {
-			p.sampleTagFrame(frames[j].dec, truth[j], tagPos, 60)
+			p.sampleTagFrame(dec, &frames[j], j, truth[j], tagPos, 60)
 		}
 	}
 }

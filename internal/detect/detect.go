@@ -11,9 +11,18 @@
 // private rand.Rand seeded with sweep.SubSeed(seed, frame), so a run's
 // output depends only on the seed and is byte-identical at any worker
 // count. The spotlight passes (per-object classification and the decode-mode
-// RCS sampling) fan out on the same pool: objects and frames are independent
-// and draw no randomness, and results are collected in index order, so the
-// output stays byte-identical at any worker count there too.
+// RCS sampling) fan out on the same pool: objects and frames are independent,
+// and the only randomness they draw — the bin-domain noise of decode-mode
+// bins — comes from a stream keyed by (seed, frame, bin), so results are
+// collected in index order and stay byte-identical at any worker count
+// there too.
+//
+// Decode mode is read at one or two range bins per frame, so on the ideal
+// converter (ADCBits == 0) the pipeline never synthesizes a decode-mode
+// frame: it keeps the frame's decode-mode scatterers and evaluates the bins
+// it reads in closed form (radar.SynthPlan.BinSpectrum). Quantized configs
+// and frames with injected sample corruption or bursts keep the time-domain
+// decode frame, because the quantizer and the sample faults act there.
 //
 // Robustness: RunContext threads a context through every stage with
 // cooperative cancellation checks at frame and stage boundaries — a
@@ -33,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"ros/internal/cluster"
@@ -54,7 +64,7 @@ var (
 	mRuns = obs.Default.Counter("ros_pipeline_runs_total",
 		"detection pipeline runs")
 	mFrames = obs.Default.Counter("ros_frames_synthesized_total",
-		"radar frames synthesized (two polarization modes per pose)")
+		"radar frames synthesized (detection mode per pose, plus decode mode on the time-domain path)")
 	mFFTs = obs.Default.Counter("ros_fft_calls_total",
 		"fast-time FFTs run by the range transforms")
 	mTagsFound = obs.Default.Counter("ros_tags_detected_total",
@@ -210,8 +220,9 @@ type Result struct {
 	// range transform across the whole run.
 	SamplesScrubbed int
 	// Span is the run's trace tree ("detect" with per-stage children and
-	// the frames, fft_calls and workers attributes). Callers that do not
-	// retain Span may Release it to return the nodes to the span pool.
+	// the frames, fft_calls and workers attributes; the spotlight child
+	// carries decode_bins). Callers that do not retain Span may Release it
+	// to return the nodes to the span pool.
 	Span *obs.Span
 }
 
@@ -227,8 +238,17 @@ const (
 
 // frameData is the per-frame output of the parallel synthesis stage.
 type frameData struct {
+	// det is the detection-mode range profile. Decode mode is held one of
+	// two ways: dec, the time-domain range profile (quantized configs and
+	// sample-faulted frames), or decScat, the decode-mode scatterers whose
+	// bins decodeReader evaluates directly. Exactly one is set on an ok
+	// frame.
 	det, dec radar.RangeProfile
+	decScat  []radar.Scatterer
 	points   []cluster.Point
+	// synthesized and transformed count the frames this pose synthesized
+	// and range-transformed (the frames and fft_calls work counters).
+	synthesized, transformed int
 	// ok marks frames whose profiles are valid; dropped marks frames lost
 	// to injected drops or corruption past the repair threshold (a frame a
 	// cancelled run never reached is neither ok nor dropped). dropKind
@@ -268,9 +288,10 @@ func noiseSeed(seed int64, i int) int64 {
 	return sweep.SubSeed(sweep.SubSeed(seed, i), 1)
 }
 
-// synthesizeFrames is pass 1 of Run: synthesize both polarization modes per
-// frame, keep the range profiles, and extract the detection-mode point cloud
-// in world coordinates. Frames are independent given their seed stream, so
+// synthesizeFrames is pass 1 of Run: synthesize the detection-mode frame per
+// pose (and the decode-mode frame where the time-domain path is needed),
+// keep the range profiles or decode-mode scatterers, and extract the
+// detection-mode point cloud in world coordinates. Frames are independent given their seed stream, so
 // the loop fans out on the sweep pool; per-stage times accumulate atomically
 // across workers in child spans of sp (Span.Add is one atomic add). All
 // workers share one immutable frame front-end plan (scene-static synthesis
@@ -316,7 +337,11 @@ func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth 
 }
 
 // synthesizeCleanFrame is the fault-free frame path — the hot loop of every
-// production read.
+// production read. On the ideal converter it synthesizes and transforms the
+// detection-mode frame only and keeps the decode-mode scatterers for
+// decodeReader; with a quantizer both modes take the time-domain path. The
+// detection-mode frame draws its noise first from the frame's stream either
+// way, so its realization does not depend on the decode path.
 func (p *Pipeline) synthesizeCleanFrame(sc *scene.Scene, pose geom.Vec3, vel geom.Vec3, seed int64, i int, plan *radar.SynthPlan, fe em.RadarFrontEnd, f float64, synthSp, rangeSp, cloudSp *obs.Span) frameData {
 	rng := sweep.NewRand(seed, i)
 	g := dsp.AcquireGauss(noiseSeed(seed, i))
@@ -324,13 +349,28 @@ func (p *Pipeline) synthesizeCleanFrame(sc *scene.Scene, pose geom.Vec3, vel geo
 	detScat := sc.Scatterers(pose, vel, scene.ModeDetect, fe, f, rng)
 	decScat := sc.Scatterers(pose, vel, scene.ModeDecode, fe, f, rng)
 	detFrame := plan.Synthesize(detScat, g)
+	if p.Radar.ADCBits == 0 {
+		dsp.ReleaseGauss(g)
+		t1 := time.Now()
+		fd := frameData{det: plan.RangeProfile(detFrame), decScat: decScat,
+			synthesized: 1, transformed: 1, ok: true}
+		radar.ReleaseFrame(detFrame)
+		t2 := time.Now()
+		p.extractPoints(&fd, pose, plan, false)
+		synthSp.Add(t1.Sub(t0))
+		rangeSp.Add(t2.Sub(t1))
+		cloudSp.Add(time.Since(t2))
+		return fd
+	}
 	decFrame := plan.Synthesize(decScat, g)
 	dsp.ReleaseGauss(g)
 	t1 := time.Now()
 	fd := frameData{
-		det: plan.RangeProfile(detFrame),
-		dec: plan.RangeProfile(decFrame),
-		ok:  true,
+		det:         plan.RangeProfile(detFrame),
+		dec:         plan.RangeProfile(decFrame),
+		synthesized: 2,
+		transformed: 2,
+		ok:          true,
 	}
 	radar.ReleaseFrame(detFrame)
 	radar.ReleaseFrame(decFrame)
@@ -365,13 +405,15 @@ func (p *Pipeline) synthesizeFaultyFrame(sc *scene.Scene, pose geom.Vec3, vel ge
 	if float64(scrubbed) > maxScrubFraction*float64(2*len(detFrame.Data)) {
 		radar.ReleaseFrame(detFrame)
 		radar.ReleaseFrame(decFrame)
-		return frameData{dropped: true, dropKind: dropKindCorrupt, scrubbed: scrubbed}, nil
+		return frameData{dropped: true, dropKind: dropKindCorrupt, scrubbed: scrubbed, synthesized: 2}, nil
 	}
 	fd := frameData{
-		det:      plan.RangeProfile(detFrame),
-		dec:      plan.RangeProfile(decFrame),
-		ok:       true,
-		scrubbed: scrubbed,
+		det:         plan.RangeProfile(detFrame),
+		dec:         plan.RangeProfile(decFrame),
+		synthesized: 2,
+		transformed: 2,
+		ok:          true,
+		scrubbed:    scrubbed,
 	}
 	radar.ReleaseFrame(detFrame)
 	radar.ReleaseFrame(decFrame)
@@ -421,11 +463,11 @@ func (p *Pipeline) extractPoints(fd *frameData, pose geom.Vec3, plan *radar.Synt
 }
 
 // classifyObject spotlights one cluster in both polarization modes across
-// the pass and fills in the two classification features of Fig 13. It draws
-// no randomness and touches only read-only state, so objects classify
-// concurrently on the sweep pool. Frames without usable profiles (dropped or
-// never synthesized) are skipped.
-func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, truth []geom.Vec3, lossThresh, extThresh float64) ObjectReport {
+// the pass and fills in the two classification features of Fig 13. Its only
+// randomness is dec's keyed bin noise and it touches only read-only state,
+// so objects classify concurrently on the sweep pool. Frames without usable
+// profiles (dropped or never synthesized) are skipped.
+func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, dec *decodeReader, truth []geom.Vec3, lossThresh, extThresh float64) ObjectReport {
 	report := ObjectReport{Centroid: st.Centroid, Extent: st.Extent, Points: st.Count}
 	// Subtract the expected beamformed noise power so weak decode-mode
 	// readings do not bias the loss feature low.
@@ -443,11 +485,10 @@ func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, truth []
 		}
 		bin := p.Radar.BinForRange(r)
 		det := p.Radar.BeamPower(frames[i].det, bin, az) - noise
-		dec := p.Radar.BeamPower(frames[i].dec, bin, az) - noise
 		if det > 4*noise {
 			detSamples = append(detSamples, em.DBm(det))
-			if dec > 2*noise {
-				lossSamples = append(lossSamples, em.DB(det/dec))
+			if d := dec.power(&frames[i], i, bin, az) - noise; d > 2*noise {
+				lossSamples = append(lossSamples, em.DB(det/d))
 			}
 		}
 	}
@@ -465,11 +506,11 @@ func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, truth []
 	return report
 }
 
-// sampleTagFrame is pass 2 for one frame: the tag's decode-mode spotlight
-// RSS using the estimated geometry (the tag axis is parallel to the road /
-// x axis), path-loss compensated per Eq 1 (d^4) using the tracked range so
-// the sample is proportional to RCS.
-func (p *Pipeline) sampleTagFrame(dec radar.RangeProfile, est geom.Vec3, tagPos geom.Vec2, azCap float64) tagSample {
+// sampleTagFrame is pass 2 for frame i: the tag's decode-mode spotlight RSS
+// using the estimated geometry (the tag axis is parallel to the road / x
+// axis), path-loss compensated per Eq 1 (d^4) using the tracked range so the
+// sample is proportional to RCS.
+func (p *Pipeline) sampleTagFrame(dec *decodeReader, fd *frameData, i int, est geom.Vec3, tagPos geom.Vec2, azCap float64) tagSample {
 	rel := est.XY().Sub(tagPos)
 	r := rel.Norm()
 	if r == 0 {
@@ -480,7 +521,7 @@ func (p *Pipeline) sampleTagFrame(dec radar.RangeProfile, est geom.Vec3, tagPos 
 	if math.Abs(az) > geom.Rad(azCap) || r >= p.Radar.MaxRange() {
 		return tagSample{}
 	}
-	rss := p.Radar.BeamPower(dec, p.Radar.BinForRange(r), az)
+	rss := dec.power(fd, i, p.Radar.BinForRange(r), az)
 	rss *= r * r * r * r
 	return tagSample{u: rel.X / r, rss: rss, r: r, ok: true}
 }
@@ -547,17 +588,24 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 		maxLoss = 0.5
 	}
 
-	// Pass 1: synthesize both modes per frame, keep range profiles, and
-	// build the merged world-frame point cloud from detection mode.
+	// Pass 1: synthesize the frames, keep range profiles (or decode-mode
+	// scatterers), and build the merged world-frame point cloud from
+	// detection mode.
 	n := len(truth)
-	sp.SetAttr("frames", 2*n)
-	sp.SetAttr("fft_calls", int64(2*n)*int64(p.Radar.NumRx))
 	sp.SetAttr("fft_size", p.Radar.Samples)
 	sp.SetAttr("workers", resolveWorkers(p.Workers, n))
 	frames, done, ferr := p.synthesizeFrames(ctx, sc, truth, vel, seed, sp)
+	synthesized, transformed := 0, 0
+	for _, fd := range frames {
+		synthesized += fd.synthesized
+		transformed += fd.transformed
+	}
+	ffts := int64(transformed) * int64(p.Radar.NumRx)
+	sp.SetAttr("frames", synthesized)
+	sp.SetAttr("fft_calls", ffts)
 	mRuns.Inc()
-	mFrames.Add(int64(2 * n))
-	mFFTs.Add(int64(2*n) * int64(p.Radar.NumRx))
+	mFrames.Add(int64(synthesized))
+	mFFTs.Add(ffts)
 	// The profiles live in pooled buffers; hand them back once the run is
 	// done with them (nothing in Result references them). Dropped or
 	// never-run frames hold zero-value profiles, which release as no-ops.
@@ -677,6 +725,11 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	// keeping the output byte-identical at any worker count. The span
 	// accumulates worker-summed self time, like the per-frame stages.
 	spotSp := sp.StartChild(SpanSpotlight)
+	dec := &decodeReader{cfg: &p.Radar, plan: p.resources().Session.SynthPlanFor(p.Radar), seed: seed}
+	endSpot := func() {
+		spotSp.SetAttr("decode_bins", dec.bins.Load())
+		spotSp.End()
+	}
 	var cands []cluster.Stats
 	for _, st := range stats {
 		if st.Count >= minFrames {
@@ -688,12 +741,12 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	if len(cands) > 0 {
 		reports, _, err := sweep.RunCtx(ctx, len(cands), p.Workers, func(_ context.Context, ci int) (ObjectReport, error) {
 			t0 := time.Now()
-			report := p.classifyObject(cands[ci], frames, truth, lossThresh, extThresh)
+			report := p.classifyObject(cands[ci], frames, dec, truth, lossThresh, extThresh)
 			spotSp.Add(time.Since(t0))
 			return report, nil
 		})
 		if err != nil {
-			spotSp.End()
+			endSpot()
 			if errors.Is(err, roserr.ErrReadCancelled) {
 				return partial(res), fmt.Errorf("detect: read cancelled during spotlighting: %w", err)
 			}
@@ -729,7 +782,7 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	if res.TagIndex < 0 {
 		obs.Logger().Info("detect: no tag classified",
 			"objects", len(res.Objects), "seed", seed)
-		spotSp.End()
+		endSpot()
 		sp.End()
 		res.Span = sp
 		return res, nil
@@ -751,12 +804,12 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 			return tagSample{}, nil
 		}
 		t0 := time.Now()
-		s := p.sampleTagFrame(frames[i].dec, est[i], tagPos, azCap)
+		s := p.sampleTagFrame(dec, &frames[i], i, est[i], tagPos, azCap)
 		spotSp.Add(time.Since(t0))
 		return s, nil
 	})
 	if err != nil {
-		spotSp.End()
+		endSpot()
 		if errors.Is(err, roserr.ErrReadCancelled) {
 			return partial(res), fmt.Errorf("detect: read cancelled during RCS sampling: %w", err)
 		}
@@ -772,7 +825,7 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 		res.TagRSS = append(res.TagRSS, s.rss)
 		res.TagRange = append(res.TagRange, s.r)
 	}
-	spotSp.End()
+	endSpot()
 	spotSp.SetAttr("samples", len(res.TagU))
 	sp.End()
 	res.Span = sp
@@ -780,6 +833,47 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 		"objects", len(res.Objects), "tag_index", res.TagIndex,
 		"samples", len(res.TagU), "wall_ms", float64(sp.Wall().Nanoseconds())/1e6)
 	return res, nil
+}
+
+// decodeReader serves the decode-mode beamformed power of any frame at any
+// bin: from the frame's time-domain profile when it has one, otherwise in
+// closed form from its decode-mode scatterers via BinSpectrum. The
+// bin-domain noise of (frame i, bin) comes from its own stream keyed by
+// binNoiseSeed, so every reader of one bin — any object, any worker, in any
+// order — sees the same vector. bins counts the BinSpectrum evaluations for
+// the spotlight span's decode_bins attribute.
+type decodeReader struct {
+	cfg  *radar.Config
+	plan *radar.SynthPlan
+	seed int64
+	bins atomic.Int64
+}
+
+// power returns the decode-mode beamformed power of frame i (fd) at one
+// range bin and azimuth.
+func (d *decodeReader) power(fd *frameData, i, bin int, az float64) float64 {
+	if fd.dec.Bins != nil {
+		return d.cfg.BeamPower(fd.dec, bin, az)
+	}
+	var vbuf [16]complex128
+	v := vbuf[:]
+	if d.cfg.NumRx > len(vbuf) {
+		v = make([]complex128, d.cfg.NumRx)
+	}
+	v = v[:d.cfg.NumRx]
+	var g dsp.Gauss
+	g.Reseed(binNoiseSeed(d.seed, i, bin))
+	d.plan.BinSpectrum(v, fd.decScat, bin, &g)
+	d.bins.Add(1)
+	return d.cfg.SteerPower(v, az)
+}
+
+// binNoiseSeed derives the bin-domain noise stream of decode-mode bin `bin`
+// of frame i: a third sub-stream of the frame seed SubSeed(seed, i), salted
+// apart from the scene draws (the frame seed itself) and the frame's
+// time-domain noise (noiseSeed), then keyed by the bin.
+func binNoiseSeed(seed int64, i, bin int) int64 {
+	return sweep.SubSeed(sweep.SubSeed(sweep.SubSeed(seed, i), 2), bin)
 }
 
 // resolveWorkers mirrors sweep.Run's worker-count resolution for reporting.

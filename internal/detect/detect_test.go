@@ -1,15 +1,19 @@
 package detect
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ros/internal/beamshape"
 	"ros/internal/coding"
 	"ros/internal/em"
+	"ros/internal/fault"
 	"ros/internal/geom"
+	"ros/internal/obs"
 	"ros/internal/radar"
 	"ros/internal/scene"
 )
@@ -224,5 +228,148 @@ func TestNoTagScene(t *testing.T) {
 	}
 	if res.TagIndex >= 0 {
 		t.Errorf("false alarm: lamp classified as tag: %+v", res.Objects[res.TagIndex])
+	}
+}
+
+// TestDecodeBinsIndependentOfOrderAndWorkers: a closed-form decode-mode bin
+// is a pure function of (seed, frame, bin). Frames synthesized at 1 and 4
+// workers, read forward, backward and from concurrent goroutines, all give
+// bit-identical powers, and repeated reads of one bin agree.
+func TestDecodeBinsIndependentOfOrderAndWorkers(t *testing.T) {
+	const seed = 5
+	rng := rand.New(rand.NewSource(1))
+	sc := buildScene(t, "1011", true, rng)
+	truth := passPositions(3, 64)
+	synth := func(workers int) ([]frameData, *decodeReader) {
+		p := NewPipeline(radar.TI1443())
+		p.Workers = workers
+		sp := obs.StartSpan("test")
+		defer sp.Release()
+		frames, _, err := p.synthesizeFrames(context.Background(), sc, truth, geom.Vec3{X: 2}, seed, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frames, &decodeReader{cfg: &p.Radar, plan: p.resources().Session.SynthPlanFor(p.Radar), seed: seed}
+	}
+	type key struct{ i, bin int }
+	var keys []key
+	for i := range truth {
+		for _, bin := range []int{0, 30 + i%7, 31 + i%7, 255} {
+			keys = append(keys, key{i, bin})
+		}
+	}
+	frames1, dec1 := synth(1)
+	for _, fd := range frames1 {
+		if !fd.ok || fd.dec.Bins != nil || len(fd.decScat) == 0 {
+			t.Fatal("ideal-converter frame did not take the closed-form decode path")
+		}
+	}
+	want := make([]float64, len(keys))
+	for n, k := range keys {
+		want[n] = dec1.power(&frames1[k.i], k.i, k.bin, 0.1)
+	}
+	for n := len(keys) - 1; n >= 0; n-- {
+		k := keys[n]
+		if got := dec1.power(&frames1[k.i], k.i, k.bin, 0.1); got != want[n] {
+			t.Fatalf("frame %d bin %d: reverse-order read %v, forward %v", k.i, k.bin, got, want[n])
+		}
+	}
+	frames4, dec4 := synth(4)
+	got := make([]float64, len(keys))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := w; n < len(keys); n += 4 {
+				k := keys[n]
+				got[n] = dec4.power(&frames4[k.i], k.i, k.bin, 0.1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for n, k := range keys {
+		if got[n] != want[n] {
+			t.Fatalf("frame %d bin %d: 4-worker concurrent read %v, 1-worker %v", k.i, k.bin, got[n], want[n])
+		}
+	}
+	if d := dec1.bins.Load(); d != int64(2*len(keys)) {
+		t.Errorf("decode_bins counter = %d, want %d", d, 2*len(keys))
+	}
+}
+
+// TestWorkCountsFollowDecodePath pins the frames / fft_calls / decode_bins
+// counters to the work actually done: the ideal converter synthesizes and
+// transforms one frame per pose, a quantizer two, and a fault plan two per
+// sample-faulted pose (none per dropped pose, none transformed for a pose
+// dropped as corrupt).
+func TestWorkCountsFollowDecodePath(t *testing.T) {
+	const n = 120
+	truth := passPositions(3, n)
+	faultCfg := fault.Config{Seed: 7, FrameDropRate: 0.05, CorruptRate: 0.1, BurstRate: 0.05}
+	inj, err := fault.New(faultCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adc := radar.TI1443()
+	adc.ADCBits = 12
+	for _, tc := range []struct {
+		name  string
+		radar radar.Config
+		fault *fault.Injector
+	}{
+		{"ideal", radar.TI1443(), nil},
+		{"adc12", adc, nil},
+		{"faulted", radar.TI1443(), inj},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPipeline(tc.radar)
+			p.Fault = tc.fault
+			sc := buildScene(t, "1111", false, rand.New(rand.NewSource(1)))
+			res, err := p.Run(sc, truth, truth, geom.Vec3{X: 2}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Span.Release()
+			wantFrames, wantFFTFrames := n, n
+			switch tc.name {
+			case "adc12":
+				wantFrames, wantFFTFrames = 2*n, 2*n
+			case "faulted":
+				wantFrames, wantFFTFrames = 0, 0
+				faulted := 0
+				for i := 0; i < n; i++ {
+					switch ff := inj.Frame(i); {
+					case ff.Drop:
+					case ff.Corrupt || ff.Burst:
+						faulted++
+					default:
+						wantFrames++
+						wantFFTFrames++
+					}
+				}
+				// Poses dropped for corruption past the repair threshold were
+				// synthesized but never transformed.
+				corruptDropped := res.FramesDropped - inj.Kinds(n).Drop
+				wantFrames += 2 * faulted
+				wantFFTFrames += 2 * (faulted - corruptDropped)
+				if faulted == 0 {
+					t.Fatal("fault plan injected no sample faults; raise the rates")
+				}
+			}
+			if got := res.Span.IntAttr("frames"); got != int64(wantFrames) {
+				t.Errorf("frames = %d, want %d", got, wantFrames)
+			}
+			if got := res.Span.IntAttr("fft_calls"); got != int64(wantFFTFrames*tc.radar.NumRx) {
+				t.Errorf("fft_calls = %d, want %d", got, wantFFTFrames*tc.radar.NumRx)
+			}
+			bins := res.Span.Child(SpanSpotlight).IntAttr("decode_bins")
+			if tc.name == "adc12" && bins != 0 {
+				t.Errorf("quantized run evaluated %d closed-form decode bins, want 0", bins)
+			}
+			if tc.name != "adc12" && bins == 0 {
+				t.Error("ideal-converter run evaluated no closed-form decode bins")
+			}
+		})
 	}
 }

@@ -98,6 +98,9 @@ type SynthPlan struct {
 	// rangePlan is the fused Hann window + IFFT plan of the range
 	// transform.
 	rangePlan *dsp.Plan
+	// bin evaluates single bins of the same range transform in closed form
+	// (BinSpectrum).
+	bin binKernel
 	// steer is the precomputed AoA steering table for the config's array
 	// geometry, captured from the owning session at build time.
 	steer *steeringTable
@@ -135,6 +138,8 @@ func newSynthPlan(c Config, plans *dsp.PlanSet, steering func(Config) *steeringT
 		steer:     steering(c),
 		pool:      &framePool{},
 	}
+	win, _ := plans.WindowCoefficients(dsp.Hann, c.Samples)
+	p.bin = newBinKernel(win, c.NoisePerBin())
 	if c.ADCBits > 0 {
 		// Levels per polarity; Validate bounded ADCBits to (0, 30], so
 		// the shift cannot overflow.

@@ -125,13 +125,27 @@ func (c Config) BeamPower(rp RangeProfile, bin int, azimuth float64) float64 {
 }
 
 func (c Config) beamPowerAt(rp RangeProfile, bin int, th float64) float64 {
-	w := 2 * math.Pi * c.RxSpacing * math.Sin(th) / c.Wavelength()
+	var vbuf [16]complex128
+	v := vbuf[:0]
+	if c.NumRx > len(vbuf) {
+		v = make([]complex128, 0, c.NumRx)
+	}
+	for k := 0; k < c.NumRx; k++ {
+		v = append(v, rp.Bins[k][bin])
+	}
+	return c.SteerPower(v, th)
+}
+
+// SteerPower is BeamPower on one range bin's per-channel values v (length
+// NumRx): a profile column, or a SynthPlan.BinSpectrum vector.
+func (c Config) SteerPower(v []complex128, azimuth float64) float64 {
+	w := 2 * math.Pi * c.RxSpacing * math.Sin(azimuth) / c.Wavelength()
 	sin, cos := math.Sincos(w)
 	rot := complex(cos, sin)
 	steer := complex(1, 0)
 	var sum complex128
-	for k := 0; k < c.NumRx; k++ {
-		sum += rp.Bins[k][bin] * steer
+	for _, x := range v[:c.NumRx] {
+		sum += x * steer
 		steer *= rot
 	}
 	sum /= complex(float64(c.NumRx), 0)

@@ -225,11 +225,16 @@ func (d DriveBy) Validate() error {
 // times are summed across workers (CPU time), WallNS is the end-to-end wall
 // clock.
 type Stats struct {
-	// Frames is the number of radar frames synthesized (two polarization
-	// modes per pose).
+	// Frames is the number of radar frames synthesized: one detection-mode
+	// frame per pose, plus a decode-mode frame for each pose that took the
+	// time-domain decode path (a quantizing ADC, or injected sample
+	// corruption or bursts). Ideal-converter poses read their decode-mode
+	// bins in closed form and synthesize no decode frame; dropped poses
+	// synthesize nothing.
 	Frames int
 	// FFTCalls is the number of fast-time FFTs run by the range
-	// transforms.
+	// transforms: NumRx per frame transformed (a pose dropped as corrupt
+	// is synthesized but not transformed).
 	FFTCalls int64
 	// Workers is the resolved frame-loop worker count.
 	Workers int
