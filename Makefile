@@ -15,8 +15,9 @@ FUZZ_TIME ?= 30s
 
 # Synthesis-kernel micro-benchmarks compared by bench-kernel: tone lanes
 # (both precisions), batched Gaussian noise (both precisions), fused
-# window+FFT plans, the scene-response memo, and the incremental scan.
-BENCH_KERNEL := 'BenchmarkToneFill256$$|BenchmarkToneFill32$$|BenchmarkAccumulateRotated256$$|BenchmarkAccumulateRotated32_256$$|BenchmarkGaussNorm$$|BenchmarkGaussFill2048$$|BenchmarkGaussFill32_2048$$|BenchmarkGaussAddNoise1024$$|BenchmarkGaussAddNoise32$$|BenchmarkPlanInverse256$$|BenchmarkSceneResponseMemo$$|BenchmarkSceneResponseDirect$$|BenchmarkPointCloudIncremental$$|BenchmarkPointCloudFull$$'
+# window+FFT plans, the closed-form decode bin, the scene-response memo, and
+# the incremental scan.
+BENCH_KERNEL := 'BenchmarkBinSpectrum$$|BenchmarkToneFill256$$|BenchmarkToneFill32$$|BenchmarkAccumulateRotated256$$|BenchmarkAccumulateRotated32_256$$|BenchmarkGaussNorm$$|BenchmarkGaussFill2048$$|BenchmarkGaussFill32_2048$$|BenchmarkGaussAddNoise1024$$|BenchmarkGaussAddNoise32$$|BenchmarkPlanInverse256$$|BenchmarkSceneResponseMemo$$|BenchmarkSceneResponseDirect$$|BenchmarkPointCloudIncremental$$|BenchmarkPointCloudFull$$'
 
 # Observability overhead budget (percent) enforced by obs-overhead.
 OBS_OVERHEAD_PCT ?= 2

@@ -43,8 +43,7 @@ func spotlightFixture(b *testing.B) (*Pipeline, []frameData, *decodeReader, []cl
 	if len(cands) == 0 {
 		b.Fatal("no clusters survived the density filter")
 	}
-	dec := &decodeReader{cfg: &p.Radar, plan: p.resources().Session.SynthPlanFor(p.Radar), seed: 1}
-	return p, frames, dec, cands, truth
+	return p, frames, p.newDecodeReader(1), cands, truth
 }
 
 // BenchmarkSpotlight measures the per-object classification kernel (both

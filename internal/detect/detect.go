@@ -291,14 +291,15 @@ func noiseSeed(seed int64, i int) int64 {
 // synthesizeFrames is pass 1 of Run: synthesize the detection-mode frame per
 // pose (and the decode-mode frame where the time-domain path is needed),
 // keep the range profiles or decode-mode scatterers, and extract the
-// detection-mode point cloud in world coordinates. Frames are independent given their seed stream, so
-// the loop fans out on the sweep pool; per-stage times accumulate atomically
-// across workers in child spans of sp (Span.Add is one atomic add). All
-// workers share one immutable frame front-end plan (scene-static synthesis
-// terms + the fused window+FFT range plan); only the frame and profile
-// scratch buffers are pooled. The returned profiles live in pooled buffers —
-// the caller owns releasing them. The done mask marks frames that actually
-// ran (cancellation stops dispatch between frames).
+// detection-mode point cloud in world coordinates. Frames are independent
+// given their seed stream, so the loop fans out on the sweep pool;
+// per-stage times accumulate atomically across workers in child spans of sp
+// (Span.Add is one atomic add). All workers share one immutable frame
+// front-end plan (scene-static synthesis terms + the fused window+FFT range
+// plan); only the frame and profile scratch buffers are pooled. The returned
+// profiles live in pooled buffers — the caller owns releasing them. The done
+// mask marks frames that actually ran (cancellation stops dispatch between
+// frames).
 func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth []geom.Vec3, vel geom.Vec3, seed int64, sp *obs.Span) ([]frameData, []bool, error) {
 	synthSp := sp.StartChild(SpanSynthesize)
 	rangeSp := sp.StartChild(SpanRangeFFT)
@@ -349,31 +350,22 @@ func (p *Pipeline) synthesizeCleanFrame(sc *scene.Scene, pose geom.Vec3, vel geo
 	detScat := sc.Scatterers(pose, vel, scene.ModeDetect, fe, f, rng)
 	decScat := sc.Scatterers(pose, vel, scene.ModeDecode, fe, f, rng)
 	detFrame := plan.Synthesize(detScat, g)
-	if p.Radar.ADCBits == 0 {
-		dsp.ReleaseGauss(g)
-		t1 := time.Now()
-		fd := frameData{det: plan.RangeProfile(detFrame), decScat: decScat,
-			synthesized: 1, transformed: 1, ok: true}
-		radar.ReleaseFrame(detFrame)
-		t2 := time.Now()
-		p.extractPoints(&fd, pose, plan, false)
-		synthSp.Add(t1.Sub(t0))
-		rangeSp.Add(t2.Sub(t1))
-		cloudSp.Add(time.Since(t2))
-		return fd
+	timeDomain := p.Radar.ADCBits > 0
+	var decFrame radar.Frame
+	if timeDomain {
+		decFrame = plan.Synthesize(decScat, g)
 	}
-	decFrame := plan.Synthesize(decScat, g)
 	dsp.ReleaseGauss(g)
 	t1 := time.Now()
-	fd := frameData{
-		det:         plan.RangeProfile(detFrame),
-		dec:         plan.RangeProfile(decFrame),
-		synthesized: 2,
-		transformed: 2,
-		ok:          true,
-	}
+	fd := frameData{det: plan.RangeProfile(detFrame), synthesized: 1, transformed: 1, ok: true}
 	radar.ReleaseFrame(detFrame)
-	radar.ReleaseFrame(decFrame)
+	if timeDomain {
+		fd.dec = plan.RangeProfile(decFrame)
+		fd.synthesized, fd.transformed = 2, 2
+		radar.ReleaseFrame(decFrame)
+	} else {
+		fd.decScat = decScat
+	}
 	t2 := time.Now()
 
 	p.extractPoints(&fd, pose, plan, false)
@@ -725,7 +717,7 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	// keeping the output byte-identical at any worker count. The span
 	// accumulates worker-summed self time, like the per-frame stages.
 	spotSp := sp.StartChild(SpanSpotlight)
-	dec := &decodeReader{cfg: &p.Radar, plan: p.resources().Session.SynthPlanFor(p.Radar), seed: seed}
+	dec := p.newDecodeReader(seed)
 	endSpot := func() {
 		spotSp.SetAttr("decode_bins", dec.bins.Load())
 		spotSp.End()
@@ -847,6 +839,12 @@ type decodeReader struct {
 	plan *radar.SynthPlan
 	seed int64
 	bins atomic.Int64
+}
+
+// newDecodeReader returns the run's decode reader over the pipeline's
+// synthesis plan.
+func (p *Pipeline) newDecodeReader(seed int64) *decodeReader {
+	return &decodeReader{cfg: &p.Radar, plan: p.resources().Session.SynthPlanFor(p.Radar), seed: seed}
 }
 
 // power returns the decode-mode beamformed power of frame i (fd) at one

@@ -249,7 +249,7 @@ func TestDecodeBinsIndependentOfOrderAndWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return frames, &decodeReader{cfg: &p.Radar, plan: p.resources().Session.SynthPlanFor(p.Radar), seed: seed}
+		return frames, p.newDecodeReader(seed)
 	}
 	type key struct{ i, bin int }
 	var keys []key
