@@ -17,9 +17,9 @@
 // collected in index order and stay byte-identical at any worker count
 // there too.
 //
-// Decode mode is read at one or two range bins per frame, so on the ideal
-// converter (ADCBits == 0) the pipeline never synthesizes a decode-mode
-// frame: it keeps the frame's decode-mode scatterers and evaluates the bins
+// Decode mode is read at a few range bins per frame (one per classified
+// object, one for the tag), so on the ideal converter (ADCBits == 0) the
+// pipeline never synthesizes a decode-mode frame: it keeps the frame's decode-mode scatterers and evaluates the bins
 // it reads in closed form (radar.SynthPlan.BinSpectrum). Quantized configs
 // and frames with injected sample corruption or bursts keep the time-domain
 // decode frame, because the quantizer and the sample faults act there.

@@ -77,6 +77,33 @@ func TestBinSpectrumMatchesRangeProfile(t *testing.T) {
 	}
 }
 
+// TestHannKernelSingularities pins the windowed tone sum against the direct
+// sum over the window coefficients at the kernels' exact removable
+// singularities (phi = 0 and phi = -+2*pi/(N-1)), next to them, and at
+// random angles.
+func TestHannKernelSingularities(t *testing.T) {
+	for _, n := range []int{8, 200, 256} {
+		w := dsp.Hann.Coefficients(n)
+		k := newBinKernel(w, 1)
+		hs := []float64{0, k.halfStep, -k.halfStep, 1e-300, k.halfStep + 1e-13, -k.halfStep - 1e-9, math.Pi / 2, -math.Pi / 2}
+		rng := rand.New(rand.NewSource(int64(n)))
+		for i := 0; i < 50; i++ {
+			hs = append(hs, (rng.Float64()-0.5)*math.Pi)
+		}
+		for _, h := range hs {
+			var want complex128
+			for j, wj := range w {
+				want += complex(wj, 0) * cmplx.Exp(complex(0, 2*h*float64(j)))
+			}
+			mag, pRe, pIm := k.hann(h, n)
+			got := complex(mag*pRe, mag*pIm)
+			if d := cmplx.Abs(got - want); d > 1e-12*float64(n) {
+				t.Errorf("N=%d h=%g: kernel %v, direct sum %v (|diff| %.3g)", n, h, got, want, d)
+			}
+		}
+	}
+}
+
 // TestBinSpectrumNoisePower checks the bin-domain noise against the window's
 // noise-bandwidth model, NoisePerBin * N*sum(w^2)/sum(w)^2, and against the
 // noise the time-domain path actually leaves in its range bins.
