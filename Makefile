@@ -5,24 +5,22 @@
 GO ?= go
 
 # Hot-path micro-benchmarks compared by bench-compare and smoke-tested in CI.
-# BenchmarkEndToEndRead exercises the default float32 synthesis lane;
-# BenchmarkEndToEndReadF64 is the forced-float64 A/B baseline.
-BENCH_HOT := 'BenchmarkEndToEndRead$$|BenchmarkEndToEndReadF64$$|BenchmarkSpotlight$$|BenchmarkDBSCAN|BenchmarkAoASpectrum$$|BenchmarkSynthesize$$|BenchmarkRangeFFTBatched$$'
+# BenchmarkEndToEndRead is the canonical read on the one synthesis lane.
+BENCH_HOT := 'BenchmarkEndToEndRead$$|BenchmarkSpotlight$$|BenchmarkDBSCAN|BenchmarkAoASpectrum$$|BenchmarkSynthesize$$|BenchmarkRangeFFTBatched$$'
 BENCH_COUNT ?= 5
 
 # Fuzz targets smoked by fuzz-smoke; each runs for FUZZTIME.
 FUZZ_TIME ?= 30s
 
-# Synthesis-kernel micro-benchmarks compared by bench-kernel: tone lanes
-# (both precisions), batched Gaussian noise (both precisions), fused
-# window+FFT plans, the closed-form decode bin, the scene-response memo, and
-# the incremental scan.
-BENCH_KERNEL := 'BenchmarkBinSpectrum$$|BenchmarkToneFill256$$|BenchmarkToneFill32$$|BenchmarkAccumulateRotated256$$|BenchmarkAccumulateRotated32_256$$|BenchmarkGaussNorm$$|BenchmarkGaussFill2048$$|BenchmarkGaussFill32_2048$$|BenchmarkGaussAddNoise1024$$|BenchmarkGaussAddNoise32$$|BenchmarkPlanInverse256$$|BenchmarkSceneResponseMemo$$|BenchmarkSceneResponseDirect$$|BenchmarkPointCloudIncremental$$|BenchmarkPointCloudFull$$'
+# Synthesis-kernel micro-benchmarks compared by bench-kernel: tone lanes,
+# batched Gaussian noise, fused window+FFT plans, the closed-form decode bin,
+# the scene-response memo, and the incremental scan.
+BENCH_KERNEL := 'BenchmarkBinSpectrum$$|BenchmarkToneFill256$$|BenchmarkAccumulateRotated256$$|BenchmarkGaussNorm$$|BenchmarkGaussFill2048$$|BenchmarkGaussAddNoise1024$$|BenchmarkPlanInverse256$$|BenchmarkSceneResponseMemo$$|BenchmarkSceneResponseDirect$$|BenchmarkPointCloudIncremental$$|BenchmarkPointCloudFull$$'
 
 # Observability overhead budget (percent) enforced by obs-overhead.
 OBS_OVERHEAD_PCT ?= 2
 
-.PHONY: ci fmt vet build test race generate golden bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke rosperf-test
+.PHONY: ci fmt vet build test race generate golden bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke bench-names obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke rosperf-test
 
 ci: fmt vet build race
 
@@ -119,6 +117,19 @@ bench-compare:
 # benchmark that panics or regresses to non-termination fails the build).
 bench-smoke:
 	$(GO) test -run xxx -bench $(BENCH_HOT) -benchtime=1x ./...
+
+# Fail when a name in BENCH_HOT or BENCH_KERNEL matches no benchmark in the
+# module, so deleting or renaming a benchmark cannot leave a stale regex
+# that the bench targets silently skip. CI runs it before bench-smoke.
+bench-names:
+	@list=$$($(GO) test -list '^Benchmark' ./...) || exit 1; \
+	status=0; \
+	for re in $$(echo $(BENCH_HOT)'|'$(BENCH_KERNEL) | tr '|' ' '); do \
+		if ! printf '%s\n' "$$list" | grep -qE "^($$re)"; then \
+			echo "bench-names: $$re matches no benchmark"; status=1; \
+		fi; \
+	done; \
+	exit $$status
 
 # Observability overhead gate: run the instrumented end-to-end read against
 # the flight-recorder-off baseline and fail when the minimum instrumented

@@ -239,24 +239,6 @@ func BenchmarkEndToEndRead(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndReadF64 is the numerical A/B baseline: the same read
-// with the float32 synthesis lane forced off. The gap against
-// BenchmarkEndToEndRead is the f32 lane's end-to-end saving.
-func BenchmarkEndToEndReadF64(b *testing.B) {
-	tag, err := NewTag("1111")
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := NewReader()
-	r.radar.ForceFloat64 = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Read(tag, ReadOptions{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEndToEndReadFullScan forces every per-frame point-cloud scan to
 // walk all range bins — the incremental-scan A/B baseline.
 func BenchmarkEndToEndReadFullScan(b *testing.B) {

@@ -114,36 +114,6 @@ func TestReadStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestReadFloat32DecodeMatchesFloat64Reference is the float32 lane's
-// end-to-end contract: at the default ADC word the fast lane changes no
-// decoded bit. The thermal noise stream is deliberately re-contracted (the
-// paired-draw float32 generator batches differently), so SNR and captures
-// differ realization-to-realization; detection and the decoded bits must
-// not.
-func TestReadFloat32DecodeMatchesFloat64Reference(t *testing.T) {
-	tag, err := NewTag("1011")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := NewReader()
-	ref := NewReader()
-	ref.radar.ForceFloat64 = true
-	for _, seed := range []int64{1, 9, 42} {
-		f32, err := fast.Read(tag, ReadOptions{Seed: seed})
-		if err != nil {
-			t.Fatalf("seed %d f32: %v", seed, err)
-		}
-		f64, err := ref.Read(tag, ReadOptions{Seed: seed})
-		if err != nil {
-			t.Fatalf("seed %d f64: %v", seed, err)
-		}
-		if f32.Detected != f64.Detected || f32.Bits != f64.Bits {
-			t.Errorf("seed %d: f32 lane decoded (%v, %q), f64 reference (%v, %q)",
-				seed, f32.Detected, f32.Bits, f64.Detected, f64.Bits)
-		}
-	}
-}
-
 // TestReadIdenticalAcrossMemoState pins the Engine caches'
 // value-neutrality: a cold-Engine read, a warm repeat on the same Engine, and
 // a read after Close are all byte-identical.

@@ -86,9 +86,8 @@ func init() {
 // use — give each worker its own (Acquire/ReleaseGauss pool one per frame
 // with zero steady-state allocation).
 type Gauss struct {
-	state     uint64
-	scratch   []float64
-	scratch32 []float32
+	state   uint64
+	scratch []float64
 }
 
 // NewGauss returns a stream seeded with the given sub-stream seed (the same

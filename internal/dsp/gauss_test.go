@@ -128,6 +128,40 @@ func TestAddNoiseDeterministic(t *testing.T) {
 	}
 }
 
+// TestNormsReusesScratch checks the scratch lane the quantized noise pass
+// draws from: it grows once to the largest request, smaller and equal
+// requests reuse the same backing array, and its draws continue the stream
+// exactly as FillNorm from the same seed would.
+func TestNormsReusesScratch(t *testing.T) {
+	g := NewGauss(5)
+	w := NewGauss(5)
+	want := make([]float64, 64)
+	check := func(got []float64) {
+		t.Helper()
+		w.FillNorm(want[:len(got)])
+		for i, v := range got {
+			if v != want[i] {
+				t.Fatalf("len %d idx %d: Norms %v != FillNorm %v", len(got), i, v, want[i])
+			}
+		}
+	}
+	first := g.Norms(64)
+	if len(first) != 64 || cap(g.scratch) != 64 {
+		t.Fatalf("Norms(64) gave len %d over a %d-cap lane, want 64/64", len(first), cap(g.scratch))
+	}
+	check(first)
+	second := g.Norms(32)
+	if len(second) != 32 || &second[0] != &first[0] {
+		t.Fatalf("Norms(32) reallocated a scratch lane that already fit")
+	}
+	check(second)
+	third := g.Norms(64)
+	if &third[0] != &first[0] || cap(g.scratch) != 64 {
+		t.Fatalf("Norms(64) regrew the lane after it had reached 64")
+	}
+	check(third)
+}
+
 func BenchmarkGaussNorm(b *testing.B) {
 	g := NewGauss(1)
 	s := 0.0

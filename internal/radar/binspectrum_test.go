@@ -27,14 +27,13 @@ func binSpectrumScene(c Config, rng *rand.Rand, count int) []Scatterer {
 }
 
 // TestBinSpectrumMatchesRangeProfile pins BinSpectrum's tone part to the
-// time-domain path at float64: Synthesize without noise, then the fused
+// time-domain path: Synthesize without noise, then the fused
 // window+IFFT range transform, at every bin of every channel. The scenes
 // cover random scatterers with Doppler, a tone exactly on a bin, tones on
 // both side-kernel singularities, bins 0 and N-1, and a non-power-of-two
 // (Bluestein) transform size.
 func TestBinSpectrumMatchesRangeProfile(t *testing.T) {
 	pow2 := TI1443()
-	pow2.ForceFloat64 = true
 	odd := pow2
 	odd.Samples = 200
 	for _, c := range []Config{pow2, odd} {

@@ -35,13 +35,6 @@ type Config struct {
 	// ADCBits quantizes the baseband I/Q samples to this many bits with a
 	// simple full-scale AGC; 0 models an ideal converter.
 	ADCBits int
-	// ForceFloat64 disables the float32 kernel lane the synthesis plan
-	// otherwise selects when the ADC word is short enough that quantization
-	// (or, for an ideal converter, the thermal noise floor) dwarfs float32
-	// rounding. Set it to reproduce the float64 reference arithmetic
-	// bit-for-bit — equivalence tests and numerical forensics, not
-	// production reads.
-	ForceFloat64 bool
 }
 
 // TI1443 returns the evaluation radar of Sec 7.1.

@@ -172,11 +172,10 @@ func maxRelDiff(t *testing.T, got Frame, ref [][]complex128) float64 {
 }
 
 func equivalenceConfigs() map[string]Config {
+	// Every config shares the executor's one float64 kernel lane, so the
+	// suite pins production synthesis to the pre-refactor arithmetic draw
+	// for draw, ideal converter included.
 	base := TI1443()
-	// This suite pins the executor to the pre-refactor float64 arithmetic
-	// draw for draw, so it runs on the full-precision lane; the float32
-	// lane has its own divergence-budget suite (equivalence32_test.go).
-	base.ForceFloat64 = true
 	adc := base
 	adc.ADCBits = 12
 	coarse := base
@@ -226,7 +225,6 @@ func TestSynthesizeMatchesReference(t *testing.T) {
 func TestQuantizedSynthesisSameCells(t *testing.T) {
 	c := TI1443()
 	c.ADCBits = 8
-	c.ForceFloat64 = true // the reference is the f64 noise stream
 	// One quantizer step relative to the AGC peak: 1.1 / 2^(bits-1).
 	stepRel := 1.1 / float64(int(1)<<(c.ADCBits-1))
 	plan := c.NewSynthPlan()

@@ -87,14 +87,6 @@ type SynthPlan struct {
 	// adcLevels is the quantizer level count per polarity,
 	// 1 << (ADCBits - 1); 0 when ADCBits == 0 (quantization disabled).
 	adcLevels float64
-	// useF32 selects the float32 tone/noise kernel lane. The plan takes it
-	// whenever the precision is paid for downstream: with ADCBits in (0,14]
-	// the quantizer step at full scale is >= 2^-14 of peak, a thousand times
-	// the float32 rounding of the tone store (2^-24 relative), and with
-	// ADCBits == 0 (ideal converter) the thermal noise floor plays the same
-	// masking role. Only ADCBits > 14 — or an explicit Config.ForceFloat64 —
-	// keeps the full-precision lane.
-	useF32 bool
 	// rangePlan is the fused Hann window + IFFT plan of the range
 	// transform.
 	rangePlan *dsp.Plan
@@ -145,7 +137,6 @@ func newSynthPlan(c Config, plans *dsp.PlanSet, steering func(Config) *steeringT
 		// the shift cannot overflow.
 		p.adcLevels = float64(int(1) << (c.ADCBits - 1))
 	}
-	p.useF32 = c.ADCBits <= 14 && !c.ForceFloat64
 	// Pre-warm one frame buffer so the first frame of a read does not pay
 	// the high-water-mark allocation inside the synthesis loop.
 	p.pool.put(newChanBuf(c.NumRx, c.Samples))
@@ -182,13 +173,7 @@ func (p *SynthPlan) Synthesize(scatterers []Scatterer, g *dsp.Gauss) Frame {
 	buf := p.pool.acquire(c.NumRx, n, false)
 	f := Frame{Data: buf.flat, NumRx: c.NumRx, Samples: n, buf: buf}
 
-	var wrote bool
-	if p.useF32 {
-		wrote = p.synthTones32(f, buf, scatterers)
-	} else {
-		wrote = p.synthTones(f, buf, scatterers)
-	}
-	if !wrote {
+	if !p.synthTones(f, buf, scatterers) {
 		clear(f.Data)
 	}
 
@@ -196,27 +181,14 @@ func (p *SynthPlan) Synthesize(scatterers []Scatterer, g *dsp.Gauss) Frame {
 	// noise power equals NoisePerBin: the normalized FFT averages N
 	// samples, reducing noise power by N. The draws come batched from the
 	// Gauss stream; the add pass tracks the largest I/Q excursion, which is
-	// the quantizer's AGC peak — no extra full-frame scan. The f32 lane's
-	// paired-draw generator consumes the stream at half the rate, so f32 and
-	// f64 noise realizations are distinct sequences by design.
+	// the quantizer's AGC peak — no extra full-frame scan. Both branches
+	// consume the stream identically, one SplitMix64 step per normal draw
+	// (real then imaginary per sample), so quantized and ideal-converter
+	// frames see the same realization.
 	peak := 0.0
 	switch {
 	case g != nil && c.ADCBits > 0:
 		sigma := p.sigma
-		if p.useF32 {
-			lane := g.Norms32(2 * len(f.Data))
-			for t, v := range f.Data {
-				v += complex(float64(lane[2*t])*sigma, float64(lane[2*t+1])*sigma)
-				f.Data[t] = v
-				if a := math.Abs(real(v)); a > peak {
-					peak = a
-				}
-				if a := math.Abs(imag(v)); a > peak {
-					peak = a
-				}
-			}
-			break
-		}
 		lane := g.Norms(2 * len(f.Data))
 		for t, v := range f.Data {
 			v += complex(lane[2*t]*sigma, lane[2*t+1]*sigma)
@@ -231,11 +203,7 @@ func (p *SynthPlan) Synthesize(scatterers []Scatterer, g *dsp.Gauss) Frame {
 	case g != nil:
 		// No quantizer, no peak needed: the fused generator accumulates
 		// the scaled draws straight into the frame.
-		if p.useF32 {
-			g.AddNoise32(f.Data, p.sigma)
-		} else {
-			g.AddNoise(f.Data, p.sigma)
-		}
+		g.AddNoise(f.Data, p.sigma)
 	case c.ADCBits > 0:
 		for _, v := range f.Data {
 			if a := math.Abs(real(v)); a > peak {
@@ -287,48 +255,6 @@ func (p *SynthPlan) synthTones(f Frame, buf *chanBuf, scatterers []Scatterer) bo
 		dsp.AccumulateTone(f.Data[:n], re, im)
 		for k := 1; k < c.NumRx; k++ {
 			dsp.AccumulateRotated(f.Data[k*n:(k+1)*n], re, im, aRe, aIm)
-			aRe, aIm = aRe*rc-aIm*rs, aRe*rs+aIm*rc
-		}
-	}
-	return wrote
-}
-
-// synthTones32 is synthTones on the float32 kernel lane: the phasor
-// recurrence and the per-channel rotation still run in float64, but the tone
-// lane is stored once at float32 — halving the lane traffic every channel
-// pass re-reads. Each sample's tone is the f64 value rounded once (relative
-// error <= 2^-24), far below both the quantizer step at <= 14 bits and the
-// thermal noise floor; the equivalence suite bounds the end-to-end
-// divergence below half a quantizer cell.
-func (p *SynthPlan) synthTones32(f Frame, buf *chanBuf, scatterers []Scatterer) bool {
-	c := p.cfg
-	n := c.Samples
-	re, im := buf.lanes32(n)
-	wrote := false
-	for _, sc := range scatterers {
-		if sc.Amplitude <= 0 || sc.Range <= 0 {
-			continue
-		}
-		fb := p.beatK*sc.Range + p.dopK*sc.RadialVelocity
-		base := p.phaseK*sc.Range + sc.Phase
-		sinAz := math.Sin(sc.Azimuth)
-		ds, dc := math.Sincos(p.stepK * fb)
-		rs, rc := math.Sincos(-p.rxK * sinAz)
-		s0, c0 := math.Sincos(-base)
-		dsp.ToneFill32(re, im, sc.Amplitude*c0, sc.Amplitude*s0, dc, ds)
-		aRe, aIm := rc, rs
-		if !wrote {
-			wrote = true
-			dsp.StoreTone32(f.Data[:n], re, im)
-			for k := 1; k < c.NumRx; k++ {
-				dsp.StoreRotated32(f.Data[k*n:(k+1)*n], re, im, aRe, aIm)
-				aRe, aIm = aRe*rc-aIm*rs, aRe*rs+aIm*rc
-			}
-			continue
-		}
-		dsp.AccumulateTone32(f.Data[:n], re, im)
-		for k := 1; k < c.NumRx; k++ {
-			dsp.AccumulateRotated32(f.Data[k*n:(k+1)*n], re, im, aRe, aIm)
 			aRe, aIm = aRe*rc-aIm*rs, aRe*rs+aIm*rc
 		}
 	}

@@ -17,9 +17,6 @@ type chanBuf struct {
 	// laneRe/laneIm are the structure-of-arrays scratch lanes of the tone
 	// kernel (dsp.ToneFill), sized lazily to the sample count.
 	laneRe, laneIm []float64
-	// laneRe32/laneIm32 are the float32 twins (dsp.ToneFill32), used when
-	// the synthesis plan selects the reduced-precision kernel lane.
-	laneRe32, laneIm32 []float32
 	// home is the pool the buffer recycles through, so ReleaseFrame and
 	// ReleaseProfile return it to the synthesis plan that produced it.
 	home *framePool
@@ -60,20 +57,12 @@ func (b *chanBuf) lanes(n int) (re, im []float64) {
 	return b.laneRe[:n], b.laneIm[:n]
 }
 
-// lanes32 is lanes for the float32 tone scratch.
-func (b *chanBuf) lanes32(n int) (re, im []float32) {
-	if cap(b.laneRe32) < n || cap(b.laneIm32) < n {
-		b.laneRe32 = make([]float32, n)
-		b.laneIm32 = make([]float32, n)
-	}
-	return b.laneRe32[:n], b.laneIm32[:n]
-}
-
 // framePool recycles chanBufs for one synthesis plan. A drive-by synthesizes
-// and transforms two frames per pose (~560 per pass), and with the frame
-// loop running on a worker pool the buffers would otherwise be reallocated
-// from every worker; recycling them keeps the steady-state allocation rate
-// near zero. Reuse is by capacity, not exact shape: a pooled buffer big
+// and transforms one frame per pose on the ideal converter (280 per pass;
+// quantized configs add the decode-mode frame), and with the frame loop
+// running on a worker pool the buffers would otherwise be reallocated from
+// every worker; recycling them keeps the steady-state allocation rate near
+// zero. Reuse is by capacity, not exact shape: a pooled buffer big
 // enough for the requested [numRx][n] is resliced to it, so a plan serving
 // heterogeneous profile shapes keeps recycling one high-water-mark buffer
 // instead of degrading to a malloc per frame whenever the shape flips. Only

@@ -325,8 +325,7 @@ func TestADCQuantization(t *testing.T) {
 	}
 
 	// A 2-bit converter visibly raises the floor. (Seed chosen so the peak
-	// survives: at 2 bits that is realization-dependent, and the f32 noise
-	// lane draws a different realization than the pre-f32 stream did.)
+	// survives: at 2 bits that is realization-dependent.)
 	c2 := TI1443()
 	c2.ADCBits = 2
 	f2 := c2.Synthesize([]Scatterer{{Range: 3, Amplitude: amp}}, rand.New(rand.NewSource(1)))
