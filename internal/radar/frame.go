@@ -220,11 +220,11 @@ func (p *SynthPlan) Synthesize(scatterers []Scatterer, g *dsp.Gauss) Frame {
 	return f
 }
 
-// synthTones runs the scatterer loop into the frame at full precision:
-// three Sincos calls per scatterer, one ToneFill recurrence into the split
-// lanes, then store/accumulate passes rotated per channel by the steering
-// phasor. Returns whether any scatterer contributed (the first one's stores
-// replace the frame memclr).
+// synthTones runs the scatterer loop into the frame: three Sincos calls per
+// scatterer, one ToneFill recurrence into the split lanes, then
+// store/accumulate passes rotated per channel by the steering phasor.
+// Returns whether any scatterer contributed (the first one's stores replace
+// the frame memclr).
 func (p *SynthPlan) synthTones(f Frame, buf *chanBuf, scatterers []Scatterer) bool {
 	c := p.cfg
 	n := c.Samples
