@@ -5,7 +5,6 @@
 GO ?= go
 
 # Hot-path micro-benchmarks compared by bench-compare and smoke-tested in CI.
-# BenchmarkEndToEndRead is the canonical read on the one synthesis lane.
 BENCH_HOT := 'BenchmarkEndToEndRead$$|BenchmarkSpotlight$$|BenchmarkDBSCAN|BenchmarkAoASpectrum$$|BenchmarkSynthesize$$|BenchmarkRangeFFTBatched$$'
 BENCH_COUNT ?= 5
 
