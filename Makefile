@@ -13,8 +13,8 @@ FUZZ_TIME ?= 30s
 
 # Synthesis-kernel micro-benchmarks compared by bench-kernel: tone lanes,
 # batched Gaussian noise, fused window+FFT plans, the closed-form decode bin,
-# the scene-response memo, and the incremental scan.
-BENCH_KERNEL := 'BenchmarkBinSpectrum$$|BenchmarkToneFill256$$|BenchmarkAccumulateRotated256$$|BenchmarkGaussNorm$$|BenchmarkGaussFill2048$$|BenchmarkGaussAddNoise1024$$|BenchmarkPlanInverse256$$|BenchmarkSceneResponseMemo$$|BenchmarkSceneResponseDirect$$|BenchmarkPointCloudIncremental$$|BenchmarkPointCloudFull$$'
+# the scene-response memo, and the point-cloud scan.
+BENCH_KERNEL := 'BenchmarkBinSpectrum$$|BenchmarkToneFill256$$|BenchmarkAccumulateRotated256$$|BenchmarkGaussNorm$$|BenchmarkGaussFill2048$$|BenchmarkGaussAddNoise1024$$|BenchmarkPlanInverse256$$|BenchmarkSceneResponseMemo$$|BenchmarkSceneResponseDirect$$|BenchmarkPointCloudScan$$'
 
 # Observability overhead budget (percent) enforced by obs-overhead.
 OBS_OVERHEAD_PCT ?= 2

@@ -239,22 +239,6 @@ func BenchmarkEndToEndRead(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndReadFullScan forces every per-frame point-cloud scan to
-// walk all range bins — the incremental-scan A/B baseline.
-func BenchmarkEndToEndReadFullScan(b *testing.B) {
-	tag, err := NewTag("1111")
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := NewReader()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := readFullScan(context.Background(), r, tag, ReadOptions{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEndToEndReadObsOff is the observability-overhead baseline: the
 // same read with the flight recorder disabled. `make obs-overhead` compares
 // it against BenchmarkEndToEndRead and fails past the 2% budget.

@@ -199,82 +199,6 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosIncrementalScanMatchesFullScan: with 20% of frames dropped or
-// corrupted, the incremental point-cloud scan must still match the full-scan
-// pipeline byte for byte at every worker count — fault transients are
-// exactly the regime where stale hints would bite if the coverage check ever
-// let one through.
-func TestChaosIncrementalScanMatchesFullScan(t *testing.T) {
-	tag, err := NewTag("1011")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader()
-	for _, workers := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opts := ReadOptions{
-				Seed:    29,
-				Workers: workers,
-				Fault:   &FaultOptions{Seed: 29, FrameDropRate: 0.10, CorruptRate: 0.10},
-			}
-			inc, err := r.ReadContext(context.Background(), tag, opts)
-			if err != nil {
-				t.Fatalf("incremental read: %v", err)
-			}
-			full, err := readFullScan(context.Background(), r, tag, opts)
-			if err != nil {
-				t.Fatalf("full-scan read: %v", err)
-			}
-			if inc.Detected != full.Detected || inc.Bits != full.Bits ||
-				inc.SNRdB != full.SNRdB || inc.RSSLossDB != full.RSSLossDB ||
-				inc.MedianRSSdBm != full.MedianRSSdBm ||
-				inc.Stats.FramesDropped != full.Stats.FramesDropped ||
-				inc.Stats.SamplesScrubbed != full.Stats.SamplesScrubbed {
-				t.Fatalf("incremental scan diverged under faults:\n inc: %q snr=%v rss=%v dropped=%d\nfull: %q snr=%v rss=%v dropped=%d",
-					inc.Bits, inc.SNRdB, inc.MedianRSSdBm, inc.Stats.FramesDropped,
-					full.Bits, full.SNRdB, full.MedianRSSdBm, full.Stats.FramesDropped)
-			}
-			if !inc.Detected || inc.Bits != "1011" {
-				t.Fatalf("decode failed through 20%% loss: detected=%v bits=%q", inc.Detected, inc.Bits)
-			}
-		})
-	}
-}
-
-// TestChaosScanResetsAfterFaults: every frame that passes through sample
-// corruption must restart the incremental scan from a Reset state — counted
-// as full scans, one per tainted frame at minimum. Burst faults are used
-// because burst frames are always finite, hence always kept and scanned.
-func TestChaosScanResetsAfterFaults(t *testing.T) {
-	tag, err := NewTag("1011")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultCfg := fault.Config{Seed: 31, BurstRate: 0.15}
-	fullCounter := obs.Default.Counter("ros_radar_scan_full_total", "")
-	before := fullCounter.Value()
-	reading, err := NewReader().Read(tag, ReadOptions{
-		Seed:    31,
-		Fault:   &FaultOptions{Seed: faultCfg.Seed, BurstRate: faultCfg.BurstRate},
-		Workers: 1, // one worker = one scan state: full scans are cold start + refreshes + resets
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := fullCounter.Value() - before
-	inj, err := fault.New(faultCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := inj.Kinds(reading.Stats.FramesCompleted + reading.Stats.FramesDropped)
-	if kinds.Burst == 0 {
-		t.Fatal("schedule injected no bursts; raise the rate")
-	}
-	if delta < int64(kinds.Burst) {
-		t.Errorf("only %d full scans over a read with %d burst-tainted frames — faults rode on stale hints", delta, kinds.Burst)
-	}
-}
-
 // TestChaosFlightRecorder is the forensics contract: every read with
 // injected faults must be findable in the flight-recorder ring, carrying the
 // injected fault kinds and degradation counters that match the injector's

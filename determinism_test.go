@@ -8,8 +8,6 @@ package ros
 // randomness and collect results in index order.
 
 import (
-	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -50,15 +48,6 @@ func captureBytes(t *testing.T, reading *Reading) []byte {
 		t.Fatal(err)
 	}
 	return raw
-}
-
-// readFullScan is r.ReadContext with the incremental point-cloud scan
-// disabled: every per-frame scan walks all range bins, the reference the
-// incremental scan is pinned against.
-func readFullScan(ctx context.Context, r *Reader, tag *Tag, opts ReadOptions) (*Reading, error) {
-	cfg := r.driveBy(tag, opts)
-	cfg.DisableIncrementalScan = true
-	return r.run(ctx, tag, cfg)
 }
 
 // readCapture runs one seeded read and returns the reading plus the saved
@@ -137,42 +126,6 @@ func TestReadIdenticalAcrossMemoState(t *testing.T) {
 	if rebuilt.Bits != base.Bits || rebuilt.SNRdB != base.SNRdB {
 		t.Errorf("read after Close diverged: %q/%v vs %q/%v",
 			rebuilt.Bits, rebuilt.SNRdB, base.Bits, base.SNRdB)
-	}
-}
-
-// TestReadIdenticalWithIncrementalScanDisabled is the incremental scan's
-// exactness contract at the API surface: disabling it changes nothing in
-// the read, at any worker count, while the default path demonstrably takes
-// the restricted scan.
-func TestReadIdenticalWithIncrementalScanDisabled(t *testing.T) {
-	r := NewReader()
-	incCounter := obs.Default.Counter("ros_radar_scan_incremental_total", "")
-	for _, workers := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opts := ReadOptions{Seed: 42, Workers: workers}
-			before := incCounter.Value()
-			inc, incCap := readCaptureOpts(t, r, opts)
-			if incCounter.Value() == before {
-				t.Error("default read never took the incremental scan path")
-			}
-			tag, err := NewTag("1011")
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := readFullScan(context.Background(), r, tag, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fullCap := captureBytes(t, full)
-			if inc.Bits != full.Bits || inc.SNRdB != full.SNRdB ||
-				inc.RSSLossDB != full.RSSLossDB || inc.MedianRSSdBm != full.MedianRSSdBm {
-				t.Errorf("incremental scan changed the outcome: %q/%v vs %q/%v",
-					inc.Bits, inc.SNRdB, full.Bits, full.SNRdB)
-			}
-			if string(incCap) != string(fullCap) {
-				t.Error("incremental scan changed the capture samples")
-			}
-		})
 	}
 }
 

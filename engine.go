@@ -4,8 +4,8 @@ import "ros/internal/engine"
 
 // Engine is an explicit resource handle for readers: it owns every piece of
 // memoized state reads accumulate — transform plans, steering tables,
-// scene-response memos, pooled frame buffers, scan states. Readers without an
-// Engine share one process-wide default Engine (process-lifetime retention,
+// scene-response memos, pooled frame buffers. Readers without an Engine
+// share one process-wide default Engine (process-lifetime retention,
 // reported under engine="default"); readers sharing an Engine share its
 // caches; Close releases everything the Engine owns deterministically,
 // dropping its metric entries with it.

@@ -130,9 +130,8 @@ type Pipeline struct {
 	// rather than correctness.
 	MaxFrameLoss float64
 	// Engine supplies the resource handle the run draws its synthesis plan
-	// (and with it steering tables, transform plans, and frame pools) and
-	// its incremental scan states from; nil uses engine.Default(). Results
-	// are byte-identical either way.
+	// (and with it steering tables, transform plans, and frame pools) from;
+	// nil uses engine.Default(). Results are byte-identical either way.
 	Engine *engine.Engine
 }
 
@@ -368,7 +367,7 @@ func (p *Pipeline) synthesizeCleanFrame(sc *scene.Scene, pose geom.Vec3, vel geo
 	}
 	t2 := time.Now()
 
-	p.extractPoints(&fd, pose, plan, false)
+	p.extractPoints(&fd, pose, plan)
 	t3 := time.Now()
 	synthSp.Add(t1.Sub(t0))
 	rangeSp.Add(t2.Sub(t1))
@@ -410,7 +409,7 @@ func (p *Pipeline) synthesizeFaultyFrame(sc *scene.Scene, pose geom.Vec3, vel ge
 	radar.ReleaseFrame(detFrame)
 	radar.ReleaseFrame(decFrame)
 	t2 := time.Now()
-	p.extractPoints(&fd, pose, plan, true)
+	p.extractPoints(&fd, pose, plan)
 	rangeSp.Add(t2.Sub(t1))
 	cloudSp.Add(time.Since(t2))
 	return fd, nil
@@ -425,24 +424,9 @@ func (p *Pipeline) resources() *engine.Engine {
 }
 
 // extractPoints converts the frame's detection-mode point cloud into world
-// coordinates via the plan's scan path. tainted marks frames that passed
-// through the fault layer's sample corruption: their scan starts from a
-// Reset state, so no fault-adjacent frame ever rides on hints and the hint
-// chain restarts from the scrubbed profile's own full scan.
-//
-// Workers interleave frames arbitrarily, so a pooled state's hints describe
-// whichever frame its last holder processed — which is exactly as much as
-// the incremental scan needs: the hint set is a performance prior, never an
-// output input (radar.SynthPlan.PointCloudScan falls back to a full scan
-// whenever the hints fail its coverage check), so any provenance keeps the
-// run byte-identical at every worker count.
-func (p *Pipeline) extractPoints(fd *frameData, pose geom.Vec3, plan *radar.SynthPlan, tainted bool) {
-	pool := p.resources().ScanStates
-	st := pool.Get()
-	if tainted {
-		st.Reset()
-	}
-	for _, d := range plan.PointCloudScan(fd.det, p.Detect, st) {
+// coordinates via the plan's scan path.
+func (p *Pipeline) extractPoints(fd *frameData, pose geom.Vec3, plan *radar.SynthPlan) {
+	for _, d := range plan.PointCloudScan(fd.det, p.Detect) {
 		// Radar at y > 0 looks toward -y; a detection at (range, az)
 		// sits at radar + range*(sin az, -cos az).
 		world := pose.XY().Add(geom.Vec2{
@@ -451,7 +435,6 @@ func (p *Pipeline) extractPoints(fd *frameData, pose geom.Vec3, plan *radar.Synt
 		})
 		fd.points = append(fd.points, cluster.Point{Pos: world, Weight: d.Power})
 	}
-	pool.Put(st)
 }
 
 // classifyObject spotlights one cluster in both polarization modes across

@@ -108,69 +108,6 @@ func PercentileInPlace(x []float64, p float64) float64 {
 	return v*(1-frac) + w*frac
 }
 
-// PercentileInPlaceSeeded is PercentileInPlace primed with a pivot hint — a
-// caller's guess at the result, e.g. the previous frame's noise floor on the
-// point-cloud path, where the median moves little frame to frame. The
-// compaction pass doubles as a partition around the hint, so when the hint
-// lands inside the sample range the rank selection starts on one side only;
-// a non-finite hint falls back to the unseeded path. The result is
-// bit-identical to PercentileInPlace for every hint: rank selection is
-// value-exact regardless of pivot choice, and the interpolation reads the
-// same rank pair.
-func PercentileInPlaceSeeded(x []float64, p, hint float64) float64 {
-	if math.IsNaN(p) {
-		return math.NaN()
-	}
-	if hint-hint != 0 {
-		return PercentileInPlace(x, p)
-	}
-	// Fused compaction and Lomuto partition around the hint: the single
-	// pass that drops non-finite values also groups the values below the
-	// hint in front, so the selection starts with one side already carved
-	// off. Selection is by rank over the surviving multiset, so any
-	// partition layout returns the value PercentileInPlace would.
-	n, lt := 0, 0
-	for _, v := range x {
-		if v-v == 0 {
-			x[n] = v
-			if v < hint {
-				x[n], x[lt] = x[lt], x[n]
-				lt++
-			}
-			n++
-		}
-	}
-	if n == 0 {
-		return math.Inf(-1)
-	}
-	s := x[:n]
-	if p <= 0 {
-		m, _ := Min(s)
-		return m
-	}
-	if p >= 100 {
-		m, _ := Max(s)
-		return m
-	}
-	pos := p / 100 * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	// s[:lt] < hint <= s[lt:]: recurse only on the side holding rank lo. A
-	// hint beyond either extreme leaves an empty side and degenerates to
-	// the full-range selection — no pre-scan is needed for safety.
-	var v float64
-	if lo < lt {
-		v = selectKth(s[:lt], lo)
-	} else {
-		v = selectKth(s[lt:], lo-lt)
-	}
-	if frac == 0 {
-		return v
-	}
-	w, _ := Min(s[lo+1:])
-	return v*(1-frac) + w*frac
-}
-
 // selectKth places the k-th smallest element of s at index k (with smaller
 // elements before it and larger after) and returns it: Hoare partitions
 // around a median-of-three pivot, recursing only into the side holding k,

@@ -151,90 +151,3 @@ func BenchmarkMedianSortRef256(b *testing.B) {
 		sort.Float64s(x)
 	}
 }
-
-// TestPercentileSeededMatchesUnseeded pins the seeded selection to the
-// unseeded one bit-for-bit across random data (with NaN/Inf pollution) and
-// adversarial hints: good guesses, the extremes themselves, values outside
-// the range, and non-finite hints — every one must fall back or partition
-// into the identical result.
-func TestPercentileSeededMatchesUnseeded(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(300)
-		x := make([]float64, n)
-		for i := range x {
-			switch rng.Intn(6) {
-			case 0:
-				x[i] = float64(rng.Intn(5)) // heavy duplicates
-			case 1:
-				x[i] = math.NaN()
-			case 2:
-				x[i] = math.Inf(1 - 2*rng.Intn(2))
-			default:
-				x[i] = rng.NormFloat64() * 100
-			}
-		}
-		p := rng.Float64() * 100
-		var hint float64
-		switch rng.Intn(6) {
-		case 0:
-			hint = rng.NormFloat64() * 100 // plausible guess
-		case 1:
-			hint = rng.NormFloat64() * 1e6 // far outside
-		case 2:
-			hint = math.NaN()
-		case 3:
-			hint = math.Inf(1)
-		case 4:
-			hint = x[rng.Intn(n)] // an actual sample (possibly min or max)
-		case 5:
-			hint = Percentile(x, p) // the exact answer
-		}
-		cp := append([]float64(nil), x...)
-		want := PercentileInPlace(cp, p)
-		cp2 := append([]float64(nil), x...)
-		got := PercentileInPlaceSeeded(cp2, p, hint)
-		same := got == want || (math.IsNaN(got) && math.IsNaN(want))
-		if !same {
-			t.Fatalf("trial %d: seeded(n=%d, p=%g, hint=%g) = %g, want %g", trial, n, p, hint, got, want)
-		}
-	}
-}
-
-// TestPercentileSeededEdges covers the paths random trials can miss: empty
-// input, all-non-finite input, and the P0/P100 shortcuts with a hint.
-func TestPercentileSeededEdges(t *testing.T) {
-	if got := PercentileInPlaceSeeded(nil, 50, 1); !math.IsInf(got, -1) {
-		t.Fatalf("empty = %g, want -Inf", got)
-	}
-	bad := []float64{math.NaN(), math.Inf(1)}
-	if got := PercentileInPlaceSeeded(bad, 50, 1); !math.IsInf(got, -1) {
-		t.Fatalf("all non-finite = %g, want -Inf", got)
-	}
-	x := []float64{3, 1, 2}
-	if got := PercentileInPlaceSeeded(append([]float64(nil), x...), 0, 2); got != 1 {
-		t.Fatalf("P0 = %g", got)
-	}
-	if got := PercentileInPlaceSeeded(append([]float64(nil), x...), 100, 2); got != 3 {
-		t.Fatalf("P100 = %g", got)
-	}
-	if got := PercentileInPlaceSeeded(append([]float64(nil), x...), math.NaN(), 2); !math.IsNaN(got) {
-		t.Fatalf("NaN p = %g, want NaN", got)
-	}
-}
-
-func BenchmarkMedianSeeded256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := make([]float64, 256)
-	for i := range src {
-		src[i] = rng.NormFloat64()
-	}
-	hint := Percentile(src, 50) * 1.02 // a near-miss guess, like frame t-1's floor
-	x := make([]float64, len(src))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(x, src)
-		PercentileInPlaceSeeded(x, 50, hint)
-	}
-}

@@ -1,10 +1,9 @@
 // Package engine ties the per-layer resource handles — dsp.PlanSet,
-// radar.Session, scene.ResponseCache, radar.ScanStatePool — into one Engine
-// owning every piece of memoized state the reads it serves accumulate:
-// transform plans, steering tables, scene-response memos, pooled frame
-// buffers, and scan states. Every one of those caches is content-addressed,
-// so reads of different scenes can share an Engine (rosd keeps one per radar
-// front end). An Engine is constructed once, passed explicitly through the
+// radar.Session, scene.ResponseCache — into one Engine owning every piece
+// of memoized state the reads it serves accumulate: transform plans,
+// steering tables, scene-response memos and pooled frame buffers. Every one
+// of those caches is content-addressed, so reads of different scenes can
+// share an Engine (rosd keeps one per radar front end). An Engine is constructed once, passed explicitly through the
 // simulation and detection layers, and released deterministically with
 // Close, which drops the caches and their metric label sets in one step. It
 // is the only owner of memoized state in the module: callers that pass no
@@ -60,8 +59,6 @@ type Engine struct {
 	Session *radar.Session
 	// Responses owns the scene-response memo.
 	Responses *scene.ResponseCache
-	// ScanStates recycles per-worker incremental scan states.
-	ScanStates *radar.ScanStatePool
 
 	// labels records the cache label sets registered under cacheEntries,
 	// so Close can delete exactly what New created.
@@ -76,7 +73,7 @@ func New(id string) *Engine {
 	if id == "" {
 		id = fmt.Sprintf("engine-%d", nextID.Add(1))
 	}
-	e := &Engine{id: id, ScanStates: &radar.ScanStatePool{}}
+	e := &Engine{id: id}
 	gauge := func(cache string) *obs.Gauge {
 		e.labels = append(e.labels, []string{cache, e.id})
 		return cacheEntries.With(cache, e.id)

@@ -28,7 +28,7 @@ func TestCacheGaugesAndReset(t *testing.T) {
 	p := s.SynthPlanFor(c)
 	sc := []Scatterer{{Range: 3, Azimuth: 0.1, Amplitude: 1e-5}}
 	before := p.Synthesize(sc, nil)
-	beforeCloud := p.PointCloudScan(p.RangeProfile(before), DetectOptions{}, nil)
+	beforeCloud := p.PointCloudScan(p.RangeProfile(before), DetectOptions{})
 	ReleaseFrame(before)
 	if v := synthG.Value(); v < 1 {
 		t.Fatalf("synth plan gauge = %v after first plan, want >= 1", v)
@@ -49,7 +49,7 @@ func TestCacheGaugesAndReset(t *testing.T) {
 	// must an unshared plan.
 	for name, p2 := range map[string]*SynthPlan{"rebuilt": s.SynthPlanFor(c), "fresh": c.NewSynthPlan()} {
 		after := p2.Synthesize(sc, nil)
-		afterCloud := p2.PointCloudScan(p2.RangeProfile(after), DetectOptions{}, nil)
+		afterCloud := p2.PointCloudScan(p2.RangeProfile(after), DetectOptions{})
 		ReleaseFrame(after)
 		if len(afterCloud) != len(beforeCloud) {
 			t.Fatalf("%s plan: point cloud size changed: %d -> %d", name, len(beforeCloud), len(afterCloud))

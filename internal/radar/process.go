@@ -186,10 +186,6 @@ type DetectOptions struct {
 	UseCFAR bool
 	// CFAR tunes the CFAR detector when UseCFAR is set.
 	CFAR CFAROptions
-	// DisableIncremental makes PointCloudScan ignore any supplied
-	// ScanState and walk every bin each frame — the reference behavior the
-	// incremental scan is pinned against.
-	DisableIncremental bool
 }
 
 // PointCloud extracts detections from a frame through a fresh plan: per
@@ -198,19 +194,15 @@ type DetectOptions struct {
 // Sec 3.2). See SynthPlan.PointCloudScan.
 func (c Config) PointCloud(f Frame, opts DetectOptions) []Detection {
 	p := c.NewSynthPlan()
-	return p.PointCloudScan(p.RangeProfile(f), opts, nil)
+	return p.PointCloudScan(p.RangeProfile(f), opts)
 }
 
 // PointCloudScan extracts detections from an already-computed range profile
-// against the plan's captured steering table, with frame-to-frame scan
-// state: st seeds the noise-floor median with the previous frame's estimate
-// and — when a coverage check proves it exact — restricts the candidate
-// loop to the previous frame's above-threshold bins plus a guard band (see
-// scan.go). The detections are byte-identical to the full scan for every
-// state; st only changes how much work the scan does. A nil st (or
-// opts.DisableIncremental, or opts.UseCFAR, whose local thresholds need
-// every bin) always walks the full profile.
-func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions, st *ScanState) []Detection {
+// against the plan's captured steering table. Each frame is scanned on its
+// own: the channel-summed power's median sets the noise floor, and every
+// bin in 1..n-2 past MinRange that clears the threshold as a local maximum
+// (or is a CFAR hit under UseCFAR) gets an AoA scan.
+func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions) []Detection {
 	c := p.cfg
 	if opts.ThresholdDB == 0 {
 		opts.ThresholdDB = 12
@@ -220,9 +212,6 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions, st *Scan
 	}
 	if opts.MinRange == 0 {
 		opts.MinRange = 4 * c.RangeBinSize()
-	}
-	if opts.DisableIncremental {
-		st = nil
 	}
 	n := len(rp.Bins[0])
 
@@ -248,16 +237,8 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions, st *Scan
 			power[i] += real(v)*real(v) + imag(v)*imag(v)
 		}
 	}
-	// The median is rank-exact either way; a valid state seeds the
-	// selection with the previous frame's floor, which partitions most of
-	// the scratch away in one pass.
 	copy(scratch, power)
-	var noise float64
-	if st != nil && st.valid {
-		noise = dsp.PercentileInPlaceSeeded(scratch, 50, st.noise)
-	} else {
-		noise = dsp.MedianInPlace(scratch)
-	}
+	noise := dsp.MedianInPlace(scratch)
 	if noise <= 0 {
 		noise = 1e-30
 	}
@@ -274,23 +255,6 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions, st *Scan
 		}
 	}
 
-	// Hint-restriction coverage check: the scan may skip unhinted bins only
-	// when none of them clears this frame's threshold — then every possible
-	// candidate (above threshold AND a local maximum) is hinted, and the
-	// restricted loop provably emits the full scan's detections. A target
-	// popping in outside the guard band, or a floor shift, fails the check
-	// and takes the full loop.
-	incremental := false
-	if st != nil && !opts.UseCFAR && st.valid && len(st.active) == n && st.frames < scanRefreshInterval {
-		maxOut := 0.0
-		for i, pw := range power {
-			if !st.active[i] && pw > maxOut {
-				maxOut = pw
-			}
-		}
-		incremental = maxOut < thresh
-	}
-
 	angles := p.steer.angles
 	// The median scratch is free again; it holds the AoA spectrum when the
 	// scan grid fits (it does for every config with Samples >= 121 bins).
@@ -301,17 +265,17 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions, st *Scan
 		spec = make([]float64, len(angles))
 	}
 	var out []Detection
-	scanBin := func(i int) {
-		r := float64(i) * rp.BinSize
-		if r < opts.MinRange {
-			return
-		}
+	for i := 1; i < n-1; i++ {
 		if opts.UseCFAR {
 			if !cfarHits[i] {
-				return
+				continue
 			}
 		} else if power[i] < thresh || power[i] < power[i-1] || power[i] <= power[i+1] {
-			return
+			continue
+		}
+		r := float64(i) * rp.BinSize
+		if r < opts.MinRange {
+			continue
 		}
 		p.AoASpectrumInto(spec, rp, i, angles)
 		// Gate at 20 percent of the strongest response so the 4-element
@@ -325,26 +289,6 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions, st *Scan
 		for _, pk := range peaks {
 			az := angles[0] + pk.Pos*(angles[1]-angles[0])
 			out = append(out, Detection{Range: r, Azimuth: az, Power: pk.Value})
-		}
-	}
-	if incremental {
-		mScanIncremental.Inc()
-		for _, i := range st.hints {
-			scanBin(i)
-		}
-	} else {
-		mScanFull.Inc()
-		for i := 1; i < n-1; i++ {
-			scanBin(i)
-		}
-	}
-	if st != nil {
-		if opts.UseCFAR {
-			// CFAR thresholds are local; the global-floor hint machinery
-			// does not describe them. Leave the state cold.
-			st.Reset()
-		} else {
-			st.update(n, power, thresh, noise, incremental)
 		}
 	}
 	return out

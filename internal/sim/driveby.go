@@ -166,16 +166,10 @@ type DriveBy struct {
 	// MaxFrameLoss is the tolerated fraction of frames lost before the pass
 	// fails with roserr.ErrFrameCorrupt; 0 uses the pipeline default (0.5).
 	MaxFrameLoss float64
-	// DisableIncrementalScan forces every per-frame point-cloud scan to
-	// walk all range bins instead of seeding candidates from the previous
-	// frame. The output is byte-identical either way (the incremental scan
-	// is exact); this exists for A/B verification and perf forensics.
-	DisableIncrementalScan bool
 	// Engine, when non-nil, supplies the resource handle all memoized state
 	// of the pass — transform plans, steering tables, scene-response memos,
-	// pooled frame buffers, scan states — is drawn from and accounted
-	// against; nil uses engine.Default(). Results are byte-identical either
-	// way.
+	// pooled frame buffers — is drawn from and accounted against; nil uses
+	// engine.Default(). Results are byte-identical either way.
 	Engine *engine.Engine
 }
 
@@ -497,7 +491,6 @@ func RunContext(ctx context.Context, cfg DriveBy) (_ *Outcome, rerr error) {
 	}
 	p.Workers = cfg.Workers
 	p.MaxFrameLoss = cfg.MaxFrameLoss
-	p.Detect.DisableIncremental = cfg.DisableIncrementalScan
 	p.Engine = eng
 	var inj *fault.Injector
 	if cfg.Fault != nil {
