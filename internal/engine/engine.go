@@ -1,14 +1,15 @@
 // Package engine ties the per-layer resource handles — dsp.PlanSet,
 // radar.Session, scene.ResponseCache — into one Engine owning every piece
 // of memoized state the reads it serves accumulate: transform plans,
-// steering tables, scene-response memos and pooled frame buffers. Every one
-// of those caches is content-addressed, so reads of different scenes can
-// share an Engine (rosd keeps one per radar front end). An Engine is constructed once, passed explicitly through the
-// simulation and detection layers, and released deterministically with
-// Close, which drops the caches and their metric label sets in one step. It
-// is the only owner of memoized state in the module: callers that pass no
-// Engine resolve to the process-wide Default, and no Engine shares state
-// with another.
+// steering tables, scene-response memos and pooled frame buffers. Every
+// one of those caches is content-addressed, so reads of different scenes
+// can share an Engine (rosd keeps one per radar front end). An Engine is
+// constructed once, passed explicitly through the simulation and
+// detection layers, and released deterministically with Close, which
+// drops the caches and their metric label sets in one step. It is the
+// only owner of memoized state in the module: callers that pass no Engine
+// resolve to the process-wide Default, and no Engine shares state with
+// another.
 package engine
 
 import (

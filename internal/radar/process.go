@@ -6,6 +6,18 @@ import (
 	"math/cmplx"
 
 	"ros/internal/dsp"
+	"ros/internal/obs"
+)
+
+// Every point-cloud scan walks the whole profile, so the incremental
+// counter stays at zero. Both stay registered because the benchmark's
+// per-layer radar.scan_incremental_ratio reads them; they go when that
+// metric is retired.
+var (
+	mScanFull = obs.Default.Counter("ros_radar_scan_full_total",
+		"Point-cloud scans; every scan walks every range bin.")
+	_ = obs.Default.Counter("ros_radar_scan_incremental_total",
+		"Always zero: the incremental point-cloud scan was removed.")
 )
 
 // RangeProfile is the per-channel range response of one frame (Eq 3).
@@ -264,6 +276,7 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions) []Detect
 	} else {
 		spec = make([]float64, len(angles))
 	}
+	mScanFull.Inc()
 	var out []Detection
 	for i := 1; i < n-1; i++ {
 		if opts.UseCFAR {
