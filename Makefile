@@ -130,19 +130,37 @@ bench-names:
 	done; \
 	exit $$status
 
-# Observability overhead gate: run the instrumented end-to-end read against
-# the flight-recorder-off baseline and fail when the minimum instrumented
-# ns/op regresses more than OBS_OVERHEAD_PCT percent. Run on an idle machine;
-# min-of-5 filters scheduler noise.
+# Observability overhead gate: build the root test binary once, then run
+# the instrumented end-to-end read and the flight-recorder-off baseline as
+# 800 interleaved rounds of one process each (3 timed reads after one
+# warm-up read), alternating which side runs first so host drift lands on
+# both. Fails when the median instrumented ns/op exceeds the median obs-off
+# ns/op by more than OBS_OVERHEAD_PCT percent. Per-process timings spread
+# by about 12% on a shared 2-vCPU host, and 200 rounds still left the
+# median difference spread over about +/-2%; 800 rounds (about 2 min)
+# halve that, so equal code passes the 2% budget.
 obs-overhead:
-	$(GO) test -run xxx -bench 'BenchmarkEndToEndRead$$|BenchmarkEndToEndReadObsOff$$' -benchtime=10x -count=5 . > obs-overhead.txt
+	$(GO) test -c -o obs-overhead.test .
+	@: > obs-overhead.txt; \
+	on='^BenchmarkEndToEndRead$$'; off='^BenchmarkEndToEndReadObsOff$$'; \
+	for round in $$(seq 800); do \
+		if [ $$((round % 2)) -eq 1 ]; then order="$$on $$off"; else order="$$off $$on"; fi; \
+		for re in $$order; do \
+			./obs-overhead.test -test.run '^$$' -test.bench "$$re" -test.benchtime=3x >> obs-overhead.txt || exit 1; \
+		done; \
+	done
 	@awk -v limit=$(OBS_OVERHEAD_PCT) ' \
-		$$1 ~ /^BenchmarkEndToEndRead(-[0-9]+)?$$/       { if (on  == 0 || $$3 < on)  on  = $$3 } \
-		$$1 ~ /^BenchmarkEndToEndReadObsOff(-[0-9]+)?$$/ { if (off == 0 || $$3 < off) off = $$3 } \
+		function median(a, n,    i, j, v) { \
+			for (i = 2; i <= n; i++) { v = a[i]; for (j = i - 1; j > 0 && a[j] > v; j--) a[j+1] = a[j]; a[j+1] = v } \
+			return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2 \
+		} \
+		$$1 ~ /^BenchmarkEndToEndRead(-[0-9]+)?$$/       { on[++non] = $$3 } \
+		$$1 ~ /^BenchmarkEndToEndReadObsOff(-[0-9]+)?$$/ { off[++noff] = $$3 } \
 		END { \
-			if (on == 0 || off == 0) { print "obs-overhead: benchmark output incomplete"; exit 1 } \
-			pct = (on - off) * 100 / off; \
-			printf "obs-overhead: instrumented %d ns/op vs obs-off %d ns/op (%+.2f%%, budget %s%%)\n", on, off, pct, limit; \
+			if (non == 0 || non != noff) { print "obs-overhead: benchmark output incomplete"; exit 1 } \
+			mon = median(on, non); moff = median(off, noff); \
+			pct = (mon - moff) * 100 / moff; \
+			printf "obs-overhead: median of %d rounds: instrumented %d ns/op vs obs-off %d ns/op (%+.2f%%, budget %s%%)\n", non, mon, moff, pct, limit; \
 			if (pct > limit) { print "obs-overhead: over budget"; exit 1 } \
 		}' obs-overhead.txt
 

@@ -3,10 +3,10 @@
 // observability endpoints (/metrics, /metrics.json, /debug/flight,
 // /debug/vars, /debug/pprof/) expose the process's state and /healthz and
 // /readyz answer the orchestrator. Engines — one resource handle per radar
-// configuration, holding transform plans, steering tables, scene memos and
-// pooled buffers shared by every scene read through that radar — live in a
-// capacity-bounded LRU, so resident memory tracks the radar configurations
-// in use.
+// configuration, holding its synthesis plan (range transform, steering
+// table, pooled buffers) and the scene memo shared by every scene read
+// through that radar — live in a capacity-bounded LRU, so resident memory
+// tracks the radar configurations in use.
 //
 // SIGTERM or SIGINT starts a graceful drain: readiness flips to 503, new
 // batches are refused, in-flight reads finish within the -drain budget, and

@@ -3,16 +3,17 @@ package ros
 import "ros/internal/engine"
 
 // Engine is an explicit resource handle for readers: it owns every piece of
-// memoized state reads accumulate — transform plans, steering tables,
-// scene-response memos, pooled frame buffers. Readers without an Engine
-// share one process-wide default Engine (process-lifetime retention,
-// reported under engine="default"); readers sharing an Engine share its
-// caches; Close releases everything the Engine owns deterministically,
-// dropping its metric entries with it.
+// memoized state reads accumulate — one synthesis plan per radar
+// configuration (with its range transform, steering table and pooled frame
+// buffers) and the scene-response memo. Readers without an Engine share one
+// process-wide default Engine (process-lifetime retention, reported under
+// engine="default"); readers sharing an Engine share its caches; Close
+// releases everything the Engine owns deterministically, dropping its
+// metric entries with it.
 //
-// Use one Engine per long-lived radar+scene configuration when serving many
-// configurations from one process (the rosd daemon keys an Engine LRU by
-// configuration fingerprint); skip it entirely for one-shot tools.
+// Use one Engine per radar front end when serving many configurations from
+// one process (the rosd daemon keys an Engine LRU by the effective radar
+// configuration); skip it entirely for one-shot tools.
 type Engine struct {
 	h *engine.Engine
 }

@@ -19,10 +19,11 @@
 //
 // Decode mode is read at a few range bins per frame (one per classified
 // object, one for the tag), so on the ideal converter (ADCBits == 0) the
-// pipeline never synthesizes a decode-mode frame: it keeps the frame's decode-mode scatterers and evaluates the bins
-// it reads in closed form (radar.SynthPlan.BinSpectrum). Quantized configs
-// and frames with injected sample corruption or bursts keep the time-domain
-// decode frame, because the quantizer and the sample faults act there.
+// pipeline never synthesizes a decode-mode frame: it keeps the frame's
+// decode-mode scatterers and evaluates the bins it reads in closed form
+// (radar.SynthPlan.BinSpectrum). Quantized configs and frames with injected
+// sample corruption or bursts keep the time-domain decode frame, because
+// the quantizer and the sample faults act there.
 //
 // Robustness: RunContext threads a context through every stage with
 // cooperative cancellation checks at frame and stage boundaries — a
@@ -130,8 +131,9 @@ type Pipeline struct {
 	// rather than correctness.
 	MaxFrameLoss float64
 	// Engine supplies the resource handle the run draws its synthesis plan
-	// (and with it steering tables, transform plans, and frame pools) from;
-	// nil uses engine.Default(). Results are byte-identical either way.
+	// (and with it the steering table, range transform and frame pool)
+	// from; nil uses engine.Default(). Results are byte-identical either
+	// way.
 	Engine *engine.Engine
 }
 
@@ -305,7 +307,7 @@ func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth 
 	cloudSp := sp.StartChild(SpanPointCloud)
 	fe := p.Radar.FrontEnd
 	f := p.Radar.CenterFrequency
-	plan := p.resources().Session.SynthPlanFor(p.Radar)
+	plan := p.resources().SynthPlan(p.Radar)
 	inj := p.Fault
 	samples := p.Radar.Samples
 	numRx := p.Radar.NumRx
@@ -827,7 +829,7 @@ type decodeReader struct {
 // newDecodeReader returns the run's decode reader over the pipeline's
 // synthesis plan.
 func (p *Pipeline) newDecodeReader(seed int64) *decodeReader {
-	return &decodeReader{cfg: &p.Radar, plan: p.resources().Session.SynthPlanFor(p.Radar), seed: seed}
+	return &decodeReader{cfg: &p.Radar, plan: p.resources().SynthPlan(p.Radar), seed: seed}
 }
 
 // power returns the decode-mode beamformed power of frame i (fd) at one

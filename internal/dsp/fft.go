@@ -82,9 +82,9 @@ func fftInPlace(x []complex128, inverse bool) {
 }
 
 // newTwiddleTable builds the forward roots of unity for size n:
-// table[j] = exp(-2*pi*i*j/n) for j < n/2. PlanSet.twiddleTable memoizes
-// the result; the tables are shared read-only across goroutines (the frame
-// loop of package detect runs FFTs from many workers at once).
+// table[j] = exp(-2*pi*i*j/n) for j < n/2. A Plan captures its tables at
+// build time and shares them read-only across goroutines (the frame loop of
+// package detect runs FFTs from many workers at once).
 func newTwiddleTable(n int) []complex128 {
 	half := n / 2
 	t := make([]complex128, half)
@@ -132,7 +132,7 @@ func radix2Roots(x []complex128, roots []complex128, inverse bool) {
 	}
 }
 
-// chirpPlan caches the Bluestein precomputation for one (length, direction)
+// chirpPlan holds the Bluestein precomputation for one (length, direction)
 // pair: the chirp sequence and the forward FFT of the convolution kernel.
 type chirpPlan struct {
 	w    []complex128 // chirp w[k] = exp(sign*i*pi*k^2/n)
@@ -141,9 +141,8 @@ type chirpPlan struct {
 }
 
 // newChirpPlan builds the Bluestein precomputation for one (length,
-// direction) pair; twiddle supplies the radix-2 table for the kernel FFT so
-// the build draws from the owning plan set, not the process.
-func newChirpPlan(n int, inverse bool, twiddle func(int) []complex128) *chirpPlan {
+// direction) pair.
+func newChirpPlan(n int, inverse bool) *chirpPlan {
 	s := -1.0
 	if inverse {
 		s = 1.0
@@ -163,7 +162,7 @@ func newChirpPlan(n int, inverse bool, twiddle func(int) []complex128) *chirpPla
 	for k := 1; k < n; k++ {
 		b[m-k] = cmplx.Conj(w[k])
 	}
-	radix2Roots(b, twiddle(m), false)
+	radix2Roots(b, newTwiddleTable(m), false)
 	return &chirpPlan{w: w, bfft: b, m: m}
 }
 
@@ -171,7 +170,7 @@ func newChirpPlan(n int, inverse bool, twiddle func(int) []complex128) *chirpPla
 // expressing it as a convolution that is evaluated with power-of-two FFTs.
 func bluestein(x []complex128, inverse bool) {
 	n := len(x)
-	p := newChirpPlan(n, inverse, newTwiddleTable)
+	p := newChirpPlan(n, inverse)
 	roots := newTwiddleTable(p.m)
 	a := make([]complex128, p.m)
 	for k := 0; k < n; k++ {

@@ -59,20 +59,18 @@ type Plan struct {
 	scratch *sync.Pool
 
 	// inplace recycles the staging copy of in-place power-of-two
-	// executions. Owned by the plan (not a package directory) so retiring a
-	// plan set cannot strand per-size pools process-wide.
+	// executions. Owned by the plan (not a package directory) so a dropped
+	// plan cannot strand per-size pools process-wide.
 	inplace *sync.Pool
 }
 
 // NewPlan builds a fresh execution plan for n-point transforms under the
-// given window, owned by the caller; PlanSet.PlanFor is its memoized form.
-// It panics if n < 1.
+// given window, owned by the caller. It panics if n < 1.
 func NewPlan(n int, w Window) *Plan {
-	return (*PlanSet)(nil).PlanFor(n, w)
-}
-
-func (s *PlanSet) newPlan(n int, w Window) *Plan {
-	win, gain := s.WindowCoefficients(w, n)
+	if n < 1 {
+		panic(fmt.Sprintf("dsp: NewPlan with size %d", n))
+	}
+	win, gain := w.Coefficients(n), w.CoherentGain(n)
 	p := &Plan{n: n, window: w, gain: gain}
 	invGain := 1 / gain
 	if IsPow2(n) {
@@ -91,7 +89,7 @@ func (s *PlanSet) newPlan(n int, w Window) *Plan {
 			p.fwdCoef[j] = win[src] * invGain
 			p.invCoef[j] = win[src] * invGain / float64(n)
 		}
-		p.roots = s.twiddleTable(n)
+		p.roots = newTwiddleTable(n)
 		p.rootsInv = make([]complex128, len(p.roots))
 		for i, r := range p.roots {
 			p.rootsInv[i] = complex(real(r), -imag(r))
@@ -102,14 +100,14 @@ func (s *PlanSet) newPlan(n int, w Window) *Plan {
 		}}
 		return p
 	}
-	// Bluestein: reuse the cached chirp precomputation per direction and
-	// fold the window and calibration scales into the chirp factors.
-	fwd := s.chirpPlanFor(n, false)
-	inv := s.chirpPlanFor(n, true)
+	// Bluestein: build the chirp precomputation per direction and fold the
+	// window and calibration scales into the chirp factors.
+	fwd := newChirpPlan(n, false)
+	inv := newChirpPlan(n, true)
 	p.m = fwd.m
 	p.bfftF = fwd.bfft
 	p.bfftI = inv.bfft
-	p.broots = s.twiddleTable(fwd.m)
+	p.broots = newTwiddleTable(fwd.m)
 	p.preFwd = make([]complex128, n)
 	p.preInv = make([]complex128, n)
 	p.postFwd = make([]complex128, n)

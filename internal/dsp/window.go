@@ -64,14 +64,6 @@ func (w Window) Coefficients(n int) []float64 {
 	return c
 }
 
-// windowEntry is one memoized coefficient table with its coherent gain (see
-// PlanSet.WindowCoefficients). Entries are shared read-only across
-// goroutines.
-type windowEntry struct {
-	coeffs []float64
-	gain   float64
-}
-
 // ApplyFloat multiplies x by the window coefficients in place and returns x.
 // (The complex-input variant was removed: every complex windowing path now
 // runs through a fused Plan, which applies the coefficients inside the

@@ -1,26 +1,28 @@
-// Package engine ties the per-layer resource handles — dsp.PlanSet,
-// radar.Session, scene.ResponseCache — into one Engine owning every piece
-// of memoized state the reads it serves accumulate: transform plans,
-// steering tables, scene-response memos and pooled frame buffers. Every
-// one of those caches is content-addressed, so reads of different scenes
-// can share an Engine (rosd keeps one per radar front end). An Engine is
-// constructed once, passed explicitly through the simulation and
-// detection layers, and released deterministically with Close, which
-// drops the caches and their metric label sets in one step. It is the
-// only owner of memoized state in the module: callers that pass no Engine
-// resolve to the process-wide Default, and no Engine shares state with
-// another.
+// Package engine ties the memoized state the reads it serves accumulate
+// into one Engine: the synthesis plan per radar configuration (which
+// captures the range transform, the steering table and the pooled frame
+// buffers) and the scene-response memo. Both caches are content-addressed,
+// so reads of different scenes can share an Engine (rosd keeps one per
+// radar front end). An Engine is constructed once, passed explicitly
+// through the simulation and detection layers, and released
+// deterministically with Close, which drops the caches and their metric
+// label sets in one step. It is the only owner of memoized state in the
+// module: callers that pass no Engine resolve to the process-wide Default,
+// and no Engine shares state with another.
 package engine
 
 import (
 	"fmt"
 	"sync/atomic"
 
-	"ros/internal/dsp"
 	"ros/internal/obs"
 	"ros/internal/radar"
 	"ros/internal/scene"
 )
+
+// CacheSynthPlans names the synthesis-plan cache in the cache label of
+// ros_engine_cache_entries.
+const CacheSynthPlans = "radar_synth_plan"
 
 // cacheEntries is the one labeled gauge every engine-owned cache reports
 // under. The capacity bounds label-set growth from engine churn; Close
@@ -52,12 +54,9 @@ func Default() *Engine { return defaultEngine }
 // handed out stay valid — Close only drops cache entries and metrics).
 type Engine struct {
 	id string
-	// Plans owns the transform memo caches (fused window+FFT plans, window
-	// tables, twiddle tables, chirp plans).
-	Plans *dsp.PlanSet
-	// Session owns the radar memo caches (synthesis plans with their frame
-	// pools, steering tables), drawing transforms from Plans.
-	Session *radar.Session
+	// synthPlans caches one synthesis plan per radar.Config (Config is
+	// comparable).
+	synthPlans *obs.CountedMap
 	// Responses owns the scene-response memo.
 	Responses *scene.ResponseCache
 
@@ -79,10 +78,24 @@ func New(id string) *Engine {
 		e.labels = append(e.labels, []string{cache, e.id})
 		return cacheEntries.With(cache, e.id)
 	}
-	e.Plans = dsp.NewPlanSet(gauge)
-	e.Session = radar.NewSession(e.Plans, gauge)
-	e.Responses = scene.NewResponseCache(gauge(scene.CacheResponses), 0)
+	e.synthPlans = obs.NewCountedMap(gauge(CacheSynthPlans))
+	e.Responses = scene.NewResponseCache(gauge(scene.CacheResponses))
 	return e
+}
+
+// SynthPlan returns the engine's synthesis plan for c, building it with
+// radar.Config.NewSynthPlan on first use. It panics on an invalid config,
+// exactly as NewSynthPlan does.
+//
+// Two goroutines racing on a cold config both build a plan; LoadOrStore
+// keeps exactly one, and the loser's plan — with the one frame buffer it
+// pre-warmed — is left to the collector.
+func (e *Engine) SynthPlan(c radar.Config) *radar.SynthPlan {
+	if v, ok := e.synthPlans.Load(c); ok {
+		return v.(*radar.SynthPlan)
+	}
+	actual, _ := e.synthPlans.LoadOrStore(c, c.NewSynthPlan())
+	return actual.(*radar.SynthPlan)
 }
 
 // ID returns the engine's metric label value.
@@ -102,8 +115,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.Responses.Clear()
-	e.Session.Clear()
-	e.Plans.Clear()
+	e.synthPlans.Clear()
 	for _, ls := range e.labels {
 		cacheEntries.Delete(ls...)
 	}

@@ -6,14 +6,14 @@ import (
 )
 
 // CountedMap is a sync.Map whose entry count is mirrored into a Gauge, for
-// process-lifetime memo caches (FFT plans, steering tables, window tables)
-// that otherwise grow silently. The count tracks successful first stores —
+// process-lifetime memo caches (synthesis plans, scene responses) that
+// otherwise grow silently. The count tracks successful first stores —
 // exactly the cache's resident entries, since memo caches never overwrite.
 //
 // Retention contract for caches built on CountedMap: entries are immutable,
 // shared, and live until Clear. The working set is bounded by the number of
 // distinct keys the process touches (for this codebase: distinct radar
-// configurations and transform sizes), not by time — a long-lived server
+// configurations), not by time — a long-lived server
 // cycling through unbounded configurations must close the owning Engine
 // (or watch the gauge) to bound memory. Clear is safe
 // under concurrency: values already handed out keep working, and in-flight

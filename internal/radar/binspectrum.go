@@ -10,7 +10,7 @@ import (
 // binKernel holds the constants BinSpectrum needs to evaluate one bin of
 // the windowed range transform without building a frame. They are derived
 // from the same window coefficients the plan's range transform fuses
-// (dsp.PlanSet.WindowCoefficients), so the two paths share one calibration.
+// (dsp.Hann.Coefficients), so the two paths share one calibration.
 type binKernel struct {
 	// scale is the range transform's normalization 1/(N*gain) = 1/sum(w).
 	scale float64

@@ -94,7 +94,7 @@ type SynthPlan struct {
 	// (BinSpectrum).
 	bin binKernel
 	// steer is the precomputed AoA steering table for the config's array
-	// geometry, captured from the owning session at build time.
+	// geometry, built with the plan.
 	steer *steeringTable
 	// pool recycles the plan's frame and profile buffers; releasing the
 	// plan's owner releases the buffers with it.
@@ -102,17 +102,11 @@ type SynthPlan struct {
 }
 
 // NewSynthPlan validates the configuration once and builds a fresh frame
-// front-end plan for it, owned by the caller. It panics on an invalid config,
-// exactly as Synthesize does. Reads resolve their plan through a Session
-// (Session.SynthPlanFor), which memoizes it.
+// front-end plan for it, owned by the caller; see SynthPlan for the field
+// semantics. It panics on an invalid config, exactly as Synthesize does.
+// Reads resolve their plan through an engine.Engine (Engine.SynthPlan),
+// which builds it here once per config and memoizes it.
 func (c Config) NewSynthPlan() *SynthPlan {
-	return newSynthPlan(c, nil, newSteeringTable)
-}
-
-// newSynthPlan builds the frame front-end plan for c, drawing its range
-// transform from plans (nil builds it fresh) and its steering table from
-// steering. See SynthPlan for the field semantics.
-func newSynthPlan(c Config, plans *dsp.PlanSet, steering func(Config) *steeringTable) *SynthPlan {
 	if err := c.Validate(); err != nil {
 		panic(fmt.Sprintf("radar: synthesis plan on invalid config: %v", err))
 	}
@@ -126,12 +120,11 @@ func newSynthPlan(c Config, plans *dsp.PlanSet, steering func(Config) *steeringT
 		stepK:     -2 * math.Pi / c.SampleRate,
 		rxK:       2 * math.Pi * c.RxSpacing / lambda,
 		sigma:     math.Sqrt(c.NoisePerBin()*float64(c.Samples)) / math.Sqrt2,
-		rangePlan: plans.PlanFor(c.Samples, dsp.Hann),
-		steer:     steering(c),
+		rangePlan: dsp.NewPlan(c.Samples, dsp.Hann),
+		steer:     newSteeringTable(c),
 		pool:      &framePool{},
 	}
-	win, _ := plans.WindowCoefficients(dsp.Hann, c.Samples)
-	p.bin = newBinKernel(win, c.NoisePerBin())
+	p.bin = newBinKernel(dsp.Hann.Coefficients(c.Samples), c.NoisePerBin())
 	if c.ADCBits > 0 {
 		// Levels per polarity; Validate bounded ADCBits to (0, 30], so
 		// the shift cannot overflow.

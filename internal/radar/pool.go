@@ -69,9 +69,8 @@ func (b *chanBuf) lanes(n int) (re, im []float64) {
 // a buffer strictly too small for the request is dropped for the garbage
 // collector.
 //
-// Pools moved from one process-global to per-plan ownership with the Session
-// handle: releasing a plan's owner releases its buffers, and two handles
-// never share pool contents.
+// Each plan owns its pool: releasing a plan's owner releases its buffers,
+// and two plans never share pool contents.
 type framePool struct {
 	p sync.Pool
 }

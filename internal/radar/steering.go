@@ -14,14 +14,6 @@ import (
 // NumRx-length complex dot product, and single-angle spotlighting needs one
 // Sincos for the element-to-element rotation.
 
-// steeringKey identifies the geometry a steering table depends on; configs
-// that share these fields share one cached table.
-type steeringKey struct {
-	numRx   int
-	spacing float64
-	freq    float64
-}
-
 // steeringTable holds the AoA scan grid and its precomputed steering weights
 // for one array geometry. Both slices are shared across goroutines and must
 // be treated as read-only.

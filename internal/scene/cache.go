@@ -10,16 +10,16 @@ package scene
 
 import "ros/internal/obs"
 
-// CacheResponses names the scene response cache for resource-handle gauge
-// providers (see dsp.CacheGauge).
+// CacheResponses names the scene response cache in the cache label of the
+// owning engine's ros_engine_cache_entries gauge.
 const CacheResponses = "scene_response"
 
-// sceneResponseCap bounds a response cache by default. A canonical read
-// touches a few thousand (position, frequency) pairs per tag; 65536 entries
-// hold dozens of simultaneous sweeps. Unlike the radar caches (whose working
-// sets are one entry per config), trajectories with per-read jitter could
-// grow this without bound, so on hitting the cap the map is wiped and
-// rebuilt — memo misses change timing, never values.
+// sceneResponseCap bounds a response cache. A canonical read touches a few
+// thousand (position, frequency) pairs per tag; 65536 entries hold dozens
+// of simultaneous sweeps. Unlike the synthesis-plan cache (one entry per
+// radar config), trajectories with per-read jitter could grow this without
+// bound, so on hitting the cap the map is wiped and rebuilt — memo misses
+// change timing, never values.
 const sceneResponseCap = 1 << 16
 
 // responseKind distinguishes the memoized field terms sharing the cache.
@@ -49,13 +49,9 @@ type ResponseCache struct {
 }
 
 // NewResponseCache returns an empty cache mirroring its entry count into the
-// given gauge, wiping itself whenever it reaches capacity (<= 0 selects the
-// default capacity).
-func NewResponseCache(gauge *obs.Gauge, capacity int) *ResponseCache {
-	if capacity <= 0 {
-		capacity = sceneResponseCap
-	}
-	return &ResponseCache{entries: obs.NewCountedMap(gauge), cap: capacity}
+// given gauge, wiping itself whenever it reaches sceneResponseCap entries.
+func NewResponseCache(gauge *obs.Gauge) *ResponseCache {
+	return &ResponseCache{entries: obs.NewCountedMap(gauge), cap: sceneResponseCap}
 }
 
 // load returns the cached term for key, if present.

@@ -18,7 +18,7 @@ func literalTwin(tag *Tag) *Tag {
 
 // testCache returns an empty response cache reporting into an unregistered
 // gauge.
-func testCache() *ResponseCache { return NewResponseCache(new(obs.Gauge), 0) }
+func testCache() *ResponseCache { return NewResponseCache(new(obs.Gauge)) }
 
 // TestTagResponseMemoMatchesDirect pins the memo's core contract: memoized
 // evaluation is byte-identical to direct evaluation, cold and warm.
@@ -134,6 +134,44 @@ func TestSceneMemoCapWipes(t *testing.T) {
 	rc.store(responseKey{fp: 2}, complex128(0))
 	if n := rc.Len(); n != 1 {
 		t.Errorf("store at capacity left %d entries, want 1 (wipe then insert)", n)
+	}
+}
+
+// TestResponseCacheWipesAtCapacity drives real tag responses through a
+// cache whose capacity is lowered to a few entries: a store into the full
+// cache wipes the map and resets the gauge, and the terms recomputed after
+// the wipe are bit-identical to the ones it dropped.
+func TestResponseCacheWipesAtCapacity(t *testing.T) {
+	const capacity = 4
+	g := new(obs.Gauge)
+	rc := NewResponseCache(g)
+	rc.cap = capacity
+	tag := testTag(t, "1011", 8)
+	probe := func(i int) geom.Vec3 { return geom.Vec3{X: 0.25 * float64(i), Y: 10, Z: 0.5} }
+
+	first := make([]complex128, capacity+1)
+	for i := 0; i < capacity; i++ {
+		first[i] = tag.responseCached(rc, probe(i), fc)
+	}
+	if n, v := rc.Len(), g.Value(); n != capacity || v != capacity {
+		t.Fatalf("filled cache: %d entries, gauge %v; want %d", n, v, capacity)
+	}
+	first[capacity] = tag.responseCached(rc, probe(capacity), fc)
+	if n, v := rc.Len(), g.Value(); n != 1 || v != 1 {
+		t.Fatalf("store at capacity left %d entries, gauge %v; want 1 (wipe then insert)", n, v)
+	}
+
+	direct := literalTwin(tag)
+	for i, want := range first {
+		if got := tag.responseCached(rc, probe(i), fc); got != want {
+			t.Errorf("probe %d recomputed after the wipe: %v, want %v", i, got, want)
+		}
+		if d := direct.Response(probe(i), fc); d != want {
+			t.Errorf("probe %d: memoized %v, direct %v", i, want, d)
+		}
+	}
+	if n := rc.Len(); n > capacity {
+		t.Errorf("cache holds %d entries, above its capacity %d", n, capacity)
 	}
 }
 

@@ -167,8 +167,8 @@ type DriveBy struct {
 	// fails with roserr.ErrFrameCorrupt; 0 uses the pipeline default (0.5).
 	MaxFrameLoss float64
 	// Engine, when non-nil, supplies the resource handle all memoized state
-	// of the pass — transform plans, steering tables, scene-response memos,
-	// pooled frame buffers — is drawn from and accounted against; nil uses
+	// of the pass — the synthesis plan with its pooled frame buffers, the
+	// scene-response memo — is drawn from and accounted against; nil uses
 	// engine.Default(). Results are byte-identical either way.
 	Engine *engine.Engine
 }

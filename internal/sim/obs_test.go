@@ -7,9 +7,8 @@ import (
 	"testing"
 
 	"ros/internal/detect"
-	"ros/internal/dsp"
+	"ros/internal/engine"
 	"ros/internal/obs"
-	"ros/internal/radar"
 	"ros/internal/scene"
 )
 
@@ -69,11 +68,17 @@ func TestDefaultEngineOwnsCaches(t *testing.T) {
 			t.Errorf("per-package cache gauge %s is registered", g.Name)
 		}
 	}
-	for _, cache := range []string{dsp.CachePlans, radar.CacheSynthPlans, radar.CacheSteering, scene.CacheResponses} {
+	// The engine owns exactly two caches; a third label means a sub-cache
+	// crept back in.
+	want := []string{engine.CacheSynthPlans, scene.CacheResponses}
+	for _, cache := range want {
 		if resident[cache] < 1 {
 			t.Errorf(`ros_engine_cache_entries{cache=%q,engine="default"} = %v after a pass, want >= 1`,
 				cache, resident[cache])
 		}
+	}
+	if len(resident) != len(want) {
+		t.Errorf("default engine reports caches %v, want exactly %v", resident, want)
 	}
 }
 
