@@ -70,7 +70,8 @@ func NewPlan(n int, w Window) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("dsp: NewPlan with size %d", n))
 	}
-	win, gain := w.Coefficients(n), w.CoherentGain(n)
+	win := w.Coefficients(n)
+	gain := Mean(win)
 	p := &Plan{n: n, window: w, gain: gain}
 	invGain := 1 / gain
 	if IsPow2(n) {
