@@ -13,11 +13,10 @@ import (
 // Retention contract for caches built on CountedMap: entries are immutable,
 // shared, and live until Clear. The working set is bounded by the number of
 // distinct keys the process touches (for this codebase: distinct radar
-// configurations), not by time — a long-lived server
-// cycling through unbounded configurations must close the owning Engine
-// (or watch the gauge) to bound memory. Clear is safe
-// under concurrency: values already handed out keep working, and in-flight
-// fills simply repopulate.
+// configurations), not by time — a long-lived server cycling through
+// unbounded configurations must close the owning Engine (or watch the
+// gauge) to bound memory. Clear is safe under concurrency: values already
+// handed out keep working, and in-flight fills simply repopulate.
 type CountedMap struct {
 	m sync.Map
 	n atomic.Int64

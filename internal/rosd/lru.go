@@ -18,11 +18,11 @@ func radarDefault() radar.Config { return radar.TI1443() }
 // engineKey condenses a pass configuration into the LRU key: the effective
 // radar configuration and nothing else. Every cache an Engine owns is
 // content-addressed — synthesis plans by radar.Config, scene responses by
-// tag fingerprint and exact geometry — so reads of different scenes on one front end share one
-// Engine without sharing answers, and a new standoff, tag, fog level or
-// frame budget reuses the warm radar state instead of rebuilding it. Two
-// requests with equal keys share an engine; the key doubles as the "engine"
-// gauge label and the wire-visible engine id.
+// tag fingerprint and exact geometry — so reads of different scenes on one
+// front end share one Engine without sharing answers, and a new standoff,
+// tag, fog level or frame budget reuses the warm radar state instead of
+// rebuilding it. Two requests with equal keys share an engine; the key
+// doubles as the "engine" gauge label and the wire-visible engine id.
 func engineKey(cfg sim.DriveBy) string {
 	rc := radarDefault()
 	if cfg.Radar != nil {
