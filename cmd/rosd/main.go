@@ -4,7 +4,7 @@
 // /debug/vars, /debug/pprof/) expose the process's state and /healthz and
 // /readyz answer the orchestrator. Engines — one resource handle per radar
 // configuration, holding its synthesis plan (range transform, steering
-// table, pooled buffers) and the scene memo shared by every scene read
+// table) and the scene memo shared by every scene read
 // through that radar — live in a capacity-bounded LRU, so resident memory
 // tracks the radar configurations in use.
 //

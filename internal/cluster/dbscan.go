@@ -46,33 +46,46 @@ func DBSCAN(points []Point, eps float64, minPts int) []int {
 // neighbours must append every index j (including i itself) with
 // dist(i, j) <= eps to buf and return it; buf comes in with length 0 so
 // queries can reuse its capacity.
+//
+// A point is marked visited when it is queued, so the frontier holds each
+// point at most once and stays O(n), where appending every core point's
+// whole neighbourhood grows it to O(n^2) entries on a dense cluster. Noise
+// neighbours take the cluster's label when they are found. The frontier
+// visits the same points in the same first-seen order as the append-all
+// loop, so the labels are identical.
 func dbscan(points []Point, minPts int, labels []int, neighbours func(i int, buf []int) []int) []int {
 	visited := make([]bool, len(points))
 	next := 0
-	var seeds, buf []int
+	var frontier, buf []int
 	for i := range points {
 		if visited[i] {
 			continue
 		}
 		visited[i] = true
-		seeds = neighbours(i, seeds[:0])
-		if len(seeds) < minPts {
+		buf = neighbours(i, buf[:0])
+		if len(buf) < minPts {
 			continue // noise (may later be claimed as a border point)
 		}
 		c := next
 		next++
 		labels[i] = c
-		for k := 0; k < len(seeds); k++ {
-			j := seeds[k]
-			if !visited[j] {
-				visited[j] = true
-				buf = neighbours(j, buf[:0])
-				if len(buf) >= minPts {
-					seeds = append(seeds, buf...)
+		// The core point heads its cluster's frontier; buf already holds
+		// its neighbourhood.
+		frontier = append(frontier[:0], i)
+		for k := 0; k < len(frontier); k++ {
+			if k > 0 {
+				if buf = neighbours(frontier[k], buf[:0]); len(buf) < minPts {
+					continue // border point: labelled, not expanded
 				}
 			}
-			if labels[j] == Noise {
-				labels[j] = c
+			for _, j := range buf {
+				if labels[j] == Noise {
+					labels[j] = c
+				}
+				if !visited[j] {
+					visited[j] = true
+					frontier = append(frontier, j)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -137,8 +138,48 @@ func TestDBSCANLabelInvariants(t *testing.T) {
 	}
 }
 
-// bruteDBSCAN runs the expansion loop over the O(n^2) reference query the
-// grid index replaced; the equivalence tests compare against it.
+// textbookExpand is the expansion loop as the textbook writes it: every
+// core point's whole neighbourhood is appended to the seed list, duplicates
+// included, and a point is visited when its entry comes up. It is the oracle
+// the production frontier (dbscan) must match label for label; its seed list
+// grows to O(n^2) entries on a dense cluster.
+func textbookExpand(points []Point, minPts int, labels []int, neighbours func(i int, buf []int) []int) []int {
+	visited := make([]bool, len(points))
+	next := 0
+	var seeds, buf []int
+	for i := range points {
+		if visited[i] {
+			continue
+		}
+		visited[i] = true
+		seeds = neighbours(i, seeds[:0])
+		if len(seeds) < minPts {
+			continue // noise (may later be claimed as a border point)
+		}
+		c := next
+		next++
+		labels[i] = c
+		for k := 0; k < len(seeds); k++ {
+			j := seeds[k]
+			if !visited[j] {
+				visited[j] = true
+				buf = neighbours(j, buf[:0])
+				if len(buf) >= minPts {
+					seeds = append(seeds, buf...)
+				}
+			}
+			if labels[j] == Noise {
+				labels[j] = c
+			}
+		}
+	}
+	return labels
+}
+
+// bruteDBSCAN is the reference DBSCAN: the textbook expansion over the
+// O(n^2) neighbourhood query the grid index replaced. The equivalence tests
+// compare the production path against it, so they cover both the query and
+// the expansion.
 func bruteDBSCAN(points []Point, eps float64, minPts int) []int {
 	labels := make([]int, len(points))
 	for i := range labels {
@@ -148,7 +189,7 @@ func bruteDBSCAN(points []Point, eps float64, minPts int) []int {
 		return labels
 	}
 	eps2 := eps * eps
-	return dbscan(points, minPts, labels, func(i int, buf []int) []int {
+	return textbookExpand(points, minPts, labels, func(i int, buf []int) []int {
 		return bruteNeighbours(points, eps2, i, buf)
 	})
 }
@@ -236,6 +277,110 @@ func BenchmarkDBSCANBrute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bruteDBSCAN(pts, 0.25, 10)
+	}
+}
+
+// denseBlob is n points scattered uniformly over a square of side eps/2, so
+// every pair lies within eps of each other and every point is core.
+func denseBlob(n int, eps float64) []Point {
+	rng := rand.New(rand.NewSource(11))
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Point{Pos: geom.Vec2{X: rng.Float64() * eps / 2, Y: rng.Float64() * eps / 2}, Weight: 1}
+	}
+	return pts
+}
+
+// TestDBSCANDenseBlobMatchesTextbook checks the one-cluster extreme: 2,000
+// mutually neighbouring points. The labels equal the textbook oracle's, and
+// the frontier queues each point once, so the whole call allocates O(n)
+// bytes. The oracle's seed list holds n^2 = 4e6 entries (tens of MB).
+func TestDBSCANDenseBlobMatchesTextbook(t *testing.T) {
+	const eps, minPts = 0.3, 4
+	pts := denseBlob(2000, eps)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	labels := DBSCAN(pts, eps, minPts)
+	runtime.ReadMemStats(&after)
+	if want := bruteDBSCAN(pts, eps, minPts); !slices.Equal(labels, want) {
+		t.Fatalf("dense-blob labels diverge from the textbook oracle")
+	}
+	for i, l := range labels {
+		if l != 0 {
+			t.Fatalf("point %d labelled %d, want 0", i, l)
+		}
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+		t.Errorf("DBSCAN of a 2000-point dense blob allocated %d bytes, want < 1 MB", b)
+	}
+}
+
+// TestDBSCANCoreChainMatchesTextbook checks a chain of core points: each
+// point's neighbourhood is itself and the two beside it, so the cluster
+// grows one frontier entry at a time across the whole chain.
+func TestDBSCANCoreChainMatchesTextbook(t *testing.T) {
+	pts := make([]Point, 300)
+	for i := range pts {
+		// Shuffled positions along the line, so first-seen order differs
+		// from index order.
+		x := float64((i*7)%len(pts)) * 0.1
+		pts[i] = Point{Pos: geom.Vec2{X: x, Y: 0.01 * float64(i%3)}, Weight: 1}
+	}
+	labels := DBSCAN(pts, 0.15, 3)
+	if want := bruteDBSCAN(pts, 0.15, 3); !slices.Equal(labels, want) {
+		t.Fatalf("chain labels %v diverge from the textbook oracle %v", labels, want)
+	}
+	for i, l := range labels {
+		if l != 0 {
+			t.Fatalf("chain point %d labelled %d, want one cluster", i, l)
+		}
+	}
+}
+
+// TestDBSCANSharedBorderMatchesTextbook checks two clusters that share
+// border points: points within eps of both clusters' cores but with too few
+// neighbours to be core themselves belong to the cluster found first.
+func TestDBSCANSharedBorderMatchesTextbook(t *testing.T) {
+	var pts []Point
+	line := func(x0 float64, n int) {
+		for i := 0; i < n; i++ {
+			pts = append(pts, Point{Pos: geom.Vec2{X: x0 + 0.1*float64(i)}, Weight: 1})
+		}
+	}
+	// Border points first, so the outer loop meets them as noise before
+	// either cluster claims them; then cluster A on [0, 0.9], cluster B on
+	// [1.5, 2.4]. The borders at 1.2 sit 0.3 from both clusters' end cores
+	// and see 4 points, one short of core.
+	pts = append(pts,
+		Point{Pos: geom.Vec2{X: 1.2, Y: 0.05}, Weight: 1},
+		Point{Pos: geom.Vec2{X: 1.2, Y: -0.05}, Weight: 1})
+	line(0, 10)
+	line(1.5, 10)
+	const eps, minPts = 0.31, 5
+	labels := DBSCAN(pts, eps, minPts)
+	if want := bruteDBSCAN(pts, eps, minPts); !slices.Equal(labels, want) {
+		t.Fatalf("labels %v diverge from the textbook oracle %v", labels, want)
+	}
+	a, b := labels[2], labels[12]
+	if a != 0 || b != 1 {
+		t.Fatalf("cluster labels = %d, %d, want 0, 1", a, b)
+	}
+	for i := 0; i < 2; i++ {
+		if labels[i] != a {
+			t.Errorf("shared border point %d labelled %d, want the first cluster's %d", i, labels[i], a)
+		}
+	}
+}
+
+// BenchmarkDBSCANDense clusters the dense blob: one cluster whose every
+// point neighbours every other, the case where the textbook seed list grows
+// quadratically.
+func BenchmarkDBSCANDense(b *testing.B) {
+	pts := denseBlob(2000, 0.3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DBSCAN(pts, 0.3, 4)
 	}
 }
 

@@ -131,9 +131,10 @@ type Pipeline struct {
 	// rather than correctness.
 	MaxFrameLoss float64
 	// Engine supplies the resource handle the run draws its synthesis plan
-	// (and with it the steering table, range transform and frame pool)
-	// from; nil uses engine.Default(). Results are byte-identical either
-	// way.
+	// (and with it the steering table and range transform) from; nil uses
+	// engine.Default(). Frame and profile buffers come from the radar
+	// package's one pool whatever the Engine. Results are byte-identical
+	// either way.
 	Engine *engine.Engine
 }
 

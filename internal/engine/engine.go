@@ -1,7 +1,7 @@
 // Package engine ties the memoized state the reads it serves accumulate
 // into one Engine: the synthesis plan per radar configuration (which
-// captures the range transform, the steering table and the pooled frame
-// buffers) and the scene-response memo. Both caches are content-addressed,
+// captures the range transform and the steering table) and the
+// scene-response memo. Both caches are content-addressed,
 // so reads of different scenes can share an Engine (rosd keeps one per
 // radar front end). An Engine is constructed once, passed explicitly
 // through the simulation and detection layers, and released

@@ -66,8 +66,9 @@ func (c Config) NewFrame() Frame {
 // per-sample noise sigma, the ADC's AGC parameters — evaluated once, plus
 // the fused window+FFT plan of the range transform (Eq 3). The detection
 // pipeline builds one plan per read and shares it across the frame workers;
-// the plan itself is immutable and safe for concurrent use, only the frame
-// buffers are pooled per call.
+// the plan itself is immutable and safe for concurrent use. Frame and profile
+// buffers come from the package's one buffer pool (framePool), shared by
+// every plan.
 type SynthPlan struct {
 	cfg    Config
 	lambda float64
@@ -96,9 +97,6 @@ type SynthPlan struct {
 	// steer is the precomputed AoA steering table for the config's array
 	// geometry, built with the plan.
 	steer *steeringTable
-	// pool recycles the plan's frame and profile buffers; releasing the
-	// plan's owner releases the buffers with it.
-	pool *framePool
 }
 
 // NewSynthPlan validates the configuration once and builds a fresh frame
@@ -122,7 +120,6 @@ func (c Config) NewSynthPlan() *SynthPlan {
 		sigma:     math.Sqrt(c.NoisePerBin()*float64(c.Samples)) / math.Sqrt2,
 		rangePlan: dsp.NewPlan(c.Samples, dsp.Hann),
 		steer:     newSteeringTable(c),
-		pool:      &framePool{},
 	}
 	p.bin = newBinKernel(dsp.Hann.Coefficients(c.Samples), c.NoisePerBin())
 	if c.ADCBits > 0 {
@@ -130,9 +127,6 @@ func (c Config) NewSynthPlan() *SynthPlan {
 		// the shift cannot overflow.
 		p.adcLevels = float64(int(1) << (c.ADCBits - 1))
 	}
-	// Pre-warm one frame buffer so the first frame of a read does not pay
-	// the high-water-mark allocation inside the synthesis loop.
-	p.pool.put(newChanBuf(c.NumRx, c.Samples))
 	return p
 }
 
@@ -163,10 +157,10 @@ func (p *SynthPlan) Synthesize(scatterers []Scatterer, g *dsp.Gauss) Frame {
 	// The pooled buffer is taken dirty: the first contributing scatterer
 	// stores its tone (dsp.StoreTone) instead of accumulating, which
 	// replaces the full-frame memclr with useful writes.
-	buf := p.pool.acquire(c.NumRx, n, false)
+	buf := acquireBuf(c.NumRx, n, false)
 	f := Frame{Data: buf.flat, NumRx: c.NumRx, Samples: n, buf: buf}
 
-	if !p.synthTones(f, buf, scatterers) {
+	if !p.synthTones(f, scatterers) {
 		clear(f.Data)
 	}
 
@@ -215,13 +209,14 @@ func (p *SynthPlan) Synthesize(scatterers []Scatterer, g *dsp.Gauss) Frame {
 
 // synthTones runs the scatterer loop into the frame: three Sincos calls per
 // scatterer, one ToneFill recurrence into the split lanes, then
-// store/accumulate passes rotated per channel by the steering phasor.
-// Returns whether any scatterer contributed (the first one's stores replace
-// the frame memclr).
-func (p *SynthPlan) synthTones(f Frame, buf *chanBuf, scatterers []Scatterer) bool {
+// store/accumulate passes rotated per channel by the steering phasor; the
+// split lanes are stack scratch (laneScratch). Returns whether any scatterer
+// contributed (the first one's stores replace the frame memclr).
+func (p *SynthPlan) synthTones(f Frame, scatterers []Scatterer) bool {
 	c := p.cfg
 	n := c.Samples
-	re, im := buf.lanes(n)
+	var stack [2 * stackLanes]float64
+	re, im := laneScratch(stack[:], n)
 	wrote := false
 	for _, sc := range scatterers {
 		if sc.Amplitude <= 0 || sc.Range <= 0 {

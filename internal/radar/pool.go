@@ -5,21 +5,16 @@ import "sync"
 // chanBuf is the pooled backing store behind frames and range profiles: one
 // contiguous channel-major buffer plus per-channel views over it. Frames use
 // flat directly (the batched range transform consumes the contiguous
-// layout); range profiles expose the views as RangeProfile.Bins. The buffer
-// also carries the split re/im tone lanes of the synthesis kernel, so a
-// frame's scatterer loop allocates nothing.
+// layout); range profiles expose the views as RangeProfile.Bins. A detection
+// pass retains one profile per frame until it ends, so the buffer holds the
+// samples and nothing else: the float64 scratch lanes of the tone kernel and
+// the point-cloud scan live on the caller's stack (laneScratch).
 type chanBuf struct {
 	flat  []complex128
 	views [][]complex128
 	// numRx and n record the shape the views currently describe, so a
 	// same-shape reuse skips rebuilding them.
 	numRx, n int
-	// laneRe/laneIm are the structure-of-arrays scratch lanes of the tone
-	// kernel (dsp.ToneFill), sized lazily to the sample count.
-	laneRe, laneIm []float64
-	// home is the pool the buffer recycles through, so ReleaseFrame and
-	// ReleaseProfile return it to the synthesis plan that produced it.
-	home *framePool
 }
 
 // newChanBuf allocates a fresh [numRx][n] buffer.
@@ -47,76 +42,71 @@ func (b *chanBuf) reshape(numRx, n int) {
 	b.numRx, b.n = numRx, n
 }
 
-// lanes returns the buffer's tone scratch lanes resliced to n samples,
-// growing them on first use (or on the largest config seen so far).
-func (b *chanBuf) lanes(n int) (re, im []float64) {
-	if cap(b.laneRe) < n || cap(b.laneIm) < n {
-		b.laneRe = make([]float64, n)
-		b.laneIm = make([]float64, n)
-	}
-	return b.laneRe[:n], b.laneIm[:n]
-}
-
-// framePool recycles chanBufs for one synthesis plan. A drive-by synthesizes
-// and transforms one frame per pose on the ideal converter (280 per pass;
-// quantized configs add the decode-mode frame), and with the frame loop
-// running on a worker pool the buffers would otherwise be reallocated from
-// every worker; recycling them keeps the steady-state allocation rate near
-// zero. Reuse is by capacity, not exact shape: a pooled buffer big
-// enough for the requested [numRx][n] is resliced to it, so a plan serving
-// heterogeneous profile shapes keeps recycling one high-water-mark buffer
-// instead of degrading to a malloc per frame whenever the shape flips. Only
-// a buffer strictly too small for the request is dropped for the garbage
-// collector.
+// framePool recycles the chanBufs of every synthesis plan in the process. A
+// drive-by synthesizes and transforms one frame per pose on the ideal
+// converter (280 per pass; quantized configs add the decode-mode frame), and
+// with the frame loop running on a worker pool the buffers would otherwise
+// be reallocated from every worker; recycling them keeps the steady-state
+// allocation rate near zero. One pool serves all plans, so plans of the same
+// shape (a sweep over ADC resolutions, say) recycle one set of buffers
+// instead of each keeping its own high-water set.
 //
-// Each plan owns its pool: releasing a plan's owner releases its buffers,
-// and two plans never share pool contents.
-type framePool struct {
-	p sync.Pool
-}
+// Reuse is by capacity, not exact shape: a pooled buffer big enough for the
+// requested [numRx][n] is resliced to it, so heterogeneous shapes keep
+// recycling one high-water-mark buffer instead of degrading to a malloc per
+// frame whenever the shape flips. Only a buffer strictly too small for the
+// request is dropped for the garbage collector.
+var framePool sync.Pool
 
-// acquire returns a [numRx][n] buffer homed to this pool, zeroed when zero
-// is set (frame synthesis accumulates with +=; the range transform
-// overwrites every element and skips the clear).
-func (fp *framePool) acquire(numRx, n int, zero bool) *chanBuf {
-	need := numRx * n
-	if v := fp.p.Get(); v != nil {
+// acquireBuf returns a pooled [numRx][n] buffer, zeroed when zero is set
+// (frame synthesis accumulates with +=; the range transform overwrites every
+// element and skips the clear).
+func acquireBuf(numRx, n int, zero bool) *chanBuf {
+	if v := framePool.Get(); v != nil {
 		b := v.(*chanBuf)
-		if cap(b.flat) >= need {
+		if cap(b.flat) >= numRx*n {
 			b.reshape(numRx, n)
 			if zero {
 				clear(b.flat)
 			}
-			b.home = fp
 			return b
 		}
 		// Too small for this request: drop it and allocate at the new
 		// high-water mark, which then serves every smaller shape.
 	}
-	b := newChanBuf(numRx, n)
-	b.home = fp
-	return b
+	return newChanBuf(numRx, n)
 }
 
-// put returns a buffer to the pool.
-func (fp *framePool) put(b *chanBuf) {
-	b.home = fp
-	fp.p.Put(b)
-}
-
-// ReleaseFrame returns a frame's sample buffer to its plan's pool. The
-// caller must not touch the frame afterwards; frames that escape to
-// long-lived results should simply not be released.
+// ReleaseFrame returns a frame's sample buffer to the pool. The caller must
+// not touch the frame afterwards; frames that escape to long-lived results
+// should simply not be released.
 func ReleaseFrame(f Frame) {
-	if f.buf != nil && f.buf.home != nil {
-		f.buf.home.put(f.buf)
+	if f.buf != nil {
+		framePool.Put(f.buf)
 	}
 }
 
-// ReleaseProfile returns a range profile's bin buffers to its plan's pool.
-// Same contract as ReleaseFrame.
+// ReleaseProfile returns a range profile's bin buffers to the pool. Same
+// contract as ReleaseFrame.
 func ReleaseProfile(rp RangeProfile) {
-	if rp.buf != nil && rp.buf.home != nil {
-		rp.buf.home.put(rp.buf)
+	if rp.buf != nil {
+		framePool.Put(rp.buf)
 	}
+}
+
+// stackLanes is the profile length up to which laneScratch's backing array
+// (two lanes of it) lives on the caller's stack; the TI1443 and commercial
+// configs use 256 samples.
+const stackLanes = 256
+
+// laneScratch returns two float64 lanes of length n carved from stack, the
+// caller's [2*stackLanes]float64 array, or from a fresh allocation when n is
+// longer. Declaring the array in the caller keeps the lanes off the heap, so
+// the tone kernel and the point-cloud scan allocate nothing per frame and
+// no pooled buffer has to carry them.
+func laneScratch(stack []float64, n int) (a, b []float64) {
+	if 2*n > len(stack) {
+		stack = make([]float64, 2*n)
+	}
+	return stack[:n], stack[n : 2*n]
 }

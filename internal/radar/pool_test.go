@@ -1,6 +1,10 @@
 package radar
 
-import "testing"
+import (
+	"testing"
+
+	"ros/internal/dsp"
+)
 
 // TestFramePoolReusesAcrossShapes pins the capacity-based reuse contract: a
 // pooled buffer big enough for the request is resliced rather than dropped,
@@ -11,16 +15,15 @@ func TestFramePoolReusesAcrossShapes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	var fp framePool
 	// Warm the pool to the high-water mark so the measured loop only ever
 	// needs reuse.
-	fp.put(fp.acquire(8, 512, true))
+	framePool.Put(acquireBuf(8, 512, true))
 
 	allocs := testing.AllocsPerRun(100, func() {
-		big := fp.acquire(8, 512, false)
-		fp.put(big)
-		small := fp.acquire(4, 256, true)
-		fp.put(small)
+		big := acquireBuf(8, 512, false)
+		framePool.Put(big)
+		small := acquireBuf(4, 256, true)
+		framePool.Put(small)
 	})
 	// A GC between runs may flush the pool and force one reallocation;
 	// anything beyond that means the shape flip stopped reusing.
@@ -29,18 +32,50 @@ func TestFramePoolReusesAcrossShapes(t *testing.T) {
 	}
 }
 
+// TestFramePoolSharedAcrossPlans pins the one-pool contract on the sweep
+// case: two plans of one shape, the ideal converter and a 12-bit one, run
+// synthesize -> range profile -> release in turns. Each plan's frame reuses
+// the buffers the other released and the tone and scan lanes are stack
+// scratch, so the steady state allocates nothing per frame.
+func TestFramePoolSharedAcrossPlans(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	ideal := TI1443()
+	quantized := ideal
+	quantized.ADCBits = 12
+	plans := []*SynthPlan{ideal.NewSynthPlan(), quantized.NewSynthPlan()}
+	scat := []Scatterer{
+		{Range: 5, Azimuth: 0.1, Amplitude: 3e-5},
+		{Range: 9.5, Azimuth: -0.3, Amplitude: 1.2e-5},
+	}
+	g := dsp.NewGauss(7)
+	turn := func() {
+		for _, p := range plans {
+			f := p.Synthesize(scat, g)
+			rp := p.RangeProfile(f)
+			ReleaseFrame(f)
+			p.PointCloudScan(rp, DetectOptions{})
+			ReleaseProfile(rp)
+		}
+	}
+	turn() // size the Gauss stream's lanes and fill the pool
+	if allocs := testing.AllocsPerRun(100, turn); allocs != 0 {
+		t.Fatalf("two-plan synthesize/transform/release turn averaged %v allocs, want 0", allocs)
+	}
+}
+
 // TestFramePoolReshape checks that a reused buffer is correctly resliced:
 // the channel views must tile the flat buffer for the new shape, and a zero
 // request must actually clear the visible samples.
 func TestFramePoolReshape(t *testing.T) {
-	var fp framePool
-	big := fp.acquire(6, 128, false)
+	big := acquireBuf(6, 128, false)
 	for i := range big.flat {
 		big.flat[i] = complex(1, 1) // dirty the buffer
 	}
-	fp.put(big)
+	framePool.Put(big)
 
-	b := fp.acquire(3, 64, true)
+	b := acquireBuf(3, 64, true)
 	if len(b.flat) != 3*64 {
 		t.Fatalf("flat length = %d, want %d", len(b.flat), 3*64)
 	}
@@ -60,9 +95,14 @@ func TestFramePoolReshape(t *testing.T) {
 			t.Fatalf("zeroed buffer has %v at %d", v, i)
 		}
 	}
-	fp.put(b)
+	framePool.Put(b)
 
-	if b.home != &fp {
-		t.Fatalf("pooled buffer is not homed to its pool")
+	// Hand-built frames and profiles own no pooled buffer: releasing them
+	// must not put a nil buffer into the pool for the next acquire to trip
+	// over.
+	ReleaseFrame(TI1443().NewFrame())
+	ReleaseProfile(RangeProfile{})
+	for i := 0; i < 4; i++ {
+		framePool.Put(acquireBuf(2, 32, true))
 	}
 }

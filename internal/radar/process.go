@@ -60,7 +60,7 @@ func (p *SynthPlan) RangeProfile(f Frame) RangeProfile {
 	if f.Samples != c.Samples {
 		panic(fmt.Sprintf("radar: frame channels hold %d samples, config %d", f.Samples, c.Samples))
 	}
-	buf := p.pool.acquire(c.NumRx, c.Samples, false)
+	buf := acquireBuf(c.NumRx, c.Samples, false)
 	p.rangePlan.InverseMany(buf.flat, f.Data, c.NumRx, c.Samples)
 	return RangeProfile{Bins: buf.views, BinSize: c.RangeBinSize(), buf: buf}
 }
@@ -227,17 +227,12 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions) []Detect
 	}
 	n := len(rp.Bins[0])
 
-	// Non-coherent channel-summed power per range bin. A pooled profile
-	// carries two idle scratch lanes of exactly this length (the synthesis
-	// kernel's tone lanes); borrowing them for the power sum and the median
-	// scratch makes the per-frame detection pass allocation-free.
-	var power, scratch []float64
-	if rp.buf != nil {
-		power, scratch = rp.buf.lanes(n)
-	} else {
-		flat := make([]float64, 2*n)
-		power, scratch = flat[:n], flat[n:]
-	}
+	// Non-coherent channel-summed power per range bin. The power sum and
+	// the median scratch are stack lanes (laneScratch), so the per-frame
+	// detection pass allocates nothing and the retained profile carries no
+	// scratch.
+	var stack [2 * stackLanes]float64
+	power, scratch := laneScratch(stack[:], n)
 	for ci, ch := range rp.Bins {
 		if ci == 0 {
 			for i, v := range ch {

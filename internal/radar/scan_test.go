@@ -7,9 +7,8 @@ import (
 )
 
 // TestPointCloudScanAllocFree pins the detection pass's allocation
-// contract: on a pooled profile the power sum, the median scratch and the
-// AoA spectrum all live in the profile's idle lanes, so a frame with no
-// detections allocates nothing.
+// contract: the power sum, the median scratch and the AoA spectrum all live
+// in stack lanes, so a frame with no detections allocates nothing.
 func TestPointCloudScanAllocFree(t *testing.T) {
 	plan := TI1443().NewSynthPlan()
 	f := plan.Synthesize(nil, dsp.NewGauss(5))

@@ -167,9 +167,10 @@ type DriveBy struct {
 	// fails with roserr.ErrFrameCorrupt; 0 uses the pipeline default (0.5).
 	MaxFrameLoss float64
 	// Engine, when non-nil, supplies the resource handle all memoized state
-	// of the pass — the synthesis plan with its pooled frame buffers, the
-	// scene-response memo — is drawn from and accounted against; nil uses
-	// engine.Default(). Results are byte-identical either way.
+	// of the pass — the synthesis plan, the scene-response memo — is drawn
+	// from and accounted against; nil uses engine.Default(). Frame buffers
+	// are not memoized state: they come from the radar package's one pool
+	// whatever the Engine. Results are byte-identical either way.
 	Engine *engine.Engine
 }
 
