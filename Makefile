@@ -4,7 +4,11 @@
 
 GO ?= go
 
-# Hot-path micro-benchmarks compared by bench-compare and smoke-tested in CI.
+# Hot-path micro-benchmarks. bench-baseline and bench-compare build the test
+# binary of every package holding one and run them through
+# scripts/interleave.sh; bench-smoke runs each once, and bench-names fails
+# when a name matches no benchmark. BENCH_COUNT is bench-compare's number of
+# interleaved rounds (one run of each side per round).
 BENCH_HOT := 'BenchmarkEndToEndRead$$|BenchmarkSpotlight$$|BenchmarkDBSCAN|BenchmarkAoASpectrum$$|BenchmarkSynthesize$$|BenchmarkRangeFFTBatched$$'
 BENCH_COUNT ?= 5
 
@@ -19,7 +23,7 @@ BENCH_KERNEL := 'BenchmarkBinSpectrum$$|BenchmarkToneFill256$$|BenchmarkAccumula
 # Observability overhead budget (percent) enforced by obs-overhead.
 OBS_OVERHEAD_PCT ?= 2
 
-.PHONY: ci fmt vet build test race generate golden bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke bench-names obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke rosperf-test
+.PHONY: ci fmt vet build test race generate golden bench bench-kernel bench-build bench-baseline bench-compare bench-smoke bench-names obs-overhead chaos rosd-chaos fuzz-smoke profile rosperf-test
 
 ci: fmt vet build race
 
@@ -61,56 +65,41 @@ bench:
 bench-kernel:
 	$(GO) test -run xxx -bench $(BENCH_KERNEL) -benchmem ./internal/dsp/ ./internal/radar/ ./internal/scene/
 
-# Append one machine-readable record (per-experiment wall ms + canonical-read
-# span timings) to the checked-in trend file. Run before/after perf PRs.
-bench-trend:
-	$(GO) run ./cmd/rosbench -json -trend BENCH_trend.jsonl
-
-# Canonical read-service load profile: 1k+ concurrent mixed-configuration
-# reads against an in-process rosd, appending batch-latency, queue-depth and
-# per-tenant goodput/fairness quantiles to the checked-in trend file. The 96
-# configurations (standoffs, clutter) span two radar front ends, so they
-# share two engines and the default 64-engine LRU never evicts here;
-# TestLoadHarness runs eviction under load through a capacity-1 LRU. The 4x
-# flood against armed per-tenant quotas pins the isolation contract in the
-# same run. Run alongside bench-trend in PRs that touch the service, the
-# client, or the engine/cache layers.
-rosd-load:
-	$(GO) run ./cmd/rosd-load -reads 1024 -concurrency 32 -configs 96 \
-		-tenants 4 -flood 4 -tenant-rate 2 -tenant-burst 200 -trend BENCH_trend.jsonl
-
 # Vet and short-test the benchmark module. benchmark/ is its own module
 # (ros/benchmark), so root `go test ./...` skips it; this catches an API
 # change that breaks rosperf before the benchmark runs.
 rosperf-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-# Reduced-scale load smoke for CI: same harness, no trend append.
-rosd-load-smoke:
-	$(GO) run ./cmd/rosd-load -reads 256 -concurrency 16
+# Build the test binary of every package holding a BENCH_HOT benchmark
+# into bench-new/. The package list comes from `go test -list`, so it
+# follows the benchmarks.
+bench-build:
+	@pkgs=$$($(GO) test -list $(BENCH_HOT) ./... | awk '/^Benchmark/ { hit = 1 } /^ok/ { if (hit) print $$2; hit = 0 }') || exit 1; \
+	rm -rf bench-new; mkdir bench-new; \
+	for pkg in $$pkgs; do \
+		$(GO) test -c -o bench-new/$$(echo $$pkg | tr / _).test $$pkg || exit 1; \
+	done
 
-# Save the hot-path micro-benchmarks as the comparison baseline (run this on
-# the commit you want to compare against, e.g. before a perf change).
-bench-baseline:
-	$(GO) test -run xxx -bench $(BENCH_HOT) -benchmem -count=$(BENCH_COUNT) ./... > bench-baseline.txt
-	@echo "bench-compare baseline saved to bench-baseline.txt"
+# Save this commit's hot-path test binaries as the comparison baseline (run
+# on the commit you want to compare against, e.g. before a perf change).
+bench-baseline: bench-build
+	@rm -rf bench-baseline; mv bench-new bench-baseline
+	@echo "bench-baseline: saved $$(ls bench-baseline | tr '\n' ' ')"
 
-# Re-run the hot-path micro-benchmarks and compare against the saved
-# baseline with benchstat when it is installed (golang.org/x/perf), falling
-# back to printing both runs side by side. Both output files are untracked.
-bench-compare:
-	$(GO) test -run xxx -bench $(BENCH_HOT) -benchmem -count=$(BENCH_COUNT) ./... > bench-new.txt
-	@if [ ! -f bench-baseline.txt ]; then \
-		cp bench-new.txt bench-baseline.txt; \
-		echo "bench-compare: no baseline found; saved this run as bench-baseline.txt"; \
-	elif command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench-baseline.txt bench-new.txt; \
-	else \
-		echo "bench-compare: benchstat not installed; baseline vs new:"; \
-		grep '^Benchmark' bench-baseline.txt; \
-		echo "---"; \
-		grep '^Benchmark' bench-new.txt; \
-	fi
+# Build the working tree's hot-path test binaries and run each package's
+# BENCH_HOT benchmarks against its baseline binary for BENCH_COUNT
+# interleaved rounds of 1 s per benchmark, printing median/quartile ns/op
+# and the change-vs-baseline median delta. The raw runs land in
+# bench-new/*.txt.
+bench-compare: bench-build
+	@if [ ! -d bench-baseline ]; then echo "bench-compare: no baseline; run make bench-baseline on the parent commit first"; exit 1; fi; \
+	for base in bench-baseline/*.test; do \
+		bin=bench-new/$${base#bench-baseline/}; \
+		if [ ! -x $$bin ]; then echo "bench-compare: $$bin missing"; exit 1; fi; \
+		echo "== $${bin#bench-new/} (A = baseline, B = change)"; \
+		bash scripts/interleave.sh $(BENCH_COUNT) 1s $${bin%.test}.txt $$base $(BENCH_HOT) $$bin $(BENCH_HOT) || exit 1; \
+	done
 
 # One-iteration smoke run of the hot-path micro-benchmarks (CI runs this so a
 # benchmark that panics or regresses to non-termination fails the build).
@@ -131,38 +120,29 @@ bench-names:
 	exit $$status
 
 # Observability overhead gate: build the root test binary once, then run
-# the instrumented end-to-end read and the flight-recorder-off baseline as
-# 800 interleaved rounds of one process each (3 timed reads after one
-# warm-up read), alternating which side runs first so host drift lands on
-# both. Fails when the median instrumented ns/op exceeds the median obs-off
-# ns/op by more than OBS_OVERHEAD_PCT percent. Per-process timings spread
-# by about 12% on a shared 2-vCPU host, and 200 rounds still left the
-# median difference spread over about +/-2%; 800 rounds (about 2 min)
-# halve that, so equal code passes the 2% budget.
+# the flight-recorder-off baseline (side A) and the instrumented end-to-end
+# read (side B) through scripts/interleave.sh as 800 rounds of one process
+# each (3 timed reads after one warm-up read). Fails when the median
+# instrumented ns/op exceeds the median obs-off ns/op by more than
+# OBS_OVERHEAD_PCT percent. Per-process timings spread by about 12% on a
+# shared 2-vCPU host, and 200 rounds still left the median difference
+# spread over about +/-2%; 800 rounds (about 2 min) halve that, so equal
+# code passes the 2% budget.
 obs-overhead:
 	$(GO) test -c -o obs-overhead.test .
-	@: > obs-overhead.txt; \
-	on='^BenchmarkEndToEndRead$$'; off='^BenchmarkEndToEndReadObsOff$$'; \
-	for round in $$(seq 800); do \
-		if [ $$((round % 2)) -eq 1 ]; then order="$$on $$off"; else order="$$off $$on"; fi; \
-		for re in $$order; do \
-			./obs-overhead.test -test.run '^$$' -test.bench "$$re" -test.benchtime=3x >> obs-overhead.txt || exit 1; \
-		done; \
-	done
-	@awk -v limit=$(OBS_OVERHEAD_PCT) ' \
-		function median(a, n,    i, j, v) { \
-			for (i = 2; i <= n; i++) { v = a[i]; for (j = i - 1; j > 0 && a[j] > v; j--) a[j+1] = a[j]; a[j+1] = v } \
-			return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2 \
-		} \
-		$$1 ~ /^BenchmarkEndToEndRead(-[0-9]+)?$$/       { on[++non] = $$3 } \
-		$$1 ~ /^BenchmarkEndToEndReadObsOff(-[0-9]+)?$$/ { off[++noff] = $$3 } \
+	@sum=$$(bash scripts/interleave.sh 800 3x obs-overhead.txt \
+		./obs-overhead.test '^BenchmarkEndToEndReadObsOff$$' \
+		./obs-overhead.test '^BenchmarkEndToEndRead$$') || exit 1; \
+	printf '%s\n' "$$sum"; \
+	printf '%s\n' "$$sum" | awk -v limit=$(OBS_OVERHEAD_PCT) ' \
+		$$1 == "A" { off = $$4; noff = $$3 } \
+		$$1 == "B" { on = $$4; non = $$3 } \
 		END { \
 			if (non == 0 || non != noff) { print "obs-overhead: benchmark output incomplete"; exit 1 } \
-			mon = median(on, non); moff = median(off, noff); \
-			pct = (mon - moff) * 100 / moff; \
-			printf "obs-overhead: median of %d rounds: instrumented %d ns/op vs obs-off %d ns/op (%+.2f%%, budget %s%%)\n", non, mon, moff, pct, limit; \
+			pct = (on - off) * 100 / off; \
+			printf "obs-overhead: median of %d rounds: instrumented %d ns/op vs obs-off %d ns/op (%+.2f%%, budget %s%%)\n", non, on, off, pct, limit; \
 			if (pct > limit) { print "obs-overhead: over budget"; exit 1 } \
-		}' obs-overhead.txt
+		}'
 
 # CPU and allocation profiles of the canonical end-to-end read, written to
 # the untracked profiles/ directory for `go tool pprof`. CI uploads them as

@@ -2,11 +2,12 @@
 // figures. Without arguments it runs every experiment in paper order; pass
 // experiment ids (e.g. "fig15", "linkbudget") to run a subset, or -list to
 // enumerate them. After the tables it reports the engine counters of a
-// canonical drive-by read; -json instead emits the whole run as a
-// machine-readable benchmark record, and -trend appends that record as one
-// JSON line to a trend file so successive commits can track the performance
-// trajectory. A failing experiment no longer loses the run: its record entry
-// carries an "error" field and the remaining experiments still execute.
+// canonical drive-by read; -json instead emits the whole run (per-experiment
+// wall times and the canonical read's span timings) as one JSON document on
+// stdout. A failing experiment does not lose the run: its entry carries an
+// "error" field and the remaining experiments still execute. Performance
+// comparisons come from rosperf (benchmark/) and `make bench-compare`, not
+// from these single-run timings.
 //
 // -serve starts the observability endpoints (Prometheus /metrics, the
 // flight recorder at /debug/flight, expvar /debug/vars, /debug/pprof/) and a
@@ -46,9 +47,8 @@ type expTiming struct {
 	Error string  `json:"error,omitempty"`
 }
 
-// readRecord reports the canonical drive-by read that anchors the
-// performance trajectory across commits. The per-stage times are the flat
-// view of the read's span tree (see internal/obs).
+// readRecord reports the canonical drive-by read. The per-stage times are
+// the flat view of the read's span tree (see internal/obs).
 type readRecord struct {
 	Detected     bool    `json:"detected"`
 	SNRdB        float64 `json:"snr_db"`
@@ -64,7 +64,7 @@ type readRecord struct {
 	WallMs       float64 `json:"wall_ms"`
 }
 
-// benchRecord is the top-level -json / -trend document.
+// benchRecord is the top-level -json document.
 type benchRecord struct {
 	Time        string        `json:"time"`
 	GoVersion   string        `json:"go_version"`
@@ -80,8 +80,9 @@ type benchRecord struct {
 func ms(ns int64) float64 { return float64(ns) / 1e6 }
 
 // canonicalRead runs the reference pass (beam-shaped "1111" tag, defaults,
-// seed 1) twice — once to warm the process-wide twiddle/window/buffer
-// caches, once for the record — and returns the second outcome.
+// seed 1) twice — once to warm engine.Default()'s synthesis plan and scene
+// memo and the frame pool, once for the record — and returns the second
+// outcome.
 func canonicalRead(ctx context.Context) (*sim.Outcome, error) {
 	cfg := sim.DriveBy{BeamShaped: true, Seed: 1}
 	if _, err := sim.RunContext(ctx, cfg); err != nil {
@@ -152,25 +153,10 @@ func writeTo(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// appendTrend appends the record as one JSON line to path.
-func appendTrend(path string, rec benchRecord) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f) // Encode terminates the record with \n
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	outPath := flag.String("o", "", "also write the tables to this file")
 	jsonMode := flag.Bool("json", false, "emit a machine-readable benchmark record instead of tables")
-	trendPath := flag.String("trend", "", "append the benchmark record as one JSON line to this file")
 	serveAddr := flag.String("serve", "", "serve /metrics, /debug/flight, /debug/vars and /debug/pprof on this address for the duration of the run (e.g. localhost:6060)")
 	flightPath := flag.String("flight", "", "after the run, dump the flight recorder (recent reads, newest first) as JSON to this file (\"-\" for stdout)")
 	tracePath := flag.String("trace", "", "write the canonical read's span tree as Chrome trace_event JSON to this file (\"-\" for stdout); load in Perfetto")
@@ -320,13 +306,6 @@ func main() {
 	if *flightPath != "" {
 		if err := writeTo(*flightPath, obs.DefaultFlight.WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "rosbench: -flight:", err)
-			os.Exit(1)
-		}
-	}
-
-	if *trendPath != "" {
-		if err := appendTrend(*trendPath, rec); err != nil {
-			fmt.Fprintln(os.Stderr, "rosbench:", err)
 			os.Exit(1)
 		}
 	}

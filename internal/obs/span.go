@@ -183,7 +183,7 @@ func (s *Span) Release() {
 }
 
 // SpanView is the JSON-friendly rendering of a span tree, embedded in
-// rosbench's trend records.
+// flight-recorder entries and rosbench's -json record.
 type SpanView struct {
 	Name     string         `json:"name"`
 	WallMs   float64        `json:"wall_ms,omitempty"`

@@ -291,17 +291,16 @@ func TestPerTenantMetrics(t *testing.T) {
 	}
 }
 
-// TestLoadHarness runs the load harness at reduced scale (the full 1k-read
-// profile belongs to cmd/rosd-load): mixed configurations and tenants over
-// concurrent clients, every read accounted for and decoded right, and the
-// stream's two radar front ends evicting each other from a capacity-1 LRU
-// while reads are in flight.
+// TestLoadHarness runs the load harness (load_test.go): mixed
+// configurations and tenants over concurrent clients, every read accounted
+// for and decoded right, and the stream's two radar front ends evicting
+// each other from a capacity-1 LRU while reads are in flight.
 func TestLoadHarness(t *testing.T) {
 	reads, concurrency := 96, 8
 	if testing.Short() {
 		reads, concurrency = 32, 4
 	}
-	report, err := RunLoad(LoadConfig{
+	report, err := runLoad(loadConfig{
 		Server:      Config{EngineCapacity: 1, MaxQueueDepth: 64},
 		Reads:       reads,
 		Concurrency: concurrency,

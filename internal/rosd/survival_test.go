@@ -27,7 +27,7 @@ func TestFairnessUnderFlood(t *testing.T) {
 	if testing.Short() {
 		reads, burst = 112, 20.0
 	}
-	report, err := RunLoad(LoadConfig{
+	report, err := runLoad(loadConfig{
 		Server: Config{
 			MaxQueueDepth: 512,
 			TenantRate:    1, // refill is negligible over the run; burst is the quota
