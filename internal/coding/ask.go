@@ -124,8 +124,6 @@ type ASKDecoder struct {
 	Delta float64
 	// Lambda is the radar wavelength.
 	Lambda float64
-	// PeakTolerance is the per-slot search half-width (default 0.35*Delta).
-	PeakTolerance float64
 	// Options pass through to ComputeSpectrum.
 	Options SpectrumOptions
 }
@@ -142,11 +140,10 @@ func NewASKDecoder(slots, levels int, delta, lambda float64) (*ASKDecoder, error
 		return nil, fmt.Errorf("coding: ASK decoder requires positive delta and lambda")
 	}
 	return &ASKDecoder{
-		Slots:         slots,
-		Levels:        levels,
-		Delta:         delta,
-		Lambda:        lambda,
-		PeakTolerance: 0.35 * delta,
+		Slots:  slots,
+		Levels: levels,
+		Delta:  delta,
+		Lambda: lambda,
 		// DetrendDivisor 4: a wide envelope average preserves the relative
 		// peak amplitudes the level decisions depend on.
 		Options: SpectrumOptions{Lambda: lambda, Window: dsp.Hann, DetrendDivisor: 4},
@@ -180,7 +177,7 @@ func (d *ASKDecoder) Decode(u, rss []float64) (*ASKResult, error) {
 	amps := make([]float64, d.Slots)
 	for k := 1; k <= d.Slots; k++ {
 		pos := float64(m+k-2) * d.Delta
-		amps[k-1] = spec.AmplitudeAt(pos, d.PeakTolerance)
+		amps[k-1] = spec.AmplitudeAt(pos, peakTolerance*d.Delta)
 	}
 	full, _ := dsp.Max(amps)
 	if full <= 0 {

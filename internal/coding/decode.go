@@ -8,6 +8,10 @@ import (
 	"ros/internal/roserr"
 )
 
+// peakTolerance is the search half-width around each designed peak
+// position, as a fraction of the unit spacing Delta.
+const peakTolerance = 0.35
+
 // Decoder reads bits back out of measured RCS samples. It knows the code
 // parameters (unit spacing, bit count, wavelength) that are fixed at tag
 // fabrication time and published to vehicles, mirroring Sec 5.2.
@@ -18,10 +22,7 @@ type Decoder struct {
 	Delta float64
 	// Lambda is the radar wavelength in meters.
 	Lambda float64
-	// PeakTolerance is the search half-width around each designed peak
-	// position, in meters (default: 0.35 * Delta).
-	PeakTolerance float64
-	// Spectrum options (window, oversampling) pass through to
+	// Spectrum options (window, detrending) pass through to
 	// ComputeSpectrum.
 	Options SpectrumOptions
 }
@@ -36,11 +37,10 @@ func NewDecoder(bits int, delta, lambda float64) (*Decoder, error) {
 		return nil, fmt.Errorf("coding: %w: decoder requires positive delta and lambda (got %g, %g)", roserr.ErrConfig, delta, lambda)
 	}
 	return &Decoder{
-		Bits:          bits,
-		Delta:         delta,
-		Lambda:        lambda,
-		PeakTolerance: 0.35 * delta,
-		Options:       SpectrumOptions{Lambda: lambda, Window: dsp.Hann},
+		Bits:    bits,
+		Delta:   delta,
+		Lambda:  lambda,
+		Options: SpectrumOptions{Lambda: lambda, Window: dsp.Hann},
 	}, nil
 }
 
@@ -87,8 +87,9 @@ func (d *Decoder) DecodeSpectrum(spec *Spectrum) (*Result, error) {
 	for k := 1; k <= d.Bits; k++ {
 		slots[k-1] = float64(m+k-2) * d.Delta
 	}
-	bandLo := slots[0] - d.PeakTolerance
-	bandHi := slots[d.Bits-1] + d.PeakTolerance
+	tol := peakTolerance * d.Delta
+	bandLo := slots[0] - tol
+	bandHi := slots[d.Bits-1] + tol
 
 	// Normalize by the overall power within the coding band (Sec 6).
 	var bandSum float64
@@ -110,7 +111,7 @@ func (d *Decoder) DecodeSpectrum(spec *Spectrum) (*Result, error) {
 	// Peak amplitudes at the designed positions.
 	amps := make([]float64, d.Bits)
 	for i, s := range slots {
-		amps[i] = spec.AmplitudeAt(s, d.PeakTolerance) / norm
+		amps[i] = spec.AmplitudeAt(s, tol) / norm
 	}
 
 	// Noise statistics from coding-band bins away from any slot.
@@ -121,7 +122,7 @@ func (d *Decoder) DecodeSpectrum(spec *Spectrum) (*Result, error) {
 		}
 		nearSlot := false
 		for _, c := range slots {
-			if math.Abs(s-c) < 2*d.PeakTolerance {
+			if math.Abs(s-c) < 2*tol {
 				nearSlot = true
 				break
 			}

@@ -41,27 +41,22 @@ func (s *Spectrum) AmplitudeAt(spacing, tol float64) float64 {
 	return dsp.MaxAround(s.Mag, center, hw)
 }
 
+// spectrumOversample is the FFT zero-padding factor of ComputeSpectrum,
+// for a finer spacing axis.
+const spectrumOversample = 8
+
 // SpectrumOptions controls ComputeSpectrum.
 type SpectrumOptions struct {
 	// Lambda is the signal wavelength in meters (required).
 	Lambda float64
 	// Window tapers the u-domain samples; Hann by default.
 	Window dsp.Window
-	// OversampleFactor zero-pads the FFT by this factor for a finer
-	// spacing axis (default 8).
-	OversampleFactor int
-	// GridPoints is the number of uniform u samples to interpolate onto
-	// (default: next power of two >= 2x input length, min 256).
-	GridPoints int
-	// DetrendHalfWindow is the moving-average half window (in grid
-	// samples) used to strip the single-stack envelope r_T(theta) before
-	// the FFT (default: GridPoints/DetrendDivisor).
-	DetrendHalfWindow int
-	// DetrendDivisor sets the default half window as a fraction of the
-	// grid (default 16). Amplitude-sensitive decoders (ASK) use a smaller
-	// divisor — a wider average — because a short window leaves tone
-	// residue in the envelope estimate and the division then distorts
-	// relative peak amplitudes.
+	// DetrendDivisor sets the moving-average half window that strips the
+	// single-stack envelope r_T(theta) before the FFT, as a fraction of
+	// the grid (default 16). Amplitude-sensitive decoders (ASK) use a
+	// smaller divisor — a wider average — because a short window leaves
+	// tone residue in the envelope estimate and the division then
+	// distorts relative peak amplitudes.
 	DetrendDivisor int
 	// DisableDetrend skips envelope removal entirely (mean subtraction
 	// only); used by the detrending ablation.
@@ -88,12 +83,9 @@ func ComputeSpectrum(u, rss []float64, opts SpectrumOptions) (*Spectrum, error) 
 	if uMax-uMin < 1e-6 {
 		return nil, fmt.Errorf("coding: %w: degenerate u span [%g, %g]", roserr.ErrUndecodable, uMin, uMax)
 	}
-	n := opts.GridPoints
-	if n == 0 {
-		n = dsp.NextPow2(2 * len(u))
-		if n < 256 {
-			n = 256
-		}
+	n := dsp.NextPow2(2 * len(u))
+	if n < 256 {
+		n = 256
 	}
 	grid, vals, err := dsp.Resample(u, rss, uMin, uMax, n)
 	if err != nil {
@@ -103,15 +95,11 @@ func ComputeSpectrum(u, rss []float64, opts SpectrumOptions) (*Spectrum, error) 
 	if opts.DisableDetrend {
 		det = append([]float64(nil), vals...)
 	} else {
-		hw := opts.DetrendHalfWindow
-		if hw == 0 {
-			div := opts.DetrendDivisor
-			if div == 0 {
-				div = 16
-			}
-			hw = n / div
+		div := opts.DetrendDivisor
+		if div == 0 {
+			div = 16
 		}
-		det, _ = dsp.Detrend(vals, hw)
+		det, _ = dsp.Detrend(vals, n/div)
 	}
 	// Non-finite samples — NaN/Inf in the input, or envelope division
 	// overflowing on extreme magnitudes — would smear NaN across every FFT
@@ -127,11 +115,7 @@ func ComputeSpectrum(u, rss []float64, opts SpectrumOptions) (*Spectrum, error) 
 	}
 	opts.Window.ApplyFloat(det)
 
-	over := opts.OversampleFactor
-	if over == 0 {
-		over = 8
-	}
-	m := dsp.NextPow2(n * over)
+	m := dsp.NextPow2(n * spectrumOversample)
 	x := make([]complex128, m)
 	for i, v := range det {
 		x[i] = complex(v, 0)

@@ -32,11 +32,11 @@ func spotlightFixture(b *testing.B) (*Pipeline, []frameData, *decodeReader, []cl
 	for _, fd := range frames {
 		merged = append(merged, fd.points...)
 	}
-	labels := cluster.DBSCAN(merged, p.ClusterEps, p.ClusterMinPts)
+	labels := cluster.DBSCAN(merged, clusterEps, clusterMinPts)
 	stats := cluster.Summarize(merged, labels, p.Radar.RangeResolution())
 	var cands []cluster.Stats
 	for _, st := range stats {
-		if st.Count >= p.MinClusterFrames {
+		if st.Count >= minClusterFrames {
 			cands = append(cands, st)
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkSpotlight(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, st := range cands {
-			p.classifyObject(st, frames, dec, truth, 14.2, 0.18)
+			p.classifyObject(st, frames, dec, truth, 0.18)
 		}
 	}
 }

@@ -78,27 +78,30 @@ var (
 		"non-finite baseband samples zeroed before the range transform")
 )
 
+// The Sec 6 clustering and classification thresholds.
+const (
+	// clusterEps is the DBSCAN neighbourhood radius in meters.
+	clusterEps = 0.25
+	// clusterMinPts is the DBSCAN core threshold: real object clusters
+	// accumulate hundreds of points over a pass, so a strict core rule
+	// keeps sparse strays from bridging neighbouring objects.
+	clusterMinPts = 10
+	// minClusterFrames drops clusters seen in too few frames, the density
+	// filter of Sec 6: real objects accumulate hundreds of points over a
+	// pass while multipath ghosts appear in a handful.
+	minClusterFrames = 25
+	// tagMaxRSSLossDB is the RSS-loss feature threshold: tags lose less
+	// than this when the radar switches polarization (between the tag's
+	// ~13 and clutter's 16-19 dB, Fig 13a; weak clutter reads slightly
+	// below its true rejection near the noise floor, so the threshold
+	// leans toward the tag's side).
+	tagMaxRSSLossDB = 14.2
+)
+
 // Pipeline holds the detector configuration.
 type Pipeline struct {
 	// Radar is the interrogating radar.
 	Radar radar.Config
-	// ClusterEps is the DBSCAN neighbourhood radius in meters (default
-	// 0.25).
-	ClusterEps float64
-	// ClusterMinPts is the DBSCAN core threshold (default 10; real object
-	// clusters accumulate hundreds of points over a pass, so a strict core
-	// rule keeps sparse strays from bridging neighbouring objects).
-	ClusterMinPts int
-	// MinClusterFrames drops clusters seen in too few frames (default 25,
-	// the density filter of Sec 6; real objects accumulate hundreds of
-	// points over a pass while multipath ghosts appear in a handful).
-	MinClusterFrames int
-	// TagMaxRSSLossDB is the RSS-loss feature threshold: tags lose less
-	// than this when the radar switches polarization (default 14.2 dB,
-	// between the tag's ~13 and clutter's 16-19 dB, Fig 13a; weak clutter
-	// reads slightly below its true rejection near the noise floor, so the
-	// threshold leans toward the tag's side).
-	TagMaxRSSLossDB float64
 	// TagMaxExtent is the point-cloud size feature threshold in meters
 	// (default 0.18: the tag's compact cloud measures 0.08-0.16 after
 	// range quantization, angle-estimation blur, and platform vibration at
@@ -118,8 +121,6 @@ type Pipeline struct {
 	// spotlight passes; 0 uses GOMAXPROCS. The output is identical at any
 	// worker count.
 	Workers int
-	// Detect options for per-frame point clouds.
-	Detect radar.DetectOptions
 	// Fault injects deterministic faults into the frame loop (nil = off;
 	// see internal/fault). With Fault nil the pipeline's output is
 	// byte-identical to a build that never loads the fault layer.
@@ -143,10 +144,6 @@ type Pipeline struct {
 func NewPipeline(cfg radar.Config) *Pipeline {
 	return &Pipeline{
 		Radar:               cfg,
-		ClusterEps:          0.25,
-		ClusterMinPts:       10,
-		MinClusterFrames:    25,
-		TagMaxRSSLossDB:     14.2,
 		TagMaxExtent:        0.18,
 		DecodeAzimuthCapDeg: 60,
 	}
@@ -161,14 +158,6 @@ func (p *Pipeline) Validate() error {
 		return err
 	}
 	switch {
-	case p.ClusterEps < 0 || math.IsNaN(p.ClusterEps):
-		return fmt.Errorf("detect: %w: negative cluster eps %g", roserr.ErrConfig, p.ClusterEps)
-	case p.ClusterMinPts < 0:
-		return fmt.Errorf("detect: %w: negative cluster min points %d", roserr.ErrConfig, p.ClusterMinPts)
-	case p.MinClusterFrames < 0:
-		return fmt.Errorf("detect: %w: negative min cluster frames %d", roserr.ErrConfig, p.MinClusterFrames)
-	case p.TagMaxRSSLossDB < 0 || math.IsNaN(p.TagMaxRSSLossDB):
-		return fmt.Errorf("detect: %w: negative RSS-loss threshold %g", roserr.ErrConfig, p.TagMaxRSSLossDB)
 	case p.TagMaxExtent < 0 || math.IsNaN(p.TagMaxExtent):
 		return fmt.Errorf("detect: %w: negative extent threshold %g", roserr.ErrConfig, p.TagMaxExtent)
 	case p.DecodeAzimuthCapDeg < 0 || p.DecodeAzimuthCapDeg > 90:
@@ -429,7 +418,7 @@ func (p *Pipeline) resources() *engine.Engine {
 // extractPoints converts the frame's detection-mode point cloud into world
 // coordinates via the plan's scan path.
 func (p *Pipeline) extractPoints(fd *frameData, pose geom.Vec3, plan *radar.SynthPlan) {
-	for _, d := range plan.PointCloudScan(fd.det, p.Detect) {
+	for _, d := range plan.PointCloudScan(fd.det) {
 		// Radar at y > 0 looks toward -y; a detection at (range, az)
 		// sits at radar + range*(sin az, -cos az).
 		world := pose.XY().Add(geom.Vec2{
@@ -445,7 +434,7 @@ func (p *Pipeline) extractPoints(fd *frameData, pose geom.Vec3, plan *radar.Synt
 // randomness is dec's keyed bin noise and it touches only read-only state,
 // so objects classify concurrently on the sweep pool. Frames without usable
 // profiles (dropped or never synthesized) are skipped.
-func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, dec *decodeReader, truth []geom.Vec3, lossThresh, extThresh float64) ObjectReport {
+func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, dec *decodeReader, truth []geom.Vec3, extThresh float64) ObjectReport {
 	report := ObjectReport{Centroid: st.Centroid, Extent: st.Extent, Points: st.Count}
 	// Subtract the expected beamformed noise power so weak decode-mode
 	// readings do not bias the loss feature low.
@@ -480,7 +469,7 @@ func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, dec *dec
 	} else {
 		report.MedianRSSDetectDBm = math.Inf(-1)
 	}
-	report.IsTag = report.RSSLossDB < lossThresh && report.Extent < extThresh
+	report.IsTag = report.RSSLossDB < tagMaxRSSLossDB && report.Extent < extThresh
 	return report
 }
 
@@ -540,22 +529,6 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	if err := context.Cause(ctx); err != nil {
 		sp.Release()
 		return nil, fmt.Errorf("detect: read cancelled before the first frame: %w: %w", roserr.ErrReadCancelled, err)
-	}
-	eps := p.ClusterEps
-	if eps <= 0 {
-		eps = 0.25
-	}
-	minPts := p.ClusterMinPts
-	if minPts <= 0 {
-		minPts = 10
-	}
-	minFrames := p.MinClusterFrames
-	if minFrames <= 0 {
-		minFrames = 25
-	}
-	lossThresh := p.TagMaxRSSLossDB
-	if lossThresh == 0 {
-		lossThresh = 14.2
 	}
 	extThresh := p.TagMaxExtent
 	if extThresh == 0 {
@@ -684,7 +657,7 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	}
 
 	clusterSp := sp.StartChild(SpanCluster)
-	labels := cluster.DBSCAN(merged, eps, minPts)
+	labels := cluster.DBSCAN(merged, clusterEps, clusterMinPts)
 	stats := cluster.Summarize(merged, labels, p.Radar.RangeResolution())
 	clusterSp.End()
 	clusterSp.SetAttr("points", len(merged))
@@ -710,7 +683,7 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	}
 	var cands []cluster.Stats
 	for _, st := range stats {
-		if st.Count >= minFrames {
+		if st.Count >= minClusterFrames {
 			cands = append(cands, st)
 		}
 	}
@@ -719,7 +692,7 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	if len(cands) > 0 {
 		reports, _, err := sweep.RunCtx(ctx, len(cands), p.Workers, func(_ context.Context, ci int) (ObjectReport, error) {
 			t0 := time.Now()
-			report := p.classifyObject(cands[ci], frames, dec, truth, lossThresh, extThresh)
+			report := p.classifyObject(cands[ci], frames, dec, truth, extThresh)
 			spotSp.Add(time.Since(t0))
 			return report, nil
 		})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -164,34 +163,6 @@ func TestTagSamplesFeedDecoder(t *testing.T) {
 	}
 	if out.SNRdB < 10 {
 		t.Errorf("end-to-end SNR = %g dB, want >= 10", out.SNRdB)
-	}
-}
-
-func TestMinClusterFramesDefaultAligned(t *testing.T) {
-	// Regression for the 10-vs-25 inconsistency: the constructor default,
-	// the zero-value fallback in Run, and the field doc must all agree on
-	// the paper's Sec 6 density filter.
-	p := NewPipeline(radar.TI1443())
-	if p.MinClusterFrames != 25 {
-		t.Fatalf("NewPipeline MinClusterFrames = %d, want 25 (Sec 6 density filter)", p.MinClusterFrames)
-	}
-	rng := rand.New(rand.NewSource(11))
-	sc := buildScene(t, "1111", true, rng)
-	truth := passPositions(3, 150)
-	a, err := p.Run(sc, truth, truth, geom.Vec3{X: 2}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := NewPipeline(radar.TI1443())
-	q.MinClusterFrames = 0 // Run must fall back to the same default
-	b, err := q.Run(sc, truth, truth, geom.Vec3{X: 2}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Objects, b.Objects) || a.TagIndex != b.TagIndex ||
-		!reflect.DeepEqual(a.TagU, b.TagU) || !reflect.DeepEqual(a.TagRSS, b.TagRSS) {
-		t.Errorf("zero-value MinClusterFrames diverged from the constructor default:\n%+v\nvs\n%+v",
-			a.Objects, b.Objects)
 	}
 }
 

@@ -25,11 +25,6 @@ func TestPipelineValidateRejections(t *testing.T) {
 		mutate func(*Pipeline)
 	}{
 		{"bad radar", func(p *Pipeline) { p.Radar.Samples = 0 }},
-		{"negative cluster eps", func(p *Pipeline) { p.ClusterEps = -0.1 }},
-		{"NaN cluster eps", func(p *Pipeline) { p.ClusterEps = math.NaN() }},
-		{"negative min points", func(p *Pipeline) { p.ClusterMinPts = -1 }},
-		{"negative min frames", func(p *Pipeline) { p.MinClusterFrames = -1 }},
-		{"negative rss-loss threshold", func(p *Pipeline) { p.TagMaxRSSLossDB = -1 }},
 		{"negative extent", func(p *Pipeline) { p.TagMaxExtent = -0.5 }},
 		{"azimuth cap above 90", func(p *Pipeline) { p.DecodeAzimuthCapDeg = 91 }},
 		{"negative workers", func(p *Pipeline) { p.Workers = -2 }},

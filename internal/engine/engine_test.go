@@ -129,7 +129,7 @@ func TestCloseClearsCaches(t *testing.T) {
 		defer radar.ReleaseFrame(f)
 		rp := p.RangeProfile(f)
 		defer radar.ReleaseProfile(rp)
-		return append([]complex128(nil), f.Data...), p.PointCloudScan(rp, radar.DetectOptions{})
+		return append([]complex128(nil), f.Data...), p.PointCloudScan(rp)
 	}
 	p := e.SynthPlan(c)
 	beforeFrame, beforeCloud := synth(p)

@@ -2,72 +2,8 @@ package radar
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
-
-func TestCFARDetectsTargetsInColoredNoise(t *testing.T) {
-	// A target on a locally raised floor: global-median thresholding would
-	// need a bigger margin, CFAR adapts.
-	n := 256
-	power := make([]float64, n)
-	for i := range power {
-		power[i] = 1.0
-		if i > 128 {
-			power[i] = 10 // clutter shelf
-		}
-	}
-	power[60] = 100   // 20 dB over its local floor
-	power[200] = 1000 // 20 dB over the shelf
-	dets := CFARDetect(power, CFAROptions{ThresholdDB: 13})
-	found60, found200 := false, false
-	for _, d := range dets {
-		switch d {
-		case 60:
-			found60 = true
-		case 200:
-			found200 = true
-		}
-	}
-	if !found60 || !found200 {
-		t.Errorf("detections %v, want 60 and 200", dets)
-	}
-	// Shelf cells themselves must not fire (they match their local floor).
-	for _, d := range dets {
-		if d != 60 && d != 200 && d < 129 || d > 201 {
-			continue
-		}
-	}
-	if len(dets) > 6 {
-		t.Errorf("too many detections: %v", dets)
-	}
-}
-
-func TestCFAREdges(t *testing.T) {
-	if dets := CFARDetect(nil, CFAROptions{}); len(dets) != 0 {
-		t.Errorf("detections on empty input: %v", dets)
-	}
-	// A single strong cell at the array edge still detects via one-sided
-	// training.
-	power := make([]float64, 64)
-	for i := range power {
-		power[i] = 1
-	}
-	power[0] = 1e4
-	dets := CFARDetect(power, CFAROptions{})
-	if len(dets) != 1 || dets[0] != 0 {
-		t.Errorf("edge detection = %v, want [0]", dets)
-	}
-}
-
-func TestCFARPanicsOnBadOptions(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative guard accepted")
-		}
-	}()
-	CFARDetect([]float64{1, 2, 3}, CFAROptions{Guard: -1, Training: 4})
-}
 
 func TestDopplerEstimatesVelocity(t *testing.T) {
 	c := TI1443()
@@ -131,33 +67,5 @@ func TestDopplerMapStationaryTargetAtZero(t *testing.T) {
 	}
 	if math.Abs(vel[idx]) > 1e-9 {
 		t.Errorf("stationary target at velocity %g", vel[idx])
-	}
-}
-
-func TestPointCloudWithCFAR(t *testing.T) {
-	c := TI1443()
-	rng := rand.New(rand.NewSource(31))
-	amp := math.Sqrt(c.NoisePerBin()) * 100
-	f := c.Synthesize([]Scatterer{
-		{Range: 3, Azimuth: 0.2, Amplitude: amp},
-		{Range: 6, Azimuth: -0.3, Amplitude: amp},
-	}, rng)
-	dets := c.PointCloud(f, DetectOptions{UseCFAR: true})
-	found3, found6 := false, false
-	for _, d := range dets {
-		if math.Abs(d.Range-3) < 0.15 {
-			found3 = true
-		}
-		if math.Abs(d.Range-6) < 0.15 {
-			found6 = true
-		}
-	}
-	if !found3 || !found6 {
-		t.Errorf("CFAR point cloud missed targets: %+v", dets)
-	}
-	// CFAR and median paths agree on a clean scene.
-	med := c.PointCloud(f, DetectOptions{})
-	if len(med) == 0 {
-		t.Error("median path found nothing")
 	}
 }

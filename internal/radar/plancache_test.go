@@ -43,7 +43,7 @@ func TestCacheGaugesAndReset(t *testing.T) {
 		defer radar.ReleaseFrame(f)
 		rp := p.RangeProfile(f)
 		defer radar.ReleaseProfile(rp)
-		return append([]complex128(nil), f.Data...), p.PointCloudScan(rp, radar.DetectOptions{})
+		return append([]complex128(nil), f.Data...), p.PointCloudScan(rp)
 	}
 	beforeFrame, beforeCloud := run(e.SynthPlan(c))
 	if len(beforeCloud) == 0 {

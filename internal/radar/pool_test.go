@@ -55,7 +55,7 @@ func TestFramePoolSharedAcrossPlans(t *testing.T) {
 			f := p.Synthesize(scat, g)
 			rp := p.RangeProfile(f)
 			ReleaseFrame(f)
-			p.PointCloudScan(rp, DetectOptions{})
+			p.PointCloudScan(rp)
 			ReleaseProfile(rp)
 		}
 	}

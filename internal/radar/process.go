@@ -182,49 +182,24 @@ type Detection struct {
 	Power float64
 }
 
-// DetectOptions tunes point-cloud extraction.
-type DetectOptions struct {
-	// ThresholdDB is the detection threshold above the estimated noise
-	// floor (default 12 dB).
-	ThresholdDB float64
-	// MaxPerBin caps the number of angular peaks kept per range bin
-	// (default 2).
-	MaxPerBin int
-	// MinRange drops the DC/leakage region (default: 4 range bins).
-	MinRange float64
-	// UseCFAR replaces the global median threshold with cell-averaging
-	// CFAR (see CFARDetect), which stays calibrated when clutter raises
-	// the floor locally.
-	UseCFAR bool
-	// CFAR tunes the CFAR detector when UseCFAR is set.
-	CFAR CFAROptions
-}
-
-// PointCloud extracts detections from a frame through a fresh plan: per
-// range bin, non-coherent power across channels against a median-based noise
-// estimate, then an AoA scan for bins above threshold (the standard flow of
-// Sec 3.2). See SynthPlan.PointCloudScan.
-func (c Config) PointCloud(f Frame, opts DetectOptions) []Detection {
-	p := c.NewSynthPlan()
-	return p.PointCloudScan(p.RangeProfile(f), opts)
-}
+// Point-cloud extraction constants (the standard flow of Sec 3.2).
+const (
+	// detectThresholdDB is the detection threshold above the median
+	// noise floor.
+	detectThresholdDB = 12
+	// maxPeaksPerBin caps the number of angular peaks kept per range bin.
+	maxPeaksPerBin = 2
+	// minRangeBins drops the DC/leakage region below this many range bins.
+	minRangeBins = 4
+)
 
 // PointCloudScan extracts detections from an already-computed range profile
 // against the plan's captured steering table. Each frame is scanned on its
 // own: the channel-summed power's median sets the noise floor, and every
-// bin in 1..n-2 past MinRange that clears the threshold as a local maximum
-// (or is a CFAR hit under UseCFAR) gets an AoA scan.
-func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions) []Detection {
-	c := p.cfg
-	if opts.ThresholdDB == 0 {
-		opts.ThresholdDB = 12
-	}
-	if opts.MaxPerBin == 0 {
-		opts.MaxPerBin = 2
-	}
-	if opts.MinRange == 0 {
-		opts.MinRange = 4 * c.RangeBinSize()
-	}
+// bin in 1..n-2 past the leakage region that clears the threshold as a
+// local maximum gets an AoA scan.
+func (p *SynthPlan) PointCloudScan(rp RangeProfile) []Detection {
+	minRange := minRangeBins * p.cfg.RangeBinSize()
 	n := len(rp.Bins[0])
 
 	// Non-coherent channel-summed power per range bin. The power sum and
@@ -249,18 +224,7 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions) []Detect
 	if noise <= 0 {
 		noise = 1e-30
 	}
-	thresh := noise * dsp.FromDB(opts.ThresholdDB)
-	var cfarHits []bool
-	if opts.UseCFAR {
-		cfar := opts.CFAR
-		if cfar.ThresholdDB == 0 {
-			cfar.ThresholdDB = opts.ThresholdDB
-		}
-		cfarHits = make([]bool, n)
-		for _, idx := range CFARDetect(power, cfar) {
-			cfarHits[idx] = true
-		}
-	}
+	thresh := noise * dsp.FromDB(detectThresholdDB)
 
 	angles := p.steer.angles
 	// The median scratch is free again; it holds the AoA spectrum when the
@@ -274,15 +238,11 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions) []Detect
 	mScanFull.Inc()
 	var out []Detection
 	for i := 1; i < n-1; i++ {
-		if opts.UseCFAR {
-			if !cfarHits[i] {
-				continue
-			}
-		} else if power[i] < thresh || power[i] < power[i-1] || power[i] <= power[i+1] {
+		if power[i] < thresh || power[i] < power[i-1] || power[i] <= power[i+1] {
 			continue
 		}
 		r := float64(i) * rp.BinSize
-		if r < opts.MinRange {
+		if r < minRange {
 			continue
 		}
 		p.AoASpectrumInto(spec, rp, i, angles)
@@ -291,8 +251,8 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, opts DetectOptions) []Detect
 		maxSpec, _ := dsp.Max(spec)
 		minHeight := math.Max(dsp.Mean(spec), 0.2*maxSpec)
 		peaks := dsp.FindPeaks(spec, minHeight, 3)
-		if len(peaks) > opts.MaxPerBin {
-			peaks = peaks[:opts.MaxPerBin]
+		if len(peaks) > maxPeaksPerBin {
+			peaks = peaks[:maxPeaksPerBin]
 		}
 		for _, pk := range peaks {
 			az := angles[0] + pk.Pos*(angles[1]-angles[0])

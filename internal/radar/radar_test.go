@@ -192,7 +192,8 @@ func TestPointCloudFindsObjects(t *testing.T) {
 		{Range: 3, Azimuth: geom.Rad(10), Amplitude: amp},
 		{Range: 5.5, Azimuth: geom.Rad(-25), Amplitude: amp},
 	}, rng)
-	dets := c.PointCloud(f, DetectOptions{})
+	plan := c.NewSynthPlan()
+	dets := plan.PointCloudScan(plan.RangeProfile(f))
 	if len(dets) < 2 {
 		t.Fatalf("detected %d points, want >= 2", len(dets))
 	}
@@ -214,7 +215,8 @@ func TestPointCloudEmptyOnNoise(t *testing.T) {
 	c := TI1443()
 	rng := rand.New(rand.NewSource(4))
 	f := c.Synthesize(nil, rng)
-	dets := c.PointCloud(f, DetectOptions{ThresholdDB: 15})
+	plan := c.NewSynthPlan()
+	dets := plan.PointCloudScan(plan.RangeProfile(f))
 	if len(dets) > 2 {
 		t.Errorf("noise-only frame produced %d detections", len(dets))
 	}

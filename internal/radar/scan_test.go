@@ -18,11 +18,11 @@ func TestPointCloudScanAllocFree(t *testing.T) {
 	if rp.buf == nil {
 		t.Fatal("range profile is not pooled")
 	}
-	if dets := plan.PointCloudScan(rp, DetectOptions{}); len(dets) != 0 {
+	if dets := plan.PointCloudScan(rp); len(dets) != 0 {
 		t.Fatalf("noise-only profile produced %d detections", len(dets))
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		plan.PointCloudScan(rp, DetectOptions{})
+		plan.PointCloudScan(rp)
 	}); allocs != 0 {
 		t.Errorf("PointCloudScan allocated %v times per run, want 0", allocs)
 	}
@@ -42,6 +42,6 @@ func BenchmarkPointCloudScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.PointCloudScan(rp, DetectOptions{})
+		plan.PointCloudScan(rp)
 	}
 }

@@ -219,8 +219,7 @@ func TestChaosNoGoroutineLeak(t *testing.T) {
 				c := chaosClient(u, 2)
 				c.sleep = func(ctx context.Context, d time.Duration) error { return nil }
 				var out map[string]any
-				// Hedged on top, so hedge goroutines are exercised too.
-				_ = c.DoHedged(context.Background(), "/v1/read", map[string]any{}, &out)
+				_ = c.Do(context.Background(), "/v1/read", map[string]any{}, &out)
 			}(url)
 		}
 	}

@@ -15,12 +15,6 @@
 // terminal and surface as the matching sentinel, so errors.Is works across
 // the HTTP boundary.
 //
-// DoHedged adds optional hedged requests for idempotent calls (a seeded
-// read is deterministic, so duplicated execution is safe): when the primary
-// attempt has not answered within HedgeDelay, a second identical request
-// races it and the first success wins, bounding tail latency under a slow
-// or half-dead server.
-//
 // Response bodies are read through a hard size limit, so a misbehaving
 // server cannot balloon client memory. The retry schedule is a pure
 // function of the configured seed (SplitMix64 jitter), pinned by test.
@@ -46,11 +40,9 @@ import (
 // registration and tests build many clients per process.
 var (
 	mAttempts = obs.Default.Counter("ros_rosclient_attempts_total",
-		"HTTP attempts sent (including retries and hedges).")
+		"HTTP attempts sent (including retries).")
 	mRetries = obs.Default.Counter("ros_rosclient_retries_total",
 		"Attempts that were retries of a failed call.")
-	mHedges = obs.Default.Counter("ros_rosclient_hedges_total",
-		"Hedge requests launched after HedgeDelay without an answer.")
 	mThrottledResp = obs.Default.Counter("ros_rosclient_throttled_total",
 		"Backpressure responses observed (429 overload, 503 draining).")
 	mBreakerOpens = obs.Default.Counter("ros_rosclient_breaker_opens_total",
@@ -101,10 +93,6 @@ type Config struct {
 	// BreakerCooldown is how long an open circuit fails fast before the
 	// half-open probe (default 1s).
 	BreakerCooldown time.Duration
-	// HedgeDelay, when positive, arms DoHedged: a second identical request
-	// races the first one HedgeDelay after it was sent. Keep it at or
-	// above the server's p95 latency.
-	HedgeDelay time.Duration
 	// MaxResponseBytes bounds response bodies (default 8 MiB); larger
 	// bodies yield ErrBadResponse without buffering the excess.
 	MaxResponseBytes int64
@@ -149,7 +137,6 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	Attempts  int64 // HTTP attempts sent
 	Retries   int64 // attempts that were retries
-	Hedges    int64 // hedge requests launched
 	Throttles int64 // 429/503 backpressure responses observed
 	FastFails int64 // calls refused by an open breaker
 	Opens     int64 // breaker open transitions
@@ -166,7 +153,6 @@ type Client struct {
 
 	attempts  atomic.Int64
 	retries   atomic.Int64
-	hedges    atomic.Int64
 	throttles atomic.Int64
 	fastFails atomic.Int64
 	opens     atomic.Int64
@@ -205,7 +191,6 @@ func (c *Client) Stats() Stats {
 	return Stats{
 		Attempts:  c.attempts.Load(),
 		Retries:   c.retries.Load(),
-		Hedges:    c.hedges.Load(),
 		Throttles: c.throttles.Load(),
 		FastFails: c.fastFails.Load(),
 		Opens:     c.opens.Load(),
@@ -217,19 +202,6 @@ func (c *Client) Stats() Stats {
 // open breaker. The returned error wraps the matching roserr sentinel (or
 // ErrTransport/ErrBadResponse), so callers branch with errors.Is.
 func (c *Client) Do(ctx context.Context, path string, in, out any) error {
-	return c.call(ctx, path, in, out, false)
-}
-
-// DoHedged is Do for idempotent requests: when HedgeDelay is configured and
-// an attempt has not answered within it, a second identical request races
-// the first and the first success wins. Only use it for calls that are safe
-// to execute twice — seeded reads are (deterministic physics), mutations in
-// general are not.
-func (c *Client) DoHedged(ctx context.Context, path string, in, out any) error {
-	return c.call(ctx, path, in, out, c.cfg.HedgeDelay > 0)
-}
-
-func (c *Client) call(ctx context.Context, path string, in, out any, hedged bool) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("rosclient: encode request: %w", err)
@@ -253,7 +225,7 @@ func (c *Client) call(ctx context.Context, path string, in, out any, hedged bool
 				return fmt.Errorf("rosclient: retry wait: %w: last error: %w", err, lastErr)
 			}
 		}
-		payload, ra, err := c.attempt(ctx, path, body, hedged)
+		payload, ra, err := c.attempt(ctx, path, body)
 		if err == nil {
 			if out == nil {
 				return nil
@@ -341,16 +313,8 @@ func (c *Client) reportBreaker(path string, err error) {
 	}
 }
 
-// onceResult is one wire attempt's outcome.
-type onceResult struct {
-	payload    []byte
-	retryAfter time.Duration
-	err        error
-}
-
-// attempt performs one logical attempt — a single request, or a hedged pair
-// when hedged — behind the endpoint's circuit breaker.
-func (c *Client) attempt(ctx context.Context, path string, body []byte, hedged bool) ([]byte, time.Duration, error) {
+// attempt performs one request behind the endpoint's circuit breaker.
+func (c *Client) attempt(ctx context.Context, path string, body []byte) ([]byte, time.Duration, error) {
 	b := c.breakerFor(path)
 	c.mu.Lock()
 	allowErr := b.allow(c.now())
@@ -360,54 +324,13 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, hedged b
 		c.fastFails.Add(1)
 		return nil, 0, allowErr
 	}
-
-	var r onceResult
-	if hedged {
-		r = c.hedgedOnce(ctx, path, body)
-	} else {
-		r = c.once(ctx, path, body)
-	}
-	c.reportBreaker(path, r.err)
-	return r.payload, r.retryAfter, r.err
-}
-
-// hedgedOnce races a primary request against a hedge launched HedgeDelay
-// later; the first success wins and cancels the loser. When both fail the
-// primary's error reports.
-func (c *Client) hedgedOnce(ctx context.Context, path string, body []byte) onceResult {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan onceResult, 2)
-	run := func() { ch <- c.once(hctx, path, body) }
-	go run()
-	timer := time.NewTimer(c.cfg.HedgeDelay)
-	defer timer.Stop()
-	pending, launched := 1, 1
-	var first *onceResult
-	for pending > 0 {
-		select {
-		case r := <-ch:
-			pending--
-			if r.err == nil {
-				return r
-			}
-			if first == nil {
-				first = &r
-			}
-		case <-timer.C:
-			if launched == 1 {
-				launched, pending = 2, pending+1
-				mHedges.Inc()
-				c.hedges.Add(1)
-				go run()
-			}
-		}
-	}
-	return *first
+	payload, retryAfter, err := c.once(ctx, path, body)
+	c.reportBreaker(path, err)
+	return payload, retryAfter, err
 }
 
 // once sends one request and classifies the response.
-func (c *Client) once(ctx context.Context, path string, body []byte) onceResult {
+func (c *Client) once(ctx context.Context, path string, body []byte) ([]byte, time.Duration, error) {
 	mAttempts.Inc()
 	c.attempts.Add(1)
 	actx := ctx
@@ -418,32 +341,32 @@ func (c *Client) once(ctx context.Context, path string, body []byte) onceResult 
 	}
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
-		return onceResult{err: fmt.Errorf("rosclient: build request: %w", err)}
+		return nil, 0, fmt.Errorf("rosclient: build request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.http.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The caller's context died, not the attempt's; terminal.
-			return onceResult{err: fmt.Errorf("rosclient: %w", ctx.Err())}
+			return nil, 0, fmt.Errorf("rosclient: %w", ctx.Err())
 		}
-		return onceResult{err: fmt.Errorf("%w: %v", ErrTransport, err)}
+		return nil, 0, fmt.Errorf("%w: %v", ErrTransport, err)
 	}
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxResponseBytes+1))
 	if err != nil {
 		if ctx.Err() != nil {
-			return onceResult{err: fmt.Errorf("rosclient: %w", ctx.Err())}
+			return nil, 0, fmt.Errorf("rosclient: %w", ctx.Err())
 		}
-		return onceResult{err: fmt.Errorf("%w: reading body: %v", ErrTransport, err)}
+		return nil, 0, fmt.Errorf("%w: reading body: %v", ErrTransport, err)
 	}
 	if int64(len(payload)) > c.cfg.MaxResponseBytes {
-		return onceResult{err: fmt.Errorf("%w: body exceeds %d bytes", ErrBadResponse, c.cfg.MaxResponseBytes)}
+		return nil, 0, fmt.Errorf("%w: body exceeds %d bytes", ErrBadResponse, c.cfg.MaxResponseBytes)
 	}
 	if resp.StatusCode == http.StatusOK {
-		return onceResult{payload: payload}
+		return payload, 0, nil
 	}
-	return onceResult{retryAfter: parseRetryAfter(resp.Header, c.now()), err: c.statusError(resp.StatusCode, payload)}
+	return nil, parseRetryAfter(resp.Header, c.now()), c.statusError(resp.StatusCode, payload)
 }
 
 // statusError turns a non-200 response into a typed error: the service's

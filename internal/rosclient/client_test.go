@@ -250,41 +250,3 @@ func TestBreakerFastFail(t *testing.T) {
 		t.Fatalf("call after breaker closed: %v", err)
 	}
 }
-
-// TestHedgedRead checks a slow primary is overtaken by the hedge and the
-// caller sees the fast answer.
-func TestHedgedRead(t *testing.T) {
-	var hits atomic.Int64
-	release := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			// Primary stalls until the test ends.
-			select {
-			case <-release:
-			case <-r.Context().Done():
-			}
-			return
-		}
-		w.Write([]byte(`{"n":7}`))
-	}))
-	defer ts.Close()
-	defer close(release)
-
-	c := New(Config{BaseURL: ts.URL, HedgeDelay: 10 * time.Millisecond, MaxRetries: 1})
-	var out struct {
-		N int `json:"n"`
-	}
-	start := time.Now()
-	if err := c.DoHedged(context.Background(), "/v1/read", map[string]any{}, &out); err != nil {
-		t.Fatalf("DoHedged: %v", err)
-	}
-	if out.N != 7 {
-		t.Fatalf("out.N = %d, want 7 (hedge answer)", out.N)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hedged read took %v; hedge did not overtake the stalled primary", elapsed)
-	}
-	if got := c.Stats(); got.Hedges != 1 {
-		t.Fatalf("stats = %+v, want 1 hedge", got)
-	}
-}

@@ -52,10 +52,10 @@ type loadConfig struct {
 // tenantReport is one tenant's slice of a load run, as its clients saw it.
 type tenantReport struct {
 	Tenant string
-	// Reads is the tenant's share of the stream; OK completed without a
-	// typed error and without decoding other bits than requested;
-	// Throttled were refused by quota (in-result overload errors or whole
-	// batches still 429 after retries).
+	// Reads is the tenant's share of the stream; OK decoded exactly the
+	// requested bits (outcome ok: no_tag, undecodable, partial and misread
+	// reads are not goodput); Throttled were refused by quota (in-result
+	// overload errors or whole batches still 429 after retries).
 	Reads, OK, Throttled int
 }
 
@@ -181,7 +181,7 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 						if r.Error.Kind == "overload" {
 							tr.Throttled++
 						}
-					case outcome != outcomeMisread:
+					case outcome == outcomeOK:
 						tr.OK++
 					}
 				}

@@ -18,20 +18,21 @@ type job struct {
 	wg       *sync.WaitGroup
 }
 
+// tenantCapacity bounds the fair queue's tenant table.
+const tenantCapacity = 256
+
 // fairQueue is the per-tenant admission and scheduling core: a token bucket
-// per tenant (quota), a FIFO per tenant, and weighted round-robin dequeue
-// across the tenants with queued work, so a tenant flooding its queue delays
-// only itself. The tenant table is recency-bounded: past capacity, the least
-// recently seen idle tenant is evicted (its queue-depth gauge labelset
-// retired with it).
+// per tenant (quota), a FIFO per tenant, and round-robin dequeue across the
+// tenants with queued work, so a tenant flooding its queue delays only
+// itself. The tenant table is recency-bounded: past tenantCapacity, the
+// least recently seen idle tenant is evicted (its queue-depth gauge
+// labelset retired with it).
 type fairQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	rate     float64 // per-tenant token rate (reads/s); <= 0 disables quotas
-	burst    float64
-	capacity int            // tenant table bound
-	weights  map[string]int // fair-dequeue weight per tenant name (default 1)
+	rate  float64 // per-tenant token rate (reads/s); <= 0 disables quotas
+	burst float64
 
 	tenants map[string]*tenantState
 	order   *list.List // recency: front = most recently seen
@@ -42,14 +43,12 @@ type fairQueue struct {
 	closed bool
 }
 
-func newFairQueue(rate, burst float64, capacity int, weights map[string]int) *fairQueue {
+func newFairQueue(rate, burst float64) *fairQueue {
 	q := &fairQueue{
-		rate:     rate,
-		burst:    burst,
-		capacity: capacity,
-		weights:  weights,
-		tenants:  make(map[string]*tenantState),
-		order:    list.New(),
+		rate:    rate,
+		burst:   burst,
+		tenants: make(map[string]*tenantState),
+		order:   list.New(),
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
@@ -63,7 +62,7 @@ func (q *fairQueue) tenantLocked(name string, now time.Time) *tenantState {
 		q.order.MoveToFront(t.elem)
 		return t
 	}
-	for len(q.tenants) >= q.capacity {
+	for len(q.tenants) >= tenantCapacity {
 		// Evict from the cold end, skipping tenants with queued work (they
 		// are busy, not idle; the global admission gate bounds how many
 		// tenants can be busy at once, so the scan terminates).
@@ -84,14 +83,9 @@ func (q *fairQueue) tenantLocked(name string, now time.Time) *tenantState {
 			break // every resident tenant is busy; grow past capacity
 		}
 	}
-	weight := q.weights[name]
-	if weight < 1 {
-		weight = 1
-	}
 	t := &tenantState{
 		name:       name,
 		bucket:     newTokenBucket(q.rate, q.burst, now),
-		weight:     weight,
 		mThrottled: mTenantThrottled.With(name),
 		gQueue:     gTenantQueue.With(name),
 	}
@@ -142,7 +136,6 @@ func (q *fairQueue) push(name string, j *job) bool {
 	t.push(j)
 	if !t.inRing {
 		t.inRing = true
-		t.served = 0
 		q.ring = append(q.ring, t)
 	}
 	q.queued++
@@ -151,10 +144,10 @@ func (q *fairQueue) push(name string, j *job) bool {
 	return true
 }
 
-// pop blocks until a job is available and returns the next one in weighted
-// round-robin order across tenants: each tenant with queued work gets up to
-// weight jobs per turn, so a deep queue from one tenant cannot starve the
-// others. It returns false once the queue is closed and empty.
+// pop blocks until a job is available and returns the next one in
+// round-robin order across tenants: each tenant with queued work gets one
+// job per turn, so a deep queue from one tenant cannot starve the others.
+// It returns false once the queue is closed and empty.
 func (q *fairQueue) pop() (*job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -171,13 +164,10 @@ func (q *fairQueue) pop() (*job, bool) {
 	j := t.pop()
 	q.queued--
 	gQueuedReads.Set(float64(q.queued))
-	t.served++
 	if t.depth() == 0 {
 		t.inRing = false
-		t.served = 0
 		q.ring = append(q.ring[:q.next], q.ring[q.next+1:]...)
-	} else if t.served >= t.weight {
-		t.served = 0
+	} else {
 		q.next++
 	}
 	if q.next >= len(q.ring) {

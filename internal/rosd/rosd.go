@@ -17,8 +17,8 @@
 // instead of being queued into an unbounded latency tail.
 //
 // Admitted reads do not run immediately: they queue per tenant and a fixed
-// executor pool (Config.ExecWorkers) dequeues them in weighted round-robin
-// order across tenants, so a tenant with a deep backlog delays only itself.
+// executor pool (Config.ExecWorkers) dequeues them in round-robin order
+// across tenants, so a tenant with a deep backlog delays only itself.
 // Each read carries a deadline from its request (deadline_ms) or the
 // server's ReadTimeout, measured from admission — a read whose deadline
 // expires while still queued is shed with a typed "cancelled" result without
@@ -116,6 +116,9 @@ const (
 	outcomeError       = "error"
 )
 
+// maxBodyBytes caps the /v1/read request body.
+const maxBodyBytes = 1 << 20
+
 // Config parameterizes a Server. The zero value serves with the defaults
 // noted on each field.
 type Config struct {
@@ -149,18 +152,6 @@ type Config struct {
 	// TenantBurst is the token-bucket depth (reads a tenant may burst
 	// above its steady rate). Default max(8, TenantRate).
 	TenantBurst float64
-	// TenantCapacity bounds the tenant table; past it the least recently
-	// seen idle tenant is evicted. Default 256.
-	TenantCapacity int
-	// TenantWeights sets per-tenant fair-dequeue weights (jobs served per
-	// round-robin turn); absent tenants weigh 1.
-	TenantWeights map[string]int
-	// ShedDepth is the readiness brownout threshold: /readyz reports 503
-	// once admitted in-flight reads reach it. Default 90% of
-	// MaxQueueDepth.
-	ShedDepth int
-	// MaxBodyBytes caps the /v1/read request body. Default 1 MiB.
-	MaxBodyBytes int64
 	// DrainDumpDir, when set, receives flight.json and metrics.json (the
 	// flight-recorder ring and a final metrics snapshot) at the end of a
 	// graceful drain.
@@ -188,18 +179,6 @@ func (c Config) withDefaults() Config {
 		if c.TenantRate > c.TenantBurst {
 			c.TenantBurst = c.TenantRate
 		}
-	}
-	if c.TenantCapacity <= 0 {
-		c.TenantCapacity = 256
-	}
-	if c.ShedDepth <= 0 {
-		c.ShedDepth = c.MaxQueueDepth * 9 / 10
-		if c.ShedDepth < 1 {
-			c.ShedDepth = 1
-		}
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	return c
 }
@@ -238,7 +217,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		engines: newEngineLRU(cfg.EngineCapacity),
 		mux:     httpserve.Mux(nil),
-		queue:   newFairQueue(cfg.TenantRate, cfg.TenantBurst, cfg.TenantCapacity, cfg.TenantWeights),
+		queue:   newFairQueue(cfg.TenantRate, cfg.TenantBurst),
 	}
 	s.mux.HandleFunc("/v1/read", s.handleRead)
 	s.mux.HandleFunc("/healthz", handleHealthz)
@@ -395,14 +374,16 @@ func handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness with load-aware brownout: 503 while draining or
-// while admitted in-flight reads sit at or above ShedDepth, so a balancer
-// steers traffic away before admission starts returning 429s.
+// while admitted in-flight reads sit at or above the shed depth, 90% of
+// MaxQueueDepth (at least 1), so a balancer steers traffic away before
+// admission starts returning 429s.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.admit.Lock()
 	n := s.inflight
 	s.admit.Unlock()
 	draining := s.draining.Load()
-	ready := !draining && n < s.cfg.ShedDepth
+	shedDepth := max(1, s.cfg.MaxQueueDepth*9/10)
+	ready := !draining && n < shedDepth
 	if ready {
 		gReady.Set(1)
 	} else {
@@ -416,7 +397,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"ready":      ready,
 		"draining":   draining,
 		"inflight":   n,
-		"shed_depth": s.cfg.ShedDepth,
+		"shed_depth": shedDepth,
 	})
 }
 
@@ -572,7 +553,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 			"%v: shutting down, admissions closed", roserr.ErrDraining)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var batch BatchRequest

@@ -64,7 +64,7 @@ func TestFairnessUnderFlood(t *testing.T) {
 			t.Fatalf("in-quota %s throttled %d reads; quota leaked across tenants", tr.Tenant, tr.Throttled)
 		}
 		if tr.OK < tr.Reads*9/10 {
-			t.Fatalf("in-quota %s completed %d of %d reads; flood stole its goodput", tr.Tenant, tr.OK, tr.Reads)
+			t.Fatalf("in-quota %s decoded %d of %d reads; flood stole its goodput", tr.Tenant, tr.OK, tr.Reads)
 		}
 	}
 	if report.FairnessRatio < 0.5 {
@@ -117,7 +117,7 @@ func TestDeadlineShed(t *testing.T) {
 // TestHealthAndReadiness: liveness always answers; readiness flips on the
 // shed threshold and on draining.
 func TestHealthAndReadiness(t *testing.T) {
-	srv := New(Config{ShedDepth: 2})
+	srv := New(Config{MaxQueueDepth: 3}) // shed depth 90%: 2
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -167,7 +167,7 @@ func TestHealthAndReadiness(t *testing.T) {
 // TestParseHardening: the request decoder refuses oversized bodies with 413
 // and unknown fields or trailing data with typed 400s.
 func TestParseHardening(t *testing.T) {
-	srv := New(Config{MaxBodyBytes: 256})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -183,7 +183,7 @@ func TestParseHardening(t *testing.T) {
 		return resp.StatusCode, buf.String()
 	}
 
-	big := fmt.Sprintf(`{"reads":[{"bits":"1111","fog":%q}]}`, strings.Repeat("x", 512))
+	big := fmt.Sprintf(`{"reads":[{"bits":"1111","fog":%q}]}`, strings.Repeat("x", maxBodyBytes))
 	if status, body := post(big); status != http.StatusRequestEntityTooLarge || !strings.Contains(body, "config") {
 		t.Fatalf("oversized body = %d %q, want 413 with typed config error", status, body)
 	}

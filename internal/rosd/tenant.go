@@ -56,8 +56,8 @@ func (b *tokenBucket) give(n float64) {
 }
 
 // tenantState is one tenant's slot in the fair queue: its token bucket, its
-// FIFO of queued jobs, its weighted-round-robin bookkeeping, and its cached
-// metric children. All fields are guarded by the owning fairQueue's lock.
+// FIFO of queued jobs, its round-robin membership, and its cached metric
+// children. All fields are guarded by the owning fairQueue's lock.
 type tenantState struct {
 	name   string
 	bucket tokenBucket
@@ -67,8 +67,6 @@ type tenantState struct {
 	q    []*job
 	head int
 
-	weight int // fair-dequeue share per round (>= 1)
-	served int // jobs dequeued in the current round-robin turn
 	inRing bool
 
 	elem *list.Element // position in the tenant table's recency order

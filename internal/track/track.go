@@ -18,11 +18,11 @@ type Tracker struct {
 	// RelativeError is the drift magnitude as a fraction of distance
 	// traveled (Fig 16d's x axis: 0.02 to 0.10).
 	RelativeError float64
-	// CorrelationFrames sets the smoothness of the drift process: the
-	// per-frame scale error is an AR(1) process with this correlation
-	// length (default 50 frames).
-	CorrelationFrames int
 }
+
+// correlationFrames sets the smoothness of the drift process: the per-frame
+// scale error is an AR(1) process with this correlation length in frames.
+const correlationFrames = 50
 
 // Estimate returns estimated radar positions for the true per-frame
 // positions: each frame's displacement is scaled by (1 + e_t), where e_t is
@@ -46,11 +46,7 @@ func (tr Tracker) Estimate(truth []geom.Vec3, rng *rand.Rand) ([]geom.Vec3, erro
 	if rng == nil {
 		return nil, fmt.Errorf("track: drift injection requires an rng")
 	}
-	corr := tr.CorrelationFrames
-	if corr <= 0 {
-		corr = 50
-	}
-	alpha := math.Exp(-1 / float64(corr))
+	alpha := math.Exp(-1.0 / correlationFrames)
 	// Controlled drift as in Fig 16d: a per-run odometry scale bias of the
 	// requested relative magnitude (random sign), plus a smaller smooth
 	// AR(1) jitter that keeps the error from being a pure rescale.
