@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -163,6 +164,40 @@ func TestTagSamplesFeedDecoder(t *testing.T) {
 	}
 	if out.SNRdB < 10 {
 		t.Errorf("end-to-end SNR = %g dB, want >= 10", out.SNRdB)
+	}
+}
+
+func TestMinClusterFramesDefaultAligned(t *testing.T) {
+	// Regression for the 10-vs-25 inconsistency: the Sec 6 density filter
+	// is 25 frames, every reported object passed it, and a zero-value
+	// Pipeline falls back to the same behaviour as the constructor.
+	if minClusterFrames != 25 {
+		t.Fatalf("minClusterFrames = %d, want 25 (Sec 6 density filter)", minClusterFrames)
+	}
+	rng := rand.New(rand.NewSource(11))
+	sc := buildScene(t, "1111", true, rng)
+	truth := passPositions(3, 150)
+	a, err := NewPipeline(radar.TI1443()).Run(sc, truth, truth, geom.Vec3{X: 2}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Objects) == 0 {
+		t.Fatal("no object survived the density filter")
+	}
+	for i, o := range a.Objects {
+		if o.Points < minClusterFrames {
+			t.Errorf("object %d has %d points, below the %d-frame density filter", i, o.Points, minClusterFrames)
+		}
+	}
+	q := &Pipeline{Radar: radar.TI1443(), DecodeAzimuthCapDeg: 60} // TagMaxExtent falls back in Run
+	b, err := q.Run(sc, truth, truth, geom.Vec3{X: 2}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Objects, b.Objects) || a.TagIndex != b.TagIndex ||
+		!reflect.DeepEqual(a.TagU, b.TagU) || !reflect.DeepEqual(a.TagRSS, b.TagRSS) {
+		t.Errorf("zero-value Pipeline diverged from the constructor default:\n%+v\nvs\n%+v",
+			a.Objects, b.Objects)
 	}
 }
 
