@@ -174,9 +174,22 @@ rosd-chaos:
 
 # Fuzz each native target for FUZZ_TIME (Go runs one -fuzz target per
 # invocation). The checked-in corpora under testdata/fuzz replay on every
-# plain `go test`, so past findings are permanent regression tests.
+# plain `go test`, so past findings are permanent regression tests. Every
+# package:target pair is first checked against `go test -list` of its
+# package: `go test -fuzz` on a name that matches nothing prints "no fuzz
+# tests to fuzz" and exits 0, so a renamed target would otherwise pass
+# unfuzzed.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime $(FUZZ_TIME) ./internal/coding/
-	$(GO) test -run '^$$' -fuzz 'FuzzPercentile$$' -fuzztime $(FUZZ_TIME) ./internal/dsp/
-	$(GO) test -run '^$$' -fuzz 'FuzzPlanRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/dsp/
-	$(GO) test -run '^$$' -fuzz 'FuzzResample$$' -fuzztime $(FUZZ_TIME) ./internal/dsp/
+	@targets='./internal/coding/:FuzzDecode ./internal/dsp/:FuzzPercentile ./internal/dsp/:FuzzPlanRoundTrip ./internal/dsp/:FuzzResample'; \
+	for t in $$targets; do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		list=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		if ! printf '%s\n' "$$list" | grep -qx "$$name"; then \
+			echo "fuzz-smoke: $$name matches no fuzz target in $$pkg"; exit 1; \
+		fi; \
+	done; \
+	for t in $$targets; do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz-smoke: $$name in $$pkg for $(FUZZ_TIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZ_TIME) $$pkg || exit 1; \
+	done

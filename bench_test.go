@@ -168,11 +168,10 @@ func BenchmarkAoASpectrum(b *testing.B) {
 	plan := cfg.NewSynthPlan()
 	rp := plan.RangeProfile(frame)
 	bin := cfg.BinForRange(4)
-	angles := plan.ScanAngles()
-	spec := make([]float64, len(angles))
+	spec := make([]float64, len(plan.ScanAngles()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.AoASpectrumInto(spec, rp, bin, angles)
+		plan.AoASpectrumInto(spec, rp, bin)
 	}
 }
 

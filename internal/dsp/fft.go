@@ -187,47 +187,6 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// FFTShift reorders spectrum bins so the zero-frequency bin is centered,
-// matching the conventional two-sided spectrum layout. It returns a new
-// slice; hot paths that own a destination buffer use FFTShiftInto.
-func FFTShift(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	FFTShiftInto(out, x)
-	return out
-}
-
-// FFTShiftInto is FFTShift writing into a caller-provided buffer. dst must
-// have the length of src and must not alias it.
-func FFTShiftInto(dst, src []complex128) {
-	n := len(src)
-	if len(dst) != n {
-		panic(fmt.Sprintf("dsp: FFTShift dst has %d slots for %d bins", len(dst), n))
-	}
-	half := (n + 1) / 2
-	copy(dst, src[half:])
-	copy(dst[n-half:], src[:half])
-}
-
-// FFTFreqs returns the frequency associated with each FFT bin for a
-// transform of length n over samples spaced d apart, in the standard FFT
-// order (DC first, then positive, then negative frequencies).
-func FFTFreqs(n int, d float64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	if d == 0 {
-		panic("dsp: FFTFreqs with zero sample spacing")
-	}
-	f := make([]float64, n)
-	for i := 0; i <= (n-1)/2; i++ {
-		f[i] = float64(i) / (float64(n) * d)
-	}
-	for i := (n-1)/2 + 1; i < n; i++ {
-		f[i] = float64(i-n) / (float64(n) * d)
-	}
-	return f
-}
-
 // Magnitude returns |x| element-wise. Hot paths that own a destination
 // buffer use MagnitudeInto.
 func Magnitude(x []complex128) []float64 {
@@ -245,36 +204,4 @@ func MagnitudeInto(dst []float64, src []complex128) {
 	for i, v := range src {
 		dst[i] = cmplx.Abs(v)
 	}
-}
-
-// Power returns |x|^2 element-wise. Hot paths that own a destination buffer
-// use PowerInto.
-func Power(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	PowerInto(out, x)
-	return out
-}
-
-// PowerInto writes |src|^2 element-wise into dst, which must have the
-// length of src.
-func PowerInto(dst []float64, src []complex128) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("dsp: Power dst has %d slots for %d samples", len(dst), len(src)))
-	}
-	for i, v := range src {
-		re, im := real(v), imag(v)
-		dst[i] = re*re + im*im
-	}
-}
-
-// ZeroPad returns x extended with zeros to length n. It panics if n is
-// smaller than len(x). Retained for tests and offline tooling; the
-// transform hot paths zero-pad inside their plans instead.
-func ZeroPad(x []complex128, n int) []complex128 {
-	if n < len(x) {
-		panic(fmt.Sprintf("dsp: ZeroPad target %d shorter than input %d", n, len(x)))
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	return out
 }

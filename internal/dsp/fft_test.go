@@ -189,64 +189,13 @@ func TestFFTLinearity(t *testing.T) {
 	}
 }
 
-func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	got := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FFTShift = %v, want %v", got, want)
-		}
-	}
-	odd := []complex128{0, 1, 2, 3, 4}
-	gotOdd := FFTShift(odd)
-	wantOdd := []complex128{3, 4, 0, 1, 2}
-	for i := range wantOdd {
-		if gotOdd[i] != wantOdd[i] {
-			t.Fatalf("FFTShift odd = %v, want %v", gotOdd, wantOdd)
-		}
-	}
-}
-
-func TestFFTFreqs(t *testing.T) {
-	f := FFTFreqs(4, 0.5)
-	want := []float64{0, 0.5, -1, -0.5}
-	for i := range want {
-		if math.Abs(f[i]-want[i]) > 1e-12 {
-			t.Fatalf("FFTFreqs(4, 0.5) = %v, want %v", f, want)
-		}
-	}
-	if got := FFTFreqs(0, 1); got != nil {
-		t.Errorf("FFTFreqs(0, 1) = %v, want nil", got)
-	}
-}
-
-func TestZeroPad(t *testing.T) {
-	x := []complex128{1, 2}
-	p := ZeroPad(x, 4)
-	if len(p) != 4 || p[0] != 1 || p[1] != 2 || p[2] != 0 || p[3] != 0 {
-		t.Errorf("ZeroPad = %v", p)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("ZeroPad with shrinking target did not panic")
-		}
-	}()
-	ZeroPad(x, 1)
-}
-
-func TestMagnitudePower(t *testing.T) {
+func TestMagnitude(t *testing.T) {
 	x := []complex128{3 + 4i, 0, -2}
 	mag := Magnitude(x)
-	pow := Power(x)
 	wantMag := []float64{5, 0, 2}
-	wantPow := []float64{25, 0, 4}
 	for i := range x {
 		if math.Abs(mag[i]-wantMag[i]) > 1e-12 {
 			t.Errorf("Magnitude[%d] = %g, want %g", i, mag[i], wantMag[i])
-		}
-		if math.Abs(pow[i]-wantPow[i]) > 1e-12 {
-			t.Errorf("Power[%d] = %g, want %g", i, pow[i], wantPow[i])
 		}
 	}
 }

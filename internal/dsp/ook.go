@@ -29,28 +29,6 @@ func OOKBerFromDB(snrDB float64) float64 {
 	return OOKBer(math.Pow(10, snrDB/10))
 }
 
-// OOKSnrForBer returns the linear SNR required to achieve the target BER,
-// inverting OOKBer numerically by bisection. Targets outside (0, 0.5) are
-// clamped.
-func OOKSnrForBer(ber float64) float64 {
-	if ber >= 0.5 {
-		return 0
-	}
-	if ber < 1e-15 {
-		ber = 1e-15
-	}
-	lo, hi := 0.0, 1e6
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if OOKBer(mid) > ber {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // DecodingSNR computes the paper's decoding SNR from the measured "1" peak
 // amplitudes, the measured "0"/noise amplitudes, and the amplitude standard
 // deviation sigma. It returns the linear SNR; a non-positive sigma yields

@@ -45,19 +45,6 @@ func TestOOKBerDegenerate(t *testing.T) {
 	}
 }
 
-func TestOOKSnrForBerInverts(t *testing.T) {
-	for _, ber := range []float64{0.1, 0.01, 0.001, 1e-6} {
-		snr := OOKSnrForBer(ber)
-		back := OOKBer(snr)
-		if math.Abs(back-ber) > ber*0.01 {
-			t.Errorf("round trip BER %g -> SNR %g -> BER %g", ber, snr, back)
-		}
-	}
-	if got := OOKSnrForBer(0.5); got != 0 {
-		t.Errorf("SNR for BER 0.5 = %g, want 0", got)
-	}
-}
-
 func TestDecodingSNR(t *testing.T) {
 	if got := DecodingSNR(3, 1, 1); got != 4 {
 		t.Errorf("DecodingSNR(3, 1, 1) = %g, want 4", got)

@@ -66,23 +66,6 @@ func refinePeak(x []float64, i int) (pos, val float64) {
 	return float64(i) + d, b - 0.25*(a-c)*d
 }
 
-// SampleAt returns the value of x at a fractional index using linear
-// interpolation, clamping to the valid range.
-func SampleAt(x []float64, pos float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	if pos <= 0 {
-		return x[0]
-	}
-	if pos >= float64(len(x)-1) {
-		return x[len(x)-1]
-	}
-	lo := int(pos)
-	frac := pos - float64(lo)
-	return x[lo]*(1-frac) + x[lo+1]*frac
-}
-
 // MaxAround returns the maximum value of x within +/- halfWidth samples of
 // center (clamped to the slice bounds).
 func MaxAround(x []float64, center, halfWidth int) float64 {

@@ -68,21 +68,6 @@ func TestFindPeaksEmptyAndFlat(t *testing.T) {
 	}
 }
 
-func TestSampleAt(t *testing.T) {
-	x := []float64{0, 10, 20}
-	cases := []struct{ pos, want float64 }{
-		{-1, 0}, {0, 0}, {0.5, 5}, {1, 10}, {1.25, 12.5}, {2, 20}, {5, 20},
-	}
-	for _, c := range cases {
-		if got := SampleAt(x, c.pos); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("SampleAt(%g) = %g, want %g", c.pos, got, c.want)
-		}
-	}
-	if got := SampleAt(nil, 1); got != 0 {
-		t.Errorf("SampleAt(nil) = %g, want 0", got)
-	}
-}
-
 func TestMaxAround(t *testing.T) {
 	x := []float64{1, 9, 2, 3, 8, 0}
 	if got := MaxAround(x, 3, 1); got != 8 {

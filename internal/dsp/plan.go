@@ -150,21 +150,12 @@ func (p *Plan) Forward(dst, src []complex128) { p.execute(dst, src, false) }
 // Forward.
 func (p *Plan) Inverse(dst, src []complex128) { p.execute(dst, src, true) }
 
-// ForwardMany runs Forward over channels independent signals stored in one
+// InverseMany runs Inverse over channels independent signals stored in one
 // contiguous buffer with the given stride: channel k occupies
 // src[k*stride : k*stride+Size()], and its transform lands at the same
 // offsets in dst. All channels share the plan's tables; nothing is
 // allocated. It panics if stride < Size() or either buffer is too short.
-func (p *Plan) ForwardMany(dst, src []complex128, channels, stride int) {
-	p.executeMany(dst, src, channels, stride, false)
-}
-
-// InverseMany is ForwardMany for the inverse transform.
 func (p *Plan) InverseMany(dst, src []complex128, channels, stride int) {
-	p.executeMany(dst, src, channels, stride, true)
-}
-
-func (p *Plan) executeMany(dst, src []complex128, channels, stride int, inverse bool) {
 	if stride < p.n {
 		panic(fmt.Sprintf("dsp: plan stride %d below transform size %d", stride, p.n))
 	}
@@ -173,7 +164,7 @@ func (p *Plan) executeMany(dst, src []complex128, channels, stride int, inverse 
 	}
 	for k := 0; k < channels; k++ {
 		off := k * stride
-		p.execute(dst[off:off+p.n], src[off:off+p.n], inverse)
+		p.execute(dst[off:off+p.n], src[off:off+p.n], true)
 	}
 }
 

@@ -38,3 +38,6 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
+
+// MPH converts miles per hour to meters per second.
+func MPH(mph float64) float64 { return mph * 0.44704 }

@@ -130,78 +130,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestTrajectoryPositions(t *testing.T) {
-	tr := Trajectory{
-		Start:     Vec3{X: -10, Y: 3},
-		Velocity:  Vec3{X: 5},
-		FrameRate: 10,
-		Frames:    21,
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ps := tr.Positions()
-	if len(ps) != 21 {
-		t.Fatalf("got %d positions", len(ps))
-	}
-	if ps[0] != (Vec3{X: -10, Y: 3}) {
-		t.Errorf("first = %v", ps[0])
-	}
-	// After 20 frames at 10 Hz = 2 s at 5 m/s -> +10 m.
-	if !almost(ps[20].X, 0, 1e-12) {
-		t.Errorf("last X = %g, want 0", ps[20].X)
-	}
-	if !almost(tr.Duration(), 2.1, 1e-12) {
-		t.Errorf("Duration = %g", tr.Duration())
-	}
-	if tr.Speed() != 5 {
-		t.Errorf("Speed = %g", tr.Speed())
-	}
-}
-
-func TestTrajectoryValidate(t *testing.T) {
-	if err := (Trajectory{FrameRate: 0, Frames: 1}).Validate(); err == nil {
-		t.Error("zero frame rate accepted")
-	}
-	if err := (Trajectory{FrameRate: 1, Frames: 0}).Validate(); err == nil {
-		t.Error("zero frames accepted")
-	}
-}
-
-func TestPassBy(t *testing.T) {
-	tr := PassBy(3, 6, 0.1, 2, 100)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ps := tr.Positions()
-	first, last := ps[0], ps[len(ps)-1]
-	if first.X != -6 || first.Y != 3 || first.Z != 0.1 {
-		t.Errorf("start = %v", first)
-	}
-	if !almost(last.X, 6, 0.05) {
-		t.Errorf("end X = %g, want ~6", last.X)
-	}
-	// Closest approach distance equals the standoff.
-	minD := math.Inf(1)
-	for _, p := range ps {
-		if d := p.XY().Norm(); d < minD {
-			minD = d
-		}
-	}
-	if !almost(minD, 3, 0.01) {
-		t.Errorf("closest approach = %g, want 3", minD)
-	}
-}
-
-func TestPassByPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("PassBy with zero speed did not panic")
-		}
-	}()
-	PassBy(3, 6, 0, 0, 100)
-}
-
 func TestMPH(t *testing.T) {
 	if !almost(MPH(30), 13.4112, 1e-9) {
 		t.Errorf("MPH(30) = %g", MPH(30))

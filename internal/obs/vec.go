@@ -167,6 +167,11 @@ type CounterVec struct{ v *vec[*Counter] }
 // order).
 func (c *CounterVec) With(values ...string) *Counter { return c.v.with(values) }
 
+// Delete removes the labelset's counter from the vector, freeing its slot
+// under the cardinality cap and dropping it from exposition; see
+// GaugeVec.Delete.
+func (c *CounterVec) Delete(values ...string) bool { return c.v.delete(values) }
+
 // GaugeVec is a gauge family indexed by a fixed label scheme.
 type GaugeVec struct{ v *vec[*Gauge] }
 
@@ -190,6 +195,12 @@ func (h *HistogramVec) With(values ...string) *Histogram { return h.v.with(value
 // creating it on first use (later calls ignore help and labels, like the
 // scalar constructors).
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	return r.CounterVecCapacity(name, help, 0, labels...)
+}
+
+// CounterVecCapacity is CounterVec with an explicit labelset cap (0 means
+// MaxLabelSets); see GaugeVecCapacity.
+func (r *Registry) CounterVecCapacity(name, help string, maxSets int, labels ...string) *CounterVec {
 	r.mu.RLock()
 	v := r.counterVecs[name]
 	r.mu.RUnlock()
@@ -204,7 +215,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 		return v
 	}
 	r.checkFreeLocked(name, "counter vector")
-	v = &CounterVec{v: newVec(name, help, labels, 0, dropped, func() *Counter { return &Counter{} })}
+	v = &CounterVec{v: newVec(name, help, labels, maxSets, dropped, func() *Counter { return &Counter{} })}
 	r.counterVecs[name] = v
 	return v
 }

@@ -117,6 +117,40 @@ func TestVecCardinalityCap(t *testing.T) {
 	}
 }
 
+// TestCounterVecCapacityAndDelete: an explicit cap replaces MaxLabelSets,
+// and Delete frees a labelset's slot and drops it from exposition.
+func TestCounterVecCapacityAndDelete(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVecCapacity("ros_sized_total", "capacity test", 2, "tenant")
+	v.With("a").Inc()
+	v.With("b").Inc()
+	v.With("c").Inc() // past the cap: overflow
+	count := func() (children int, dropped int64) {
+		for _, c := range r.Snapshot().Counters {
+			switch c.Name {
+			case "ros_sized_total":
+				children++
+			case DroppedLabelSetsMetric:
+				dropped = c.Value
+			}
+		}
+		return children, dropped
+	}
+	if n, d := count(); n != 2 || d != 1 {
+		t.Fatalf("children %d, dropped %d; want 2 and 1", n, d)
+	}
+	if !v.Delete("a") || v.Delete("a") {
+		t.Fatal("Delete did not report residency")
+	}
+	v.With("c").Inc() // the freed slot takes c
+	if n, d := count(); n != 2 || d != 1 {
+		t.Errorf("after Delete: children %d, dropped %d; want 2 and 1", n, d)
+	}
+	if got := v.With("c").Value(); got != 1 {
+		t.Errorf("c = %d after taking the freed slot, want 1", got)
+	}
+}
+
 func TestVecLabelArityPanics(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("ros_two_labels_total", "", "stage", "outcome")

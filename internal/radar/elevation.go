@@ -14,9 +14,11 @@ import (
 // elevation angle — enough to tell a high-mounted tag from a bumper-height
 // one, the deployment dimension Sec 7.3's blockage mitigation relies on.
 
-// ElevationMIMO extends the TDM-MIMO radar with one elevated transmitter.
+// ElevationMIMO is the radar with its reference transmitter and one
+// elevated transmitter, illuminated in turn (two-Tx time-division
+// multiplexing).
 type ElevationMIMO struct {
-	MIMOConfig
+	Config
 	// TxHeight is the elevated transmitter's vertical offset in meters
 	// (lambda/2 on the IWR1443).
 	TxHeight float64
@@ -24,21 +26,17 @@ type ElevationMIMO struct {
 
 // TI1443Elevation returns the evaluation radar with its elevation Tx.
 func TI1443Elevation() ElevationMIMO {
-	m := TI1443MIMO()
-	m.NumTx = 2 // reference + elevated
-	return ElevationMIMO{MIMOConfig: m, TxHeight: m.Wavelength() / 2}
+	c := TI1443()
+	return ElevationMIMO{Config: c, TxHeight: c.Wavelength() / 2}
 }
 
 // Validate reports whether the configuration is usable.
 func (e ElevationMIMO) Validate() error {
-	if err := e.MIMOConfig.Validate(); err != nil {
+	if err := e.Config.Validate(); err != nil {
 		return err
 	}
 	if e.TxHeight <= 0 {
 		return fmt.Errorf("radar: %w: non-positive elevation Tx height %g", roserr.ErrConfig, e.TxHeight)
-	}
-	if e.NumTx != 2 {
-		return fmt.Errorf("radar: %w: elevation monopulse needs exactly 2 Tx, got %d", roserr.ErrConfig, e.NumTx)
 	}
 	return nil
 }

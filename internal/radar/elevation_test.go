@@ -18,11 +18,6 @@ func TestTI1443ElevationValidates(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero Tx height accepted")
 	}
-	bad = e
-	bad.NumTx = 3
-	if bad.Validate() == nil {
-		t.Error("wrong Tx count accepted")
-	}
 }
 
 func TestElevationMonopulse(t *testing.T) {

@@ -3,7 +3,6 @@ package radar
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"ros/internal/dsp"
 	"ros/internal/obs"
@@ -79,49 +78,40 @@ func (c Config) BinForRange(r float64) int {
 
 // ScanAngles returns the plan's AoA scan grid: +/-60 deg (the radar antenna
 // FoV, Sec 7.3) in 1-degree steps. The slice is shared and must be treated as
-// read-only; passing it to AoASpectrumInto selects the precomputed-kernel
-// fast path.
+// read-only.
 func (p *SynthPlan) ScanAngles() []float64 { return p.steer.angles }
 
 // AoASpectrumInto evaluates Eq 4 at one range bin: conventional beamforming
-// across the Rx array over the given steering angles (radians from
-// boresight), writing the beamformed power (watts) per angle into dst, which
-// must have length len(angles). When angles is the plan's scan grid
-// (ScanAngles) the captured steering kernels are used and the loop runs no
-// trig at all.
-func (p *SynthPlan) AoASpectrumInto(dst []float64, rp RangeProfile, bin int, angles []float64) {
+// across the Rx array over the plan's scan grid (ScanAngles), writing the
+// beamformed power (watts) per angle into dst, which must have one slot per
+// grid angle. The captured steering kernels make the loop trig-free: the
+// bin is gathered across channels once, then each angle costs one
+// NumRx-length complex dot product.
+func (p *SynthPlan) AoASpectrumInto(dst []float64, rp RangeProfile, bin int) {
 	c, tab := &p.cfg, p.steer
 	if bin < 0 || bin >= len(rp.Bins[0]) {
 		panic(fmt.Sprintf("radar: AoA at bin %d of %d", bin, len(rp.Bins[0])))
 	}
-	if len(dst) != len(angles) {
-		panic(fmt.Sprintf("radar: AoA dst has %d slots for %d angles", len(dst), len(angles)))
+	if len(dst) != len(tab.angles) {
+		panic(fmt.Sprintf("radar: AoA dst has %d slots for %d angles", len(dst), len(tab.angles)))
 	}
-	if len(angles) > 0 && len(angles) == len(tab.angles) && &angles[0] == &tab.angles[0] {
-		// Cached-kernel path: gather the bin across channels once, then one
-		// NumRx-length complex dot product per angle.
-		var vbuf [16]complex128
-		v := vbuf[:0]
-		if c.NumRx > len(vbuf) {
-			v = make([]complex128, 0, c.NumRx)
-		}
-		for k := 0; k < c.NumRx; k++ {
-			v = append(v, rp.Bins[k][bin])
-		}
-		inv := complex(1/float64(c.NumRx), 0)
-		for a := range angles {
-			w := tab.weights[a*tab.numRx : (a+1)*tab.numRx]
-			var sum complex128
-			for k, x := range v {
-				sum += x * w[k]
-			}
-			sum *= inv
-			dst[a] = real(sum)*real(sum) + imag(sum)*imag(sum)
-		}
-		return
+	var vbuf [16]complex128
+	v := vbuf[:0]
+	if c.NumRx > len(vbuf) {
+		v = make([]complex128, 0, c.NumRx)
 	}
-	for i, th := range angles {
-		dst[i] = c.beamPowerAt(rp, bin, th)
+	for k := 0; k < c.NumRx; k++ {
+		v = append(v, rp.Bins[k][bin])
+	}
+	inv := complex(1/float64(c.NumRx), 0)
+	for a := range dst {
+		w := tab.weights[a*tab.numRx : (a+1)*tab.numRx]
+		var sum complex128
+		for k, x := range v {
+			sum += x * w[k]
+		}
+		sum *= inv
+		dst[a] = real(sum)*real(sum) + imag(sum)*imag(sum)
 	}
 }
 
@@ -133,10 +123,6 @@ func (c Config) BeamPower(rp RangeProfile, bin int, azimuth float64) float64 {
 	if bin < 0 || bin >= len(rp.Bins[0]) {
 		panic(fmt.Sprintf("radar: AoA at bin %d of %d", bin, len(rp.Bins[0])))
 	}
-	return c.beamPowerAt(rp, bin, azimuth)
-}
-
-func (c Config) beamPowerAt(rp RangeProfile, bin int, th float64) float64 {
 	var vbuf [16]complex128
 	v := vbuf[:0]
 	if c.NumRx > len(vbuf) {
@@ -145,7 +131,7 @@ func (c Config) beamPowerAt(rp RangeProfile, bin int, th float64) float64 {
 	for k := 0; k < c.NumRx; k++ {
 		v = append(v, rp.Bins[k][bin])
 	}
-	return c.SteerPower(v, th)
+	return c.SteerPower(v, azimuth)
 }
 
 // SteerPower is BeamPower on one range bin's per-channel values v (length
@@ -162,14 +148,6 @@ func (c Config) SteerPower(v []complex128, azimuth float64) float64 {
 	}
 	sum /= complex(float64(c.NumRx), 0)
 	return real(sum)*real(sum) + imag(sum)*imag(sum)
-}
-
-// BeamformRSS "spotlights" a known target (Sec 6): it steers the array to
-// the given azimuth at the given range and returns the received power in
-// watts.
-func (c Config) BeamformRSS(f Frame, rangeM, azimuth float64) float64 {
-	rp := c.RangeProfile(f)
-	return c.BeamPower(rp, c.BinForRange(rangeM), azimuth)
 }
 
 // Detection is one point in the radar point cloud.
@@ -245,7 +223,7 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile) []Detection {
 		if r < minRange {
 			continue
 		}
-		p.AoASpectrumInto(spec, rp, i, angles)
+		p.AoASpectrumInto(spec, rp, i)
 		// Gate at 20 percent of the strongest response so the 4-element
 		// array's -11 dB sidelobes do not spawn ghost points.
 		maxSpec, _ := dsp.Max(spec)
@@ -260,14 +238,4 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile) []Detection {
 		}
 	}
 	return out
-}
-
-// ChannelPower returns the total power in one channel of a frame (useful for
-// diagnostics and tests).
-func ChannelPower(f Frame, k int) float64 {
-	sum := 0.0
-	for _, v := range f.Channel(k) {
-		sum += cmplx.Abs(v) * cmplx.Abs(v)
-	}
-	return sum
 }

@@ -62,7 +62,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestSynthPlanCached(t *testing.T) {
+func TestNewSynthPlanUnshared(t *testing.T) {
 	c := TI1443()
 	if c.NewSynthPlan() == c.NewSynthPlan() {
 		t.Error("NewSynthPlan returned a shared plan")
@@ -97,7 +97,7 @@ func TestAoAEstimation(t *testing.T) {
 		bin := c.BinForRange(4)
 		p := c.NewSynthPlan()
 		angles := p.ScanAngles()
-		spec := aoaSpectrum(p, rp, bin, angles)
+		spec := aoaSpectrum(p, rp, bin)
 		_, idx := dsp.Max(spec)
 		got := geom.Deg(angles[idx])
 		if math.Abs(got-azDeg) > 3 {
@@ -128,18 +128,24 @@ func TestTwoScatterersResolvedInRange(t *testing.T) {
 	}
 }
 
-func TestBeamformRSSRecoversPower(t *testing.T) {
+// spotlight steers the array to azimuth at the bin nearest rangeM and
+// returns the beamformed received power in watts (the Sec 6 spotlight).
+func spotlight(c Config, f Frame, rangeM, azimuth float64) float64 {
+	return c.BeamPower(c.RangeProfile(f), c.BinForRange(rangeM), azimuth)
+}
+
+func TestSpotlightRecoversPower(t *testing.T) {
 	c := TI1443()
 	amp := 2e-4
 	az := geom.Rad(20)
 	f := c.Synthesize([]Scatterer{{Range: 4, Azimuth: az, Amplitude: amp}}, nil)
-	got := c.BeamformRSS(f, 4, az)
+	got := spotlight(c, f, 4, az)
 	want := amp * amp
 	if got < 0.5*want || got > 1.1*want {
 		t.Errorf("beamformed power = %g, want ~%g", got, want)
 	}
 	// Steering away drops the power.
-	off := c.BeamformRSS(f, 4, az+c.Beamwidth())
+	off := spotlight(c, f, 4, az+c.Beamwidth())
 	if off > got/2 {
 		t.Errorf("off-beam power %g not suppressed vs %g", off, got)
 	}
@@ -176,7 +182,7 @@ func TestSNRAtNoiseFloorTarget(t *testing.T) {
 	floorAmp := math.Sqrt(c.NoisePerBin())
 	strong := floorAmp * dsp.AmpFromDB(14)
 	f := c.Synthesize([]Scatterer{{Range: 4, Azimuth: 0, Amplitude: strong}}, rng)
-	rss := c.BeamformRSS(f, 4, 0)
+	rss := spotlight(c, f, 4, 0)
 	snr := em.DB(rss / (c.NoisePerBin() / float64(c.NumRx)))
 	// Beamforming averages channels: noise drops by NumRx, signal stays.
 	if snr < 10 || snr > 25 {
@@ -258,8 +264,10 @@ func TestSynthesizeSkipsDegenerateScatterers(t *testing.T) {
 		{Range: 3, Azimuth: 0, Amplitude: 0},
 		{Range: -1, Azimuth: 0, Amplitude: 1},
 	}, nil)
-	if p := ChannelPower(f, 0); p != 0 {
-		t.Errorf("degenerate scatterers injected power %g", p)
+	for i, v := range f.Data {
+		if v != 0 {
+			t.Fatalf("degenerate scatterers injected sample %d = %v", i, v)
+		}
 	}
 }
 
@@ -307,11 +315,11 @@ func TestADCQuantization(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	amp := math.Sqrt(c.NoisePerBin()) * dsp.AmpFromDB(20)
 	f12 := c.Synthesize([]Scatterer{{Range: 3, Amplitude: amp}}, rng)
-	rss12 := c.BeamformRSS(f12, 3, 0)
+	rss12 := spotlight(c, f12, 3, 0)
 
 	ideal := TI1443()
 	fIdeal := ideal.Synthesize([]Scatterer{{Range: 3, Amplitude: amp}}, rand.New(rand.NewSource(21)))
-	rssIdeal := ideal.BeamformRSS(fIdeal, 3, 0)
+	rssIdeal := spotlight(ideal, fIdeal, 3, 0)
 	// 12-bit conversion is transparent at these SNRs.
 	if d := math.Abs(em.DB(rss12 / rssIdeal)); d > 0.2 {
 		t.Errorf("12-bit ADC shifted the reading by %g dB", d)

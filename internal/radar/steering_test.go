@@ -58,7 +58,7 @@ func testProfile(t testing.TB, c Config) RangeProfile {
 	return c.RangeProfile(f)
 }
 
-func TestScanAnglesCachedAndShared(t *testing.T) {
+func TestScanAnglesGrid(t *testing.T) {
 	p := TI1443().NewSynthPlan()
 	a, b := p.ScanAngles(), p.ScanAngles()
 	if len(a) != 121 {
@@ -74,9 +74,9 @@ func TestScanAnglesCachedAndShared(t *testing.T) {
 }
 
 // aoaSpectrum is SynthPlan.AoASpectrumInto into a fresh slice.
-func aoaSpectrum(p *SynthPlan, rp RangeProfile, bin int, angles []float64) []float64 {
-	out := make([]float64, len(angles))
-	p.AoASpectrumInto(out, rp, bin, angles)
+func aoaSpectrum(p *SynthPlan, rp RangeProfile, bin int) []float64 {
+	out := make([]float64, len(p.ScanAngles()))
+	p.AoASpectrumInto(out, rp, bin)
 	return out
 }
 
@@ -88,26 +88,12 @@ func TestAoASpectrumCachedMatchesTrigReference(t *testing.T) {
 		p := c.NewSynthPlan()
 		angles := p.ScanAngles()
 		for _, bin := range []int{1, c.BinForRange(2.5), c.BinForRange(4), c.Samples - 2} {
-			got := aoaSpectrum(p, rp, bin, angles)
+			got := aoaSpectrum(p, rp, bin)
 			want := refSpectrum(c, rp, bin, angles)
 			if i, ok := specEqual(got, want, 1e-12); !ok {
 				t.Errorf("bin %d angle %d: cached %g vs trig %g", bin, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestAoASpectrumFallbackMatchesTrigReference(t *testing.T) {
-	// A caller-provided angle slice (not the cached grid) takes the
-	// recurrence path; it must match the reference too.
-	c := TI1443()
-	rp := testProfile(t, c)
-	angles := []float64{-0.9, -0.31, 0, 0.17, 0.55, 1.02}
-	bin := c.BinForRange(4)
-	got := aoaSpectrum(c.NewSynthPlan(), rp, bin, angles)
-	want := refSpectrum(c, rp, bin, angles)
-	if i, ok := specEqual(got, want, 1e-12); !ok {
-		t.Errorf("angle %d: fallback %g vs trig %g", i, got[i], want[i])
 	}
 }
 
@@ -128,14 +114,13 @@ func TestBeamPowerMatchesTrigReference(t *testing.T) {
 }
 
 func TestAoASpectrumWideArrayHeapPath(t *testing.T) {
-	// NumRx > 16 exercises the heap-allocated gather buffer in the cached
-	// path and longer recurrences in the fallback.
+	// NumRx > 16 exercises the heap-allocated gather buffer.
 	c := TI1443()
 	c.NumRx = 20
 	rp := testProfile(t, c)
 	bin := c.BinForRange(4)
 	p := c.NewSynthPlan()
-	got := aoaSpectrum(p, rp, bin, p.ScanAngles())
+	got := aoaSpectrum(p, rp, bin)
 	want := refSpectrum(c, rp, bin, p.ScanAngles())
 	if i, ok := specEqual(got, want, 1e-12); !ok {
 		t.Errorf("angle %d: cached %g vs trig %g", i, got[i], want[i])
@@ -151,5 +136,5 @@ func TestAoASpectrumIntoValidatesDst(t *testing.T) {
 		}
 	}()
 	p := c.NewSynthPlan()
-	p.AoASpectrumInto(make([]float64, 2), rp, 4, p.ScanAngles())
+	p.AoASpectrumInto(make([]float64, 2), rp, 4)
 }

@@ -44,12 +44,9 @@ func TestConfigValidateRejections(t *testing.T) {
 	}
 }
 
-// TestMIMOConfigValidateRejections covers the TDM-MIMO and elevation
-// extensions: every rejection must also be typed ErrConfig.
-func TestMIMOConfigValidateRejections(t *testing.T) {
-	if err := TI1443MIMO().Validate(); err != nil {
-		t.Fatalf("TI1443MIMO must validate: %v", err)
-	}
+// TestElevationValidateRejections covers the elevation extension: every
+// rejection must also be typed ErrConfig.
+func TestElevationValidateRejections(t *testing.T) {
 	if err := TI1443Elevation().Validate(); err != nil {
 		t.Fatalf("TI1443Elevation must validate: %v", err)
 	}
@@ -57,10 +54,7 @@ func TestMIMOConfigValidateRejections(t *testing.T) {
 		name string
 		err  func() error
 	}{
-		{"no tx", func() error { m := TI1443MIMO(); m.NumTx = 0; return m.Validate() }},
-		{"zero tx spacing", func() error { m := TI1443MIMO(); m.TxSpacing = 0; return m.Validate() }},
 		{"zero elevation height", func() error { e := TI1443Elevation(); e.TxHeight = 0; return e.Validate() }},
-		{"wrong elevation tx count", func() error { e := TI1443Elevation(); e.NumTx = 3; return e.Validate() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,12 +21,17 @@ type job struct {
 // tenantCapacity bounds the fair queue's tenant table.
 const tenantCapacity = 256
 
+// tenantLabelSets caps each per-tenant metric vector. Eviction retires a
+// tenant's labelsets, so the cap leaves room above tenantCapacity for a
+// table that grows past it while every resident tenant is busy.
+const tenantLabelSets = 4 * tenantCapacity
+
 // fairQueue is the per-tenant admission and scheduling core: a token bucket
 // per tenant (quota), a FIFO per tenant, and round-robin dequeue across the
 // tenants with queued work, so a tenant flooding its queue delays only
 // itself. The tenant table is recency-bounded: past tenantCapacity, the
-// least recently seen idle tenant is evicted (its queue-depth gauge
-// labelset retired with it).
+// least recently seen idle tenant is evicted (its queue-depth and
+// throttled labelsets retired with it).
 type fairQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -75,6 +80,7 @@ func (q *fairQueue) tenantLocked(name string, now time.Time) *tenantState {
 			q.order.Remove(el)
 			delete(q.tenants, t.name)
 			gTenantQueue.Delete(t.name)
+			mTenantThrottled.Delete(t.name)
 			mTenantEvictions.Inc()
 			evicted = true
 			break

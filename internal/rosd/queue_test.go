@@ -2,6 +2,7 @@ package rosd
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,22 +53,26 @@ func TestFairnessRoundRobinOrder(t *testing.T) {
 	if b := q.tenants["rr-b"]; b.inRing {
 		t.Fatal("drained rr-b still marked in the ring")
 	}
-	for _, name := range []string{"rr-a", "rr-b", "rr-c"} {
+	forgetTenants(q)
+}
+
+// forgetTenants retires the per-tenant labelsets of every tenant left in
+// q's table, so tests sharing the package's vectors start from a clean cap.
+func forgetTenants(q *fairQueue) {
+	for name := range q.tenants {
 		gTenantQueue.Delete(name)
+		mTenantThrottled.Delete(name)
 	}
 }
 
 // TestFairnessTenantTableEvictsIdle fills the tenant table past
 // tenantCapacity: the least recently seen idle tenant goes, its queue-depth
-// labelset with it, and a tenant with queued work is never evicted.
+// and throttled labelsets with it, and a tenant with queued work is never
+// evicted.
 func TestFairnessTenantTableEvictsIdle(t *testing.T) {
 	q := newFairQueue(0, 0)
 	defer q.close()
-	defer func() {
-		for name := range q.tenants {
-			gTenantQueue.Delete(name)
-		}
-	}()
+	defer forgetTenants(q)
 	now := time.Now()
 	name := func(i int) string { return fmt.Sprintf("evict-%03d", i) }
 	see := func(tenant string) {
@@ -86,6 +91,10 @@ func TestFairnessTenantTableEvictsIdle(t *testing.T) {
 	before := mTenantEvictions.Value()
 	if len(q.tenants) != tenantCapacity || mTenantEvictions.Value() != before {
 		t.Fatalf("table at capacity holds %d tenants, want %d and no eviction", len(q.tenants), tenantCapacity)
+	}
+
+	if !hasThrottledLabelSet(name(0)) {
+		t.Fatalf("resident tenant %s has no throttled labelset", name(0))
 	}
 
 	// One more tenant: the busy one is skipped, evict-000 goes.
@@ -111,8 +120,56 @@ func TestFairnessTenantTableEvictsIdle(t *testing.T) {
 	}
 }
 
+// TestFairnessThrottledTenantsKeepLabelSets throttles more fresh tenants
+// than obs.MaxLabelSets: each one's refusal is counted under its own name,
+// and none lands in a vector's overflow child.
+func TestFairnessThrottledTenantsKeepLabelSets(t *testing.T) {
+	q := newFairQueue(1, 1) // one token each; the clock stands still, so none refills
+	defer q.close()
+	defer forgetTenants(q)
+	dropped := obs.Default.Counter(obs.DroppedLabelSetsMetric, "")
+	before := dropped.Value()
+	now := time.Now()
+	const tenants = 80
+	for i := 0; i < tenants; i++ {
+		name := fmt.Sprintf("throttle-%03d", i)
+		if ok, _ := q.throttle(name, now); !ok {
+			t.Fatalf("%s refused its first read", name)
+		}
+		if ok, _ := q.throttle(name, now); ok {
+			t.Fatalf("%s admitted past its burst", name)
+		}
+	}
+	if got := dropped.Value() - before; got != 0 {
+		t.Errorf("%s rose by %d over %d throttled tenants, want 0", obs.DroppedLabelSetsMetric, got, tenants)
+	}
+	counted := 0
+	for _, c := range obs.Default.Snapshot().Counters {
+		if c.Name == "ros_rosd_tenant_throttled_total" && strings.HasPrefix(c.Labels["tenant"], "throttle-") {
+			if c.Value != 1 {
+				t.Errorf("tenant %s throttled count = %d, want 1", c.Labels["tenant"], c.Value)
+			}
+			counted++
+		}
+	}
+	if counted != tenants {
+		t.Errorf("%d tenants have a throttled labelset, want %d", counted, tenants)
+	}
+}
+
+// hasThrottledLabelSet reports whether the tenant's throttled counter is
+// resident in the registry.
+func hasThrottledLabelSet(tenant string) bool {
+	for _, c := range obs.Default.Snapshot().Counters {
+		if c.Name == "ros_rosd_tenant_throttled_total" && c.Labels["tenant"] == tenant {
+			return true
+		}
+	}
+	return false
+}
+
 // checkEvicted asserts the tenant left the table at capacity and its
-// queue-depth labelset left the registry.
+// queue-depth and throttled labelsets left the registry.
 func checkEvicted(t *testing.T, q *fairQueue, tenant string) {
 	t.Helper()
 	if len(q.tenants) != tenantCapacity {
@@ -125,5 +182,8 @@ func checkEvicted(t *testing.T, q *fairQueue, tenant string) {
 		if g.Name == "ros_rosd_tenant_queue_depth" && g.Labels["tenant"] == tenant {
 			t.Fatalf("evicted tenant %s kept its queue-depth labelset", tenant)
 		}
+	}
+	if hasThrottledLabelSet(tenant) {
+		t.Fatalf("evicted tenant %s kept its throttled labelset", tenant)
 	}
 }

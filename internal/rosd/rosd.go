@@ -89,10 +89,10 @@ var (
 		"Batch requests that built a fresh engine for their configuration.")
 	mEvictions = obs.Default.Counter("ros_rosd_engine_evictions_total",
 		"Engines evicted (and closed) to stay under the LRU capacity.")
-	mTenantThrottled = obs.Default.CounterVec("ros_rosd_tenant_throttled_total",
-		"Reads refused by a tenant's token bucket (quota exceeded).", "tenant")
+	mTenantThrottled = obs.Default.CounterVecCapacity("ros_rosd_tenant_throttled_total",
+		"Reads refused by a tenant's token bucket (quota exceeded).", tenantLabelSets, "tenant")
 	gTenantQueue = obs.Default.GaugeVecCapacity("ros_rosd_tenant_queue_depth",
-		"Reads queued per tenant awaiting an executor worker.", 1024, "tenant")
+		"Reads queued per tenant awaiting an executor worker.", tenantLabelSets, "tenant")
 	gQueuedReads = obs.Default.Gauge("ros_rosd_queued_reads",
 		"Admitted reads waiting in the fair queue (not yet executing).")
 	gTenants = obs.Default.Gauge("ros_rosd_tenants_resident",

@@ -179,21 +179,6 @@ func (t *Tag) RCS(radarPos geom.Vec3, f float64) float64 {
 	return a * a
 }
 
-// ElevationEnvelope returns the exact (near-field) elevation power factor of
-// one stack seen from radarPos, normalized to the same position at the tag's
-// height: the ratio by which height misalignment scales the tag's return.
-// Both the antenna mode and the structural mode radiate from the same
-// aperture, so this factor applies to detection-mode returns too.
-func (t *Tag) ElevationEnvelope(radarPos geom.Vec3, f float64) float64 {
-	flat := radarPos
-	flat.Z = t.Position.Z
-	p0 := t.stackPower(flat, f)
-	if p0 <= 0 {
-		return 1
-	}
-	return t.stackPower(radarPos, f) / p0
-}
-
 // stackPowerCached is stackPower memoizing through a cache; nil skips
 // memoization entirely.
 func (t *Tag) stackPowerCached(rc *ResponseCache, radarPos geom.Vec3, f float64) float64 {
