@@ -111,8 +111,7 @@ func testScene(t *testing.T, e *Engine) *scene.Scene {
 
 // TestCloseClearsCaches pins the retention contract: first use registers
 // entries in both gauges, Close zeroes them and retires their label sets,
-// no plan survives Close, the next request builds one plan that later
-// requests share, and that rebuilt plan — like an unshared NewSynthPlan — makes
+// and a plan rebuilt after Close — like an unshared NewSynthPlan — makes
 // the pre-Close frame and point cloud bit for bit (entries are pure
 // memoization, never state).
 func TestCloseClearsCaches(t *testing.T) {
@@ -160,9 +159,6 @@ func TestCloseClearsCaches(t *testing.T) {
 	rebuilt := e.SynthPlan(c)
 	if rebuilt == p {
 		t.Fatal("synthesis plan survived Close")
-	}
-	if again := e.SynthPlan(c); again != rebuilt {
-		t.Fatal("cache did not repopulate after Close: two plans for one config")
 	}
 	for name, p2 := range map[string]*radar.SynthPlan{"rebuilt": rebuilt, "fresh": c.NewSynthPlan()} {
 		frame, cloud := synth(p2)

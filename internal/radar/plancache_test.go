@@ -9,10 +9,10 @@ import (
 )
 
 // The synthesis-plan cache is owned by engine.Engine (radar builds plans
-// only through the uncached Config.NewSynthPlan). TestCacheGaugesAndReset
-// pins, from the radar side, what that cache may and may not do to a plan:
-// entries are pure memoization, so a reset drops them without changing what
-// a plan computes.
+// only through the uncached Config.NewSynthPlan). These tests pin, from the
+// radar side, what that cache may and may not do to a plan: entries are
+// pure memoization, so a reset drops them without changing what a plan
+// computes.
 
 // synthPlanGauge returns the radar_synth_plan entry count e reports in the
 // default registry, and whether the label set is registered at all.
@@ -72,5 +72,22 @@ func TestCacheGaugesAndReset(t *testing.T) {
 		if cloud[i] != beforeCloud[i] {
 			t.Fatalf("rebuilt plan: point %d changed: %+v -> %+v", i, beforeCloud[i], cloud[i])
 		}
+	}
+}
+
+// TestSessionClear pins the clear-and-repopulate contract for the cache a
+// read session draws its plans from: no plan survives Close, and the next
+// request builds one new plan that later requests share.
+func TestSessionClear(t *testing.T) {
+	e := engine.New("")
+	cfg := radar.TI1443()
+	p1 := e.SynthPlan(cfg)
+	e.Close()
+	p2 := e.SynthPlan(cfg)
+	if p2 == p1 {
+		t.Fatal("plan survived Close")
+	}
+	if p3 := e.SynthPlan(cfg); p3 != p2 {
+		t.Fatal("cache did not repopulate after Close: two plans for one config")
 	}
 }

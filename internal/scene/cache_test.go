@@ -120,26 +120,28 @@ func TestTagFingerprintSeparatesTags(t *testing.T) {
 	}
 }
 
-// TestResponseCacheWipesAtCapacity checks the wipe at capacity. First, a
-// cache at the default capacity filled with synthetic keys never exceeds
-// sceneResponseCap and keeps absorbing entries after the wipe. Then real
-// tag responses go through a cache whose capacity is lowered to a few
-// entries: a store into the full cache wipes the map and resets the gauge,
-// and the terms recomputed after the wipe are bit-identical to the ones it
-// dropped.
-func TestResponseCacheWipesAtCapacity(t *testing.T) {
-	full := testCache()
+// TestSceneMemoCapWipes fills the memo to capacity with synthetic keys and
+// checks the wipe: the map never exceeds the cap and keeps absorbing new
+// entries afterwards.
+func TestSceneMemoCapWipes(t *testing.T) {
+	rc := testCache()
 	for i := 0; i < sceneResponseCap; i++ {
-		full.store(responseKey{fp: 1, px: float64(i)}, complex128(0))
+		rc.store(responseKey{fp: 1, px: float64(i)}, complex128(0))
 	}
-	if n := full.Len(); n != sceneResponseCap {
+	if n := rc.Len(); n != sceneResponseCap {
 		t.Fatalf("filled memo holds %d entries, want %d", n, sceneResponseCap)
 	}
-	full.store(responseKey{fp: 2}, complex128(0))
-	if n := full.Len(); n != 1 {
-		t.Errorf("store at default capacity left %d entries, want 1 (wipe then insert)", n)
+	rc.store(responseKey{fp: 2}, complex128(0))
+	if n := rc.Len(); n != 1 {
+		t.Errorf("store at capacity left %d entries, want 1 (wipe then insert)", n)
 	}
+}
 
+// TestResponseCacheWipesAtCapacity drives real tag responses through a
+// cache whose capacity is lowered to a few entries: a store into the full
+// cache wipes the map and resets the gauge, and the terms recomputed after
+// the wipe are bit-identical to the ones it dropped.
+func TestResponseCacheWipesAtCapacity(t *testing.T) {
 	const capacity = 4
 	g := new(obs.Gauge)
 	rc := NewResponseCache(g)
