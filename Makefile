@@ -17,8 +17,9 @@ FUZZ_TIME ?= 30s
 
 # Synthesis-kernel micro-benchmarks compared by bench-kernel: tone lanes,
 # batched Gaussian noise, fused window+FFT plans, the closed-form decode bin,
-# the scene-response memo, and the point-cloud scan.
-BENCH_KERNEL := 'BenchmarkBinSpectrum$$|BenchmarkToneFill256$$|BenchmarkAccumulateRotated256$$|BenchmarkGaussNorm$$|BenchmarkGaussFill2048$$|BenchmarkGaussAddNoise1024$$|BenchmarkPlanInverse256$$|BenchmarkSceneResponseMemo$$|BenchmarkSceneResponseDirect$$|BenchmarkPointCloudScan$$'
+# the decoder's spectrum on an owned plan, the scene-response memo, and the
+# point-cloud scan.
+BENCH_KERNEL := 'BenchmarkBinSpectrum$$|BenchmarkToneFill256$$|BenchmarkAccumulateRotated256$$|BenchmarkGaussNorm$$|BenchmarkGaussAddNoise1024$$|BenchmarkPlanInverse256$$|BenchmarkComputeSpectrum$$|BenchmarkSceneResponseMemo$$|BenchmarkSceneResponseDirect$$|BenchmarkPointCloudScan$$'
 
 # Observability overhead budget (percent) enforced by obs-overhead.
 OBS_OVERHEAD_PCT ?= 2
@@ -63,7 +64,7 @@ bench:
 
 # Micro-benchmarks of the synthesis front-end kernels.
 bench-kernel:
-	$(GO) test -run xxx -bench $(BENCH_KERNEL) -benchmem ./internal/dsp/ ./internal/radar/ ./internal/scene/
+	$(GO) test -run xxx -bench $(BENCH_KERNEL) -benchmem ./internal/coding/ ./internal/dsp/ ./internal/radar/ ./internal/scene/
 
 # Vet and short-test the benchmark module. benchmark/ is its own module
 # (ros/benchmark), so root `go test ./...` skips it; this catches an API

@@ -29,7 +29,7 @@ func Decode(u, rss []float64, bits int) (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := dec.Decode(u, rss)
+	res, err := dec.Decode(u, rss, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func DecodeCaptureFile(path string) (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := dec.Decode(c.U, c.RSS)
+	res, err := dec.Decode(c.U, c.RSS, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,9 @@ import "ros/internal/engine"
 
 // Engine is an explicit resource handle for readers: it owns every piece of
 // memoized state reads accumulate — one synthesis plan per radar
-// configuration (with its range transform and steering table) and the
-// scene-response memo. Readers without an Engine share one
+// configuration (with its range transform and steering table), one
+// decoder spectrum FFT plan per transform size, and the scene-response
+// memo. Readers without an Engine share one
 // process-wide default Engine (process-lifetime retention, reported under
 // engine="default"); readers sharing an Engine share its caches; Close
 // releases everything the Engine owns deterministically, dropping its

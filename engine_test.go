@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"ros/internal/engine"
 	"ros/internal/obs"
 )
 
@@ -144,5 +145,34 @@ func TestEngineSharedAcrossReaders(t *testing.T) {
 	_, second := readCaptureOpts(t, NewReader(WithEngine(e)), opts)
 	if string(first) != string(second) {
 		t.Error("two readers sharing an engine produced different captures")
+	}
+}
+
+// TestEngineSpectrumPlanOncePerSize: the decoder's spectrum plan is built
+// once per transform size on an Engine — two canonical reads leave one
+// spectrum_plan entry — and Close retires it.
+func TestEngineSpectrumPlanOncePerSize(t *testing.T) {
+	e := NewEngine()
+	spectrumPlans := func() (float64, bool) {
+		for _, g := range obs.Default.Snapshot().Gauges {
+			if g.Name == "ros_engine_cache_entries" && g.Labels["engine"] == e.h.ID() &&
+				g.Labels["cache"] == engine.CacheSpectrumPlans {
+				return g.Value, true
+			}
+		}
+		return 0, false
+	}
+	r := NewReader(WithEngine(e))
+	for _, seed := range []int64{7, 8} {
+		if reading, _ := readCaptureOpts(t, r, ReadOptions{Seed: seed, Workers: 2}); reading.Bits != "1011" {
+			t.Fatalf("seed %d decoded %q, want 1011", seed, reading.Bits)
+		}
+	}
+	if v, ok := spectrumPlans(); !ok || v != 1 {
+		t.Fatalf("spectrum_plan entries after two reads = %v (registered %v), want 1", v, ok)
+	}
+	e.Close()
+	if v, ok := spectrumPlans(); ok {
+		t.Fatalf("spectrum_plan label set survived Close (value %v)", v)
 	}
 }

@@ -169,7 +169,7 @@ func (d *ASKDecoder) Decode(u, rss []float64) (*ASKResult, error) {
 	if opts.Lambda == 0 {
 		opts.Lambda = d.Lambda
 	}
-	spec, err := ComputeSpectrum(u, rss, opts)
+	spec, err := ComputeSpectrum(u, rss, opts, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -62,13 +62,15 @@ type Result struct {
 	Spectrum *Spectrum
 }
 
-// Decode converts RCS samples (u_i = cos(theta_i), rss_i) into bits.
-func (d *Decoder) Decode(u, rss []float64) (*Result, error) {
+// Decode converts RCS samples (u_i = cos(theta_i), rss_i) into bits. The
+// spectrum's FFT plan comes from plans; nil builds a fresh plan for this
+// call.
+func (d *Decoder) Decode(u, rss []float64, plans PlanSource) (*Result, error) {
 	opts := d.Options
 	if opts.Lambda == 0 {
 		opts.Lambda = d.Lambda
 	}
-	spec, err := ComputeSpectrum(u, rss, opts)
+	spec, err := ComputeSpectrum(u, rss, opts, plans)
 	if err != nil {
 		return nil, err
 	}

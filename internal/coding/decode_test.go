@@ -46,7 +46,7 @@ func TestDecodeCleanAllOnes(t *testing.T) {
 	l := mustLayout(t, "1111")
 	us, rss := synthesizeRSS(l, -0.55, 0.55, 900, 0, nil)
 	d := newTestDecoder(t, 4)
-	res, err := d.Decode(us, rss)
+	res, err := d.Decode(us, rss, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDecodeMixedPatterns(t *testing.T) {
 			t.Fatal(err)
 		}
 		us, rss := synthesizeRSS(l, -0.55, 0.55, 900, 0, nil)
-		res, err := d.Decode(us, rss)
+		res, err := d.Decode(us, rss, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", pattern, err)
 		}
@@ -88,7 +88,7 @@ func TestDecodeWithNoise(t *testing.T) {
 	l := mustLayout(t, "1011")
 	us, rss := synthesizeRSS(l, -0.55, 0.55, 900, 0.15, rng)
 	d := newTestDecoder(t, 4)
-	res, err := d.Decode(us, rss)
+	res, err := d.Decode(us, rss, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSNRDecreasesWithNoise(t *testing.T) {
 	for i, noise := range []float64{0.02, 0.3} {
 		rng := rand.New(rand.NewSource(11))
 		us, rss := synthesizeRSS(l, -0.55, 0.55, 900, noise, rng)
-		res, err := d.Decode(us, rss)
+		res, err := d.Decode(us, rss, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestDecodeNarrowFoVDegrades(t *testing.T) {
 	l := mustLayout(t, "1111")
 	wide := func() float64 {
 		us, rss := synthesizeRSS(l, -0.5, 0.5, 900, 0.05, rand.New(rand.NewSource(1)))
-		res, err := d.Decode(us, rss)
+		res, err := d.Decode(us, rss, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestDecodeNarrowFoVDegrades(t *testing.T) {
 	}()
 	narrow := func() float64 {
 		us, rss := synthesizeRSS(l, -0.17, 0.17, 900, 0.05, rand.New(rand.NewSource(1)))
-		res, err := d.Decode(us, rss)
+		res, err := d.Decode(us, rss, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestSpectrumPeaksAtPaperPositions(t *testing.T) {
 	l := mustLayout(t, "1111")
 	us, rss := synthesizeRSS(l, -0.55, 0.55, 900, 0, nil)
 	lambda := em.Lambda79()
-	spec, err := ComputeSpectrum(us, rss, SpectrumOptions{Lambda: lambda})
+	spec, err := ComputeSpectrum(us, rss, SpectrumOptions{Lambda: lambda}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSpectrumResolutionMatchesPaper(t *testing.T) {
 	l := mustLayout(t, "1111")
 	us, rss := synthesizeRSS(l, -1, 1, 2000, 0, nil)
 	lambda := em.Lambda79()
-	spec, err := ComputeSpectrum(us, rss, SpectrumOptions{Lambda: lambda})
+	spec, err := ComputeSpectrum(us, rss, SpectrumOptions{Lambda: lambda}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,18 +191,18 @@ func TestSpectrumResolutionMatchesPaper(t *testing.T) {
 }
 
 func TestComputeSpectrumErrors(t *testing.T) {
-	if _, err := ComputeSpectrum([]float64{1, 2}, []float64{1}, SpectrumOptions{Lambda: 1}); err == nil {
+	if _, err := ComputeSpectrum([]float64{1, 2}, []float64{1}, SpectrumOptions{Lambda: 1}, nil); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := ComputeSpectrum([]float64{1, 2}, []float64{1, 2}, SpectrumOptions{}); err == nil {
+	if _, err := ComputeSpectrum([]float64{1, 2}, []float64{1, 2}, SpectrumOptions{}, nil); err == nil {
 		t.Error("zero lambda accepted")
 	}
 	short := []float64{1, 2, 3}
-	if _, err := ComputeSpectrum(short, short, SpectrumOptions{Lambda: 1}); err == nil {
+	if _, err := ComputeSpectrum(short, short, SpectrumOptions{Lambda: 1}, nil); err == nil {
 		t.Error("too-few samples accepted")
 	}
 	same := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	if _, err := ComputeSpectrum(same, same, SpectrumOptions{Lambda: 1}); err == nil {
+	if _, err := ComputeSpectrum(same, same, SpectrumOptions{Lambda: 1}, nil); err == nil {
 		t.Error("degenerate u span accepted")
 	}
 }
@@ -272,7 +272,7 @@ func TestDecodeRoundTripProperty(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		us, rss := synthesizeRSS(l, -0.55, 0.55, 900, 0.05, rng)
-		res, err := d.Decode(us, rss)
+		res, err := d.Decode(us, rss, nil)
 		if err != nil {
 			return false
 		}

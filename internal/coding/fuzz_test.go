@@ -57,7 +57,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewDecoder(%d) rejected valid params: %v", b, err)
 		}
-		res, err := dec.Decode(u, rss)
+		res, err := dec.Decode(u, rss, nil)
 		if err != nil {
 			if !errors.Is(err, roserr.ErrConfig) && !errors.Is(err, roserr.ErrUndecodable) {
 				t.Fatalf("Decode returned untyped error %v", err)

@@ -63,12 +63,20 @@ type SpectrumOptions struct {
 	DisableDetrend bool
 }
 
+// PlanSource supplies the Rectangular FFT plan of one transform size.
+// engine.Engine implements it (Engine.SpectrumPlan), so reads through an
+// Engine build each decode size's plan once.
+type PlanSource interface {
+	SpectrumPlan(n int) *dsp.Plan
+}
+
 // ComputeSpectrum turns non-uniform RCS samples (u_i, rss_i) into the RCS
 // frequency spectrum: resample onto a uniform u grid, strip the slowly
 // varying envelope, window, zero-pad, FFT, and rescale the axis to stack
 // spacing. Only non-negative spacings are returned (the RSS is real, so the
-// spectrum is symmetric).
-func ComputeSpectrum(u, rss []float64, opts SpectrumOptions) (*Spectrum, error) {
+// spectrum is symmetric). The transform runs on the plan plans supplies; a
+// nil plans builds a fresh one for this call.
+func ComputeSpectrum(u, rss []float64, opts SpectrumOptions, plans PlanSource) (*Spectrum, error) {
 	if opts.Lambda <= 0 {
 		return nil, fmt.Errorf("coding: %w: spectrum requires a positive wavelength, got %g", roserr.ErrConfig, opts.Lambda)
 	}
@@ -120,7 +128,13 @@ func ComputeSpectrum(u, rss []float64, opts SpectrumOptions) (*Spectrum, error) 
 	for i, v := range det {
 		x[i] = complex(v, 0)
 	}
-	dsp.FFTInPlace(x)
+	var plan *dsp.Plan
+	if plans != nil {
+		plan = plans.SpectrumPlan(m)
+	} else {
+		plan = dsp.NewPlan(m, dsp.Rectangular)
+	}
+	plan.Forward(x, x)
 	du := grid[1] - grid[0]
 	mag := make([]float64, m/2)
 	dsp.MagnitudeInto(mag, x[:m/2])

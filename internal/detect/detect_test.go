@@ -155,7 +155,7 @@ func TestTagSamplesFeedDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := dec.Decode(res.TagU, res.TagRSS)
+	out, err := dec.Decode(res.TagU, res.TagRSS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

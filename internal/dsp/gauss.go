@@ -13,13 +13,13 @@ import (
 // they perturb. Gauss owns its SplitMix64 state directly (the same
 // generator the sweep sub-streams use, one word of state, seeded in one
 // multiply) so the fill loop is a handful of inlined integer ops plus two
-// table loads per draw, and FillNorm amortizes the call overhead across a
-// whole lane of draws.
+// table loads per draw, and AddNoise amortizes the call overhead across a
+// whole frame of draws.
 //
 // The distribution is a 256-layer Marsaglia–Tsang ziggurat over float64.
 // It is NOT the stdlib's NormFloat64 sequence: swapping the generator was a
 // deliberate FP-contract change (see docs/PERF.md), and the frame
-// equivalence suite pins both paths to the same Gauss stream.
+// equivalence suite pins the synthesizer to the same Gauss stream.
 
 // zigR is the ziggurat tail cut-off and zigV the common layer area for the
 // 256-layer table (twice Marsaglia–Tsang's canonical 128: the tables still
@@ -81,13 +81,11 @@ func init() {
 }
 
 // Gauss is a deterministic Gaussian stream: a SplitMix64 counter feeding a
-// ziggurat sampler, plus a reusable scratch lane for batched fills. The
-// zero value is a valid stream seeded with 0; it is not safe for concurrent
-// use — give each worker its own (Acquire/ReleaseGauss pool one per frame
-// with zero steady-state allocation).
+// ziggurat sampler. The zero value is a valid stream seeded with 0; it is
+// not safe for concurrent use — give each worker its own (Acquire/
+// ReleaseGauss pool one per frame with zero steady-state allocation).
 type Gauss struct {
-	state   uint64
-	scratch []float64
+	state uint64
 }
 
 // NewGauss returns a stream seeded with the given sub-stream seed (the same
@@ -96,7 +94,7 @@ func NewGauss(seed int64) *Gauss {
 	return &Gauss{state: uint64(seed)}
 }
 
-// Reseed rewinds the stream to a fresh seed; the scratch lane is kept.
+// Reseed rewinds the stream to a fresh seed.
 func (g *Gauss) Reseed(seed int64) { g.state = uint64(seed) }
 
 // gaussGamma is the SplitMix64 state increment.
@@ -104,7 +102,7 @@ const gaussGamma = 0x9e3779b97f4a7c15
 
 // mix64 is the SplitMix64 output mix — the identical mixing used by the
 // sweep package's sub-stream sources. It is a pure function of the counter,
-// so FillNorm can evaluate several future outputs of the stream in parallel
+// so AddNoise can evaluate several future outputs of the stream in parallel
 // and commit the counter afterwards.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -126,9 +124,9 @@ func (g *Gauss) uniform() float64 {
 // Norm returns one standard-normal draw. The fast path is the
 // integer-compare form of the layer test: the signed 53-bit fixed-point
 // uniform j accepts when its magnitude is below zigK[i], and the draw is
-// then a single multiply float64(j)*zigW[i]. Norm and FillNorm consume the
-// stream identically — n calls to Norm produce the same n values as one
-// FillNorm over an n-lane.
+// then a single multiply float64(j)*zigW[i]. Norm and AddNoise consume the
+// stream identically — 2n calls to Norm draw the same values, real then
+// imaginary, as one AddNoise over n samples.
 func (g *Gauss) Norm() float64 {
 	for {
 		u := g.next()
@@ -183,90 +181,23 @@ func (g *Gauss) normSlow(u uint64) (float64, bool) {
 	return 0, false
 }
 
-// FillNorm fills dst with standard-normal draws, producing exactly the
-// sequence len(dst) Norm calls would. The hot loop evaluates four future
-// SplitMix64 outputs per iteration — mix64 is a pure function of the
-// counter, so the four mixes carry no dependency chain and pipeline across
-// each other, which the one-at-a-time loop cannot do. When all four draws
-// fast-accept (≈90% of groups) the group commits with one branch: m < k on
-// 52-bit magnitudes is equivalent to the subtraction m-k wrapping negative,
-// so ANDing the four differences tests all four sign bits at once. Any
-// rejection commits the accepted prefix, resolves the first rejected draw
-// through Norm in stream order, and regroups from the post-slow-path
-// counter.
-func (g *Gauss) FillNorm(dst []float64) {
-	s := g.state
-	n := 0
-	for n+4 <= len(dst) {
-		s1 := s + gaussGamma
-		s2 := s1 + gaussGamma
-		s3 := s2 + gaussGamma
-		s4 := s3 + gaussGamma
-		u0 := mix64(s1)
-		u1 := mix64(s2)
-		u2 := mix64(s3)
-		u3 := mix64(s4)
-		j0 := int64(u0) >> 11
-		j1 := int64(u1) >> 11
-		j2 := int64(u2) >> 11
-		j3 := int64(u3) >> 11
-		a0, a1, a2, a3 := j0>>63, j1>>63, j2>>63, j3>>63
-		m0 := uint64((j0 ^ a0) - a0)
-		m1 := uint64((j1 ^ a1) - a1)
-		m2 := uint64((j2 ^ a2) - a2)
-		m3 := uint64((j3 ^ a3) - a3)
-		const lm = zigLayers - 1
-		d := dst[n : n+4 : len(dst)]
-		if int64((m0-zigK[u0&lm])&(m1-zigK[u1&lm])&(m2-zigK[u2&lm])&(m3-zigK[u3&lm])) < 0 {
-			d[0] = float64(j0) * zigW[u0&lm]
-			d[1] = float64(j1) * zigW[u1&lm]
-			d[2] = float64(j2) * zigW[u2&lm]
-			d[3] = float64(j3) * zigW[u3&lm]
-			s = s4
-			n += 4
-			continue
-		}
-		// Some draw in the group rejected: commit the accepted prefix
-		// as-is, resolve the rejected draw through Norm (which replays the
-		// identical counter value and falls into the wedge/tail), and let
-		// the remainder of the group — whose counters shifted past the
-		// slow path's extra consumption — re-enter the loop as fresh
-		// groups.
-		us := [4]uint64{u0, u1, u2, u3}
-		js := [4]int64{j0, j1, j2, j3}
-		ms := [4]uint64{m0, m1, m2, m3}
-		g.state = s
-		k := 0
-		for ; k < 4; k++ {
-			i := us[k] & lm
-			if ms[k] >= zigK[i] {
-				break
-			}
-			d[k] = float64(js[k]) * zigW[i]
-			g.state += gaussGamma
-		}
-		d[k] = g.Norm()
-		s = g.state
-		n += k + 1
-	}
-	g.state = s
-	for ; n < len(dst); n++ {
-		dst[n] = g.Norm()
-	}
-}
-
 // AddNoise adds sigma-scaled standard-normal noise to every sample of dst:
 // sample t consumes two stream draws, real then imaginary — the same stream
 // positions 2*len(dst) Norm calls would consume. The sigma scale is folded
 // into the layer-width table, so a fast-path draw rounds as
 // j*(zigW[i]*sigma) rather than (j*zigW[i])*sigma — within 1 ulp of
 // Norm()*sigma, never different in distribution. Fusing the generator into
-// the accumulate pass skips the intermediate lane a FillNorm-then-add pair
+// the accumulate pass skips the intermediate lane a fill-then-add pair
 // would write and re-read (48KB of traffic per 256x4 frame), which on the
-// canonical read costs about as much as the draws themselves. The group
-// structure mirrors FillNorm but twice as wide: eight counter mixes per
-// iteration (four complex samples), a single ANDed sign-bit accept branch,
-// and a stream-order replay through Norm when any draw rejects.
+// canonical read costs about as much as the draws themselves.
+//
+// The hot loop evaluates eight future SplitMix64 outputs per iteration
+// (four complex samples) — mix64 is a pure function of the counter, so the
+// mixes carry no dependency chain and pipeline across each other. When all
+// eight draws fast-accept the group commits with one branch: m < k on
+// 52-bit magnitudes is equivalent to the subtraction m-k wrapping negative,
+// so ANDing the differences tests every sign bit at once. Any rejection
+// replays the group in stream order through Norm.
 func (g *Gauss) AddNoise(dst []complex128, sigma float64) {
 	s := g.state
 	n := 0
@@ -357,19 +288,7 @@ func (g *Gauss) AddNoise(dst []complex128, sigma float64) {
 	}
 }
 
-// Norms returns an internal scratch lane of n standard-normal draws. The
-// lane is valid until the next Norms call and must not be retained; it
-// grows amortized, so steady-state fills allocate nothing.
-func (g *Gauss) Norms(n int) []float64 {
-	if cap(g.scratch) < n {
-		g.scratch = make([]float64, n)
-	}
-	s := g.scratch[:n]
-	g.FillNorm(s)
-	return s
-}
-
-// gaussPool recycles Gauss streams (and their scratch lanes) across frames;
+// gaussPool recycles Gauss streams across frames;
 // a reader synthesizes hundreds of frames per pass, each on its own
 // sub-stream seed.
 var gaussPool = sync.Pool{New: func() any { return new(Gauss) }}

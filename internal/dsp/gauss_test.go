@@ -52,27 +52,6 @@ func TestZigguratFastPath(t *testing.T) {
 	}
 }
 
-// TestFillNormMatchesNormSequence pins the batched generator to the scalar
-// one: FillNorm must produce bit-identical values to repeated Norm calls
-// and leave the stream at the same position, for lengths around and across
-// the 4-wide unroll boundary.
-func TestFillNormMatchesNormSequence(t *testing.T) {
-	for _, n := range []int{1, 3, 4, 7, 2048} {
-		a := NewGauss(99)
-		b := NewGauss(99)
-		dst := make([]float64, n)
-		a.FillNorm(dst)
-		for i := range dst {
-			if v := b.Norm(); v != dst[i] {
-				t.Fatalf("n=%d idx %d: FillNorm %v != Norm %v", n, i, dst[i], v)
-			}
-		}
-		if a.state != b.state {
-			t.Fatalf("n=%d: state diverged", n)
-		}
-	}
-}
-
 // TestAddNoiseMatchesNormSequence pins the fused noise kernel's stream
 // contract: AddNoise(dst, sigma) consumes exactly 2*len(dst) draws from
 // the same positions Norm would, adds Norm()*sigma within 1 ulp per
@@ -128,40 +107,6 @@ func TestAddNoiseDeterministic(t *testing.T) {
 	}
 }
 
-// TestNormsReusesScratch checks the scratch lane the quantized noise pass
-// draws from: it grows once to the largest request, smaller and equal
-// requests reuse the same backing array, and its draws continue the stream
-// exactly as FillNorm from the same seed would.
-func TestNormsReusesScratch(t *testing.T) {
-	g := NewGauss(5)
-	w := NewGauss(5)
-	want := make([]float64, 64)
-	check := func(got []float64) {
-		t.Helper()
-		w.FillNorm(want[:len(got)])
-		for i, v := range got {
-			if v != want[i] {
-				t.Fatalf("len %d idx %d: Norms %v != FillNorm %v", len(got), i, v, want[i])
-			}
-		}
-	}
-	first := g.Norms(64)
-	if len(first) != 64 || cap(g.scratch) != 64 {
-		t.Fatalf("Norms(64) gave len %d over a %d-cap lane, want 64/64", len(first), cap(g.scratch))
-	}
-	check(first)
-	second := g.Norms(32)
-	if len(second) != 32 || &second[0] != &first[0] {
-		t.Fatalf("Norms(32) reallocated a scratch lane that already fit")
-	}
-	check(second)
-	third := g.Norms(64)
-	if &third[0] != &first[0] || cap(g.scratch) != 64 {
-		t.Fatalf("Norms(64) regrew the lane after it had reached 64")
-	}
-	check(third)
-}
-
 func BenchmarkGaussNorm(b *testing.B) {
 	g := NewGauss(1)
 	s := 0.0
@@ -169,16 +114,6 @@ func BenchmarkGaussNorm(b *testing.B) {
 		s += g.Norm()
 	}
 	_ = s
-}
-
-func BenchmarkGaussFill2048(b *testing.B) {
-	g := NewGauss(1)
-	dst := make([]float64, 2048)
-	b.SetBytes(2048 * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.FillNorm(dst)
-	}
 }
 
 func BenchmarkGaussAddNoise1024(b *testing.B) {

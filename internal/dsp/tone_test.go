@@ -28,8 +28,8 @@ func refTone(n int, cur, step complex128) []complex128 {
 func TestToneFillMatchesSincos(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
-		// Frame lengths past several renormalization intervals, plus odd
-		// (Bluestein-style) and tail (non-multiple-of-4) sizes.
+		// Frame lengths past several renormalization intervals, plus
+		// non-power-of-two and tail (non-multiple-of-4) sizes.
 		n := []int{8, 200, 256, 1024, 2048, 4096 + 3}[trial%6]
 		amp := math.Pow(10, -6+4*rng.Float64())
 		phi := rng.Float64() * 2 * math.Pi

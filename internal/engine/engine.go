@@ -1,7 +1,8 @@
 // Package engine ties the memoized state the reads it serves accumulate
 // into one Engine: the synthesis plan per radar configuration (which
-// captures the range transform and the steering table) and the
-// scene-response memo. Both caches are content-addressed,
+// captures the range transform and the steering table), the decoder's
+// spectrum FFT plan per transform size, and the scene-response memo. Every
+// cache is content-addressed,
 // so reads of different scenes can share an Engine (rosd keeps one per
 // radar front end). An Engine is constructed once, passed explicitly
 // through the simulation and detection layers, and released
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"ros/internal/dsp"
 	"ros/internal/obs"
 	"ros/internal/radar"
 	"ros/internal/scene"
@@ -23,6 +25,10 @@ import (
 // CacheSynthPlans names the synthesis-plan cache in the cache label of
 // ros_engine_cache_entries.
 const CacheSynthPlans = "radar_synth_plan"
+
+// CacheSpectrumPlans names the spectrum-plan cache in the cache label of
+// ros_engine_cache_entries.
+const CacheSpectrumPlans = "spectrum_plan"
 
 // cacheEntries is the one labeled gauge every engine-owned cache reports
 // under. The capacity bounds label-set growth from engine churn; Close
@@ -57,6 +63,9 @@ type Engine struct {
 	// synthPlans caches one synthesis plan per radar.Config (Config is
 	// comparable).
 	synthPlans *obs.CountedMap
+	// spectrumPlans caches one Rectangular FFT plan per decode transform
+	// size.
+	spectrumPlans *obs.CountedMap
 	// Responses owns the scene-response memo.
 	Responses *scene.ResponseCache
 
@@ -79,6 +88,7 @@ func New(id string) *Engine {
 		return cacheEntries.With(cache, e.id)
 	}
 	e.synthPlans = obs.NewCountedMap(gauge(CacheSynthPlans))
+	e.spectrumPlans = obs.NewCountedMap(gauge(CacheSpectrumPlans))
 	e.Responses = scene.NewResponseCache(gauge(scene.CacheResponses))
 	return e
 }
@@ -96,6 +106,18 @@ func (e *Engine) SynthPlan(c radar.Config) *radar.SynthPlan {
 	}
 	actual, _ := e.synthPlans.LoadOrStore(c, c.NewSynthPlan())
 	return actual.(*radar.SynthPlan)
+}
+
+// SpectrumPlan returns the engine's Rectangular FFT plan for n-point
+// decoder spectra, building it on first use; it implements
+// coding.PlanSource. It panics unless n is a power of two of at least 8,
+// exactly as dsp.NewPlan does. Racing builders resolve as in SynthPlan.
+func (e *Engine) SpectrumPlan(n int) *dsp.Plan {
+	if v, ok := e.spectrumPlans.Load(n); ok {
+		return v.(*dsp.Plan)
+	}
+	actual, _ := e.spectrumPlans.LoadOrStore(n, dsp.NewPlan(n, dsp.Rectangular))
+	return actual.(*dsp.Plan)
 }
 
 // ID returns the engine's metric label value.
@@ -116,6 +138,7 @@ func (e *Engine) Close() {
 	}
 	e.Responses.Clear()
 	e.synthPlans.Clear()
+	e.spectrumPlans.Clear()
 	for _, ls := range e.labels {
 		cacheEntries.Delete(ls...)
 	}

@@ -82,7 +82,7 @@ func TestSynthPlanPerConfig(t *testing.T) {
 		t.Error("identical configs yielded distinct plans")
 	}
 	c2 := c
-	c2.Samples = 200
+	c2.Samples = 512
 	if e.SynthPlan(c) == e.SynthPlan(c2) {
 		t.Error("distinct configs shared a plan")
 	}
@@ -110,7 +110,7 @@ func testScene(t *testing.T, e *Engine) *scene.Scene {
 }
 
 // TestCloseClearsCaches pins the retention contract: first use registers
-// entries in both gauges, Close zeroes them and retires their label sets,
+// entries in every cache gauge, Close zeroes them and retires their label sets,
 // and a plan rebuilt after Close — like an unshared NewSynthPlan — makes
 // the pre-Close frame and point cloud bit for bit (entries are pure
 // memoization, never state).
@@ -136,10 +136,14 @@ func TestCloseClearsCaches(t *testing.T) {
 	if len(beforeCloud) == 0 {
 		t.Fatal("test frame yields an empty point cloud")
 	}
+	if e.SpectrumPlan(8192) != e.SpectrumPlan(8192) {
+		t.Fatal("one transform size yielded distinct spectrum plans")
+	}
 
 	caches := residentCaches(e)
-	if len(caches) != 2 || caches[CacheSynthPlans] != 1 || caches[scene.CacheResponses] < 1 {
-		t.Fatalf("engine caches before Close = %v, want one synth plan and >= 1 scene response", caches)
+	if len(caches) != 3 || caches[CacheSynthPlans] != 1 || caches[CacheSpectrumPlans] != 1 ||
+		caches[scene.CacheResponses] < 1 {
+		t.Fatalf("engine caches before Close = %v, want one synth plan, one spectrum plan and >= 1 scene response", caches)
 	}
 	gauges := map[string]*obs.Gauge{}
 	for cache := range caches {

@@ -26,7 +26,7 @@ func decodeWith(out *sim.Outcome, window dsp.Window, disableDetrend bool) float6
 	}
 	dec.Options.Window = window
 	dec.Options.DisableDetrend = disableDetrend
-	res, err := dec.Decode(out.Detection.TagU, out.Detection.TagRSS)
+	res, err := dec.Decode(out.Detection.TagU, out.Detection.TagRSS, nil)
 	if err != nil {
 		return math.Inf(-1)
 	}
@@ -182,7 +182,7 @@ func AblationWavelength(ctx context.Context) *Table {
 		if err != nil {
 			panic(err)
 		}
-		res, err := dec.Decode(out.Detection.TagU, out.Detection.TagRSS)
+		res, err := dec.Decode(out.Detection.TagU, out.Detection.TagRSS, nil)
 		if err != nil {
 			t.AddRow(f1(ghz), "lost", "")
 			continue

@@ -43,7 +43,7 @@ func Fig10(ctx context.Context) *Table {
 		us[i] = u
 		rss[i] = coding.MultiStackGain(pos, u, lambda)
 	}
-	spec, err := coding.ComputeSpectrum(us, rss, coding.SpectrumOptions{Lambda: lambda})
+	spec, err := coding.ComputeSpectrum(us, rss, coding.SpectrumOptions{Lambda: lambda}, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -100,7 +100,7 @@ func Fig11(ctx context.Context) *Table {
 		if err != nil {
 			panic(err)
 		}
-		out, err := dec.Decode(res.TagU, res.TagRSS)
+		out, err := dec.Decode(res.TagU, res.TagRSS, nil)
 		if err == nil {
 			t.AddRow("decoded bits", coding.BitsString(out.Bits), "-")
 			t.AddRow("decoding SNR (dB)", f1(out.SNRdB), "-")

@@ -32,7 +32,7 @@ func goldenRegistry() *Registry {
 	oc.With("ok", "1").Add(3)
 	sg := r.GaugeVec("ros_cache_entries", "memo cache entries", "cache")
 	sg.With("plans").Set(3)
-	sh := r.HistogramVec("ros_stage_seconds", "per-stage pass time", []float64{0.01, 0.1}, "stage")
+	sh := r.HistogramVec("ros_stage_seconds", "per-stage pass time", []float64{0.01, 0.1}, 0, "stage")
 	sh.With("synthesize").Observe(0.02)
 	sh.With("synthesize").Observe(0.2)
 	sh.With("decode").Observe(0.004)

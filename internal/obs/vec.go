@@ -191,6 +191,11 @@ type HistogramVec struct{ v *vec[*Histogram] }
 // With returns the histogram for the given label values.
 func (h *HistogramVec) With(values ...string) *Histogram { return h.v.with(values) }
 
+// Delete removes the labelset's histogram from the vector, freeing its slot
+// under the cardinality cap and dropping it from exposition; see
+// GaugeVec.Delete.
+func (h *HistogramVec) Delete(values ...string) bool { return h.v.delete(values) }
+
 // CounterVec returns the named counter vector with the given label scheme,
 // creating it on first use (later calls ignore help and labels, like the
 // scalar constructors).
@@ -251,8 +256,9 @@ func (r *Registry) GaugeVecCapacity(name, help string, maxSets int, labels ...st
 }
 
 // HistogramVec returns the named histogram vector whose children share the
-// given bucket bounds, creating it on first use.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
+// given bucket bounds, creating it on first use. maxSets caps its labelsets
+// as in GaugeVecCapacity (0 means MaxLabelSets).
+func (r *Registry) HistogramVec(name, help string, bounds []float64, maxSets int, labels ...string) *HistogramVec {
 	r.mu.RLock()
 	v := r.histogramVecs[name]
 	r.mu.RUnlock()
@@ -276,7 +282,7 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 		}
 	}
 	shared := append([]float64(nil), bounds...)
-	v = &HistogramVec{v: newVec(name, help, labels, 0, dropped, func() *Histogram {
+	v = &HistogramVec{v: newVec(name, help, labels, maxSets, dropped, func() *Histogram {
 		return &Histogram{bounds: shared, counts: make([]atomic.Int64, len(shared)+1)}
 	})}
 	r.histogramVecs[name] = v

@@ -59,7 +59,7 @@ func TestGaugeVec(t *testing.T) {
 
 func TestHistogramVecSharedBounds(t *testing.T) {
 	r := NewRegistry()
-	v := r.HistogramVec("ros_stage_seconds", "per-stage seconds", []float64{0.01, 0.1}, "stage")
+	v := r.HistogramVec("ros_stage_seconds", "per-stage seconds", []float64{0.01, 0.1}, 0, "stage")
 	v.With("synthesize").Observe(0.05)
 	v.With("cluster").Observe(0.005)
 	v.With("synthesize").Observe(0.5)
@@ -206,7 +206,7 @@ func TestLabeledPrometheusExposition(t *testing.T) {
 	v := r.CounterVec("ros_outcomes_total", "labeled", "outcome", "workers")
 	v.With("ok", "4").Add(2)
 	v.With("partial", "1").Inc()
-	h := r.HistogramVec("ros_labeled_seconds", "labeled hist", []float64{1}, "stage")
+	h := r.HistogramVec("ros_labeled_seconds", "labeled hist", []float64{1}, 0, "stage")
 	h.With("decode").Observe(0.5)
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {

@@ -30,13 +30,13 @@ func binSpectrumScene(c Config, rng *rand.Rand, count int) []Scatterer {
 // time-domain path: Synthesize without noise, then the fused
 // window+IFFT range transform, at every bin of every channel. The scenes
 // cover random scatterers with Doppler, a tone exactly on a bin, tones on
-// both side-kernel singularities, bins 0 and N-1, and a non-power-of-two
-// (Bluestein) transform size.
+// both side-kernel singularities, bins 0 and N-1, and a second transform
+// size.
 func TestBinSpectrumMatchesRangeProfile(t *testing.T) {
-	pow2 := TI1443()
-	odd := pow2
-	odd.Samples = 200
-	for _, c := range []Config{pow2, odd} {
+	base := TI1443()
+	long := base
+	long.Samples = 512
+	for _, c := range []Config{base, long} {
 		plan := c.NewSynthPlan()
 		n := float64(c.Samples)
 		bin := c.RangeBinSize()

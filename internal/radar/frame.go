@@ -88,7 +88,7 @@ type SynthPlan struct {
 	// adcLevels is the quantizer level count per polarity,
 	// 1 << (ADCBits - 1); 0 when ADCBits == 0 (quantization disabled).
 	adcLevels float64
-	// rangePlan is the fused Hann window + IFFT plan of the range
+	// rangePlan is the fused Hann window + inverse FFT plan of the range
 	// transform.
 	rangePlan *dsp.Plan
 	// bin evaluates single bins of the same range transform in closed form
@@ -149,8 +149,8 @@ func (p *SynthPlan) Config() Config { return p.cfg }
 // bounded on arbitrarily long frames.
 //
 // Thermal noise comes from the batched Gaussian stream g (dsp.Gauss): one
-// FillNorm over preallocated lanes replaces the 2*Samples*NumRx individual
-// NormFloat64 calls the profile showed dominating this stage.
+// fused AddNoise pass replaces the 2*Samples*NumRx individual NormFloat64
+// calls the profile showed dominating this stage.
 func (p *SynthPlan) Synthesize(scatterers []Scatterer, g *dsp.Gauss) Frame {
 	c := p.cfg
 	n := c.Samples
@@ -166,43 +166,15 @@ func (p *SynthPlan) Synthesize(scatterers []Scatterer, g *dsp.Gauss) Frame {
 
 	// Per-sample noise such that after an N-point averaged FFT the per-bin
 	// noise power equals NoisePerBin: the normalized FFT averages N
-	// samples, reducing noise power by N. The draws come batched from the
-	// Gauss stream; the add pass tracks the largest I/Q excursion, which is
-	// the quantizer's AGC peak — no extra full-frame scan. Both branches
-	// consume the stream identically, one SplitMix64 step per normal draw
-	// (real then imaginary per sample), so quantized and ideal-converter
-	// frames see the same realization.
-	peak := 0.0
-	switch {
-	case g != nil && c.ADCBits > 0:
-		sigma := p.sigma
-		lane := g.Norms(2 * len(f.Data))
-		for t, v := range f.Data {
-			v += complex(lane[2*t]*sigma, lane[2*t+1]*sigma)
-			f.Data[t] = v
-			if a := math.Abs(real(v)); a > peak {
-				peak = a
-			}
-			if a := math.Abs(imag(v)); a > peak {
-				peak = a
-			}
-		}
-	case g != nil:
-		// No quantizer, no peak needed: the fused generator accumulates
-		// the scaled draws straight into the frame.
+	// samples, reducing noise power by N. The fused generator accumulates
+	// the scaled draws straight into the frame, real then imaginary per
+	// sample, so quantized and ideal-converter frames see the same
+	// realization.
+	if g != nil {
 		g.AddNoise(f.Data, p.sigma)
-	case c.ADCBits > 0:
-		for _, v := range f.Data {
-			if a := math.Abs(real(v)); a > peak {
-				peak = a
-			}
-			if a := math.Abs(imag(v)); a > peak {
-				peak = a
-			}
-		}
 	}
 	if c.ADCBits > 0 {
-		p.quantize(f, peak)
+		p.quantize(f)
 	}
 	return f
 }
@@ -270,10 +242,18 @@ func (p *SynthPlan) synthesizeRand(scatterers []Scatterer, rng *rand.Rand) Frame
 }
 
 // quantize applies the config's b-bit midrise converter with per-frame AGC:
-// the full scale tracks the given peak I/Q excursion (plus headroom), as a
-// real front end's gain control would. The peak comes from the synthesis
-// pass, which already touches every sample.
-func (p *SynthPlan) quantize(f Frame, peak float64) {
+// the full scale tracks the frame's peak I/Q excursion (plus headroom), as
+// a real front end's gain control would.
+func (p *SynthPlan) quantize(f Frame) {
+	peak := 0.0
+	for _, v := range f.Data {
+		if a := math.Abs(real(v)); a > peak {
+			peak = a
+		}
+		if a := math.Abs(imag(v)); a > peak {
+			peak = a
+		}
+	}
 	if peak == 0 {
 		return
 	}

@@ -38,13 +38,13 @@ func (c Config) RangeProfile(f Frame) RangeProfile {
 	return c.NewSynthPlan().RangeProfile(f)
 }
 
-// RangeProfile applies the range transform of Eq 3 to a frame: an IFFT over
-// fast time per channel, Hann-windowed against range sidelobes (a -2 dBsm
-// street lamp would otherwise smear -13 dB rectangular sidelobes across the
-// whole profile) and normalized by the window's coherent gain and the
-// sample count so bin magnitudes are calibrated amplitudes. (The beat phase
-// decreases with time — see Synthesize — so the range peak appears in the
-// IFFT, exactly as Eq 3 writes it.)
+// RangeProfile applies the range transform of Eq 3 to a frame: an inverse
+// FFT over fast time per channel, Hann-windowed against range sidelobes (a
+// -2 dBsm street lamp would otherwise smear -13 dB rectangular sidelobes
+// across the whole profile) and normalized by the window's coherent gain
+// and the sample count so bin magnitudes are calibrated amplitudes. (The
+// beat phase decreases with time — see Synthesize — so the range peak
+// appears in the inverse FFT, exactly as Eq 3 writes it.)
 //
 // All channels are transformed in one batched call of the plan's fused
 // window+FFT kernel (dsp.Plan.InverseMany) straight from the frame's

@@ -23,6 +23,7 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"zero slope", func(c *Config) { c.Slope = 0 }},
 		{"zero sample rate", func(c *Config) { c.SampleRate = 0 }},
 		{"too few samples", func(c *Config) { c.Samples = 7 }},
+		{"non power of two samples", func(c *Config) { c.Samples = 200 }},
 		{"zero frame rate", func(c *Config) { c.FrameRate = 0 }},
 		{"no rx antennas", func(c *Config) { c.NumRx = 0 }},
 		{"zero rx spacing", func(c *Config) { c.RxSpacing = 0 }},

@@ -30,8 +30,8 @@ const tenantLabelSets = 4 * tenantCapacity
 // per tenant (quota), a FIFO per tenant, and round-robin dequeue across the
 // tenants with queued work, so a tenant flooding its queue delays only
 // itself. The tenant table is recency-bounded: past tenantCapacity, the
-// least recently seen idle tenant is evicted (its queue-depth and
-// throttled labelsets retired with it).
+// least recently seen idle tenant is evicted (its per-tenant labelsets
+// retired with it).
 type fairQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -79,8 +79,7 @@ func (q *fairQueue) tenantLocked(name string, now time.Time) *tenantState {
 			}
 			q.order.Remove(el)
 			delete(q.tenants, t.name)
-			gTenantQueue.Delete(t.name)
-			mTenantThrottled.Delete(t.name)
+			forgetTenant(t.name)
 			mTenantEvictions.Inc()
 			evicted = true
 			break
@@ -99,6 +98,17 @@ func (q *fairQueue) tenantLocked(name string, now time.Time) *tenantState {
 	q.tenants[name] = t
 	gTenants.Set(float64(len(q.tenants)))
 	return t
+}
+
+// forgetTenant retires every per-tenant labelset of an evicted tenant. name
+// is the displayTenant label the vectors were written with.
+func forgetTenant(name string) {
+	gTenantQueue.Delete(name)
+	mTenantThrottled.Delete(name)
+	hReadSeconds.Delete(name)
+	for _, o := range outcomes {
+		mReads.Delete(name, o)
+	}
 }
 
 // throttle draws one quota token for the tenant, reporting admission and the

@@ -60,8 +60,7 @@ func TestFairnessRoundRobinOrder(t *testing.T) {
 // q's table, so tests sharing the package's vectors start from a clean cap.
 func forgetTenants(q *fairQueue) {
 	for name := range q.tenants {
-		gTenantQueue.Delete(name)
-		mTenantThrottled.Delete(name)
+		forgetTenant(name)
 	}
 }
 

@@ -64,14 +64,17 @@ import (
 
 // Service metrics. Package-level because an obs.Registry panics on duplicate
 // registration and tests start several servers per process. Tenant is a
-// caller-supplied label; the vec's labelset cap routes an abusive cardinality
-// flood to the overflow child rather than growing without bound.
+// caller-supplied label: the per-tenant vectors are capped to the tenant
+// table (tenantLabelSets tenants), eviction from the table retires a
+// tenant's labelsets, and the cap routes an abusive cardinality flood to
+// the overflow child rather than growing without bound.
 var (
-	mReads = obs.Default.CounterVec("ros_rosd_reads_total",
-		"Read requests served, by tenant and outcome.", "tenant", "outcome")
+	mReads = obs.Default.CounterVecCapacity("ros_rosd_reads_total",
+		"Read requests served, by tenant and outcome.",
+		tenantLabelSets*len(outcomes), "tenant", "outcome")
 	hReadSeconds = obs.Default.HistogramVec("ros_rosd_read_seconds",
 		"Wall time of one read request inside an admitted batch.",
-		obs.LogBuckets(1e-4, 10, 2), "tenant")
+		obs.LogBuckets(1e-4, 10, 2), tenantLabelSets, "tenant")
 	hQueueDepth = obs.Default.Histogram("ros_rosd_queue_depth",
 		"In-flight reads observed at each batch admission decision.",
 		obs.LinearBuckets(0, 8, 33))
@@ -115,6 +118,9 @@ const (
 	outcomePartial     = "partial"
 	outcomeError       = "error"
 )
+
+// outcomes lists every outcome label, for retiring a tenant's labelsets.
+var outcomes = [...]string{outcomeOK, outcomeNoTag, outcomeUndecodable, outcomePartial, outcomeError}
 
 // maxBodyBytes caps the /v1/read request body.
 const maxBodyBytes = 1 << 20
@@ -759,10 +765,7 @@ func (s *Server) failJob(j *job, err error) {
 // pipeline worker panics already degrade inside the simulator, and a panic
 // in this frame (a service bug) is recovered into a "worker_panic" result.
 func (s *Server) runOne(ctx context.Context, req ReadRequest) (res ReadResult) {
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
+	tenant := displayTenant(req.Tenant)
 	res.Tenant = req.Tenant
 	start := time.Now()
 	defer func() {

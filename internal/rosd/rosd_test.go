@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"ros/internal/obs"
 )
 
 // postReads posts a batch against a test server and decodes the response,
@@ -287,6 +289,63 @@ func TestPerTenantMetrics(t *testing.T) {
 		want := fmt.Sprintf("tenant=%q", tenant)
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("exposition missing %s", want)
+		}
+	}
+}
+
+// TestPerTenantReadSeriesRetired serves reads for more tenants than the
+// tenant table holds — far past obs.MaxLabelSets — and checks that
+// ros_rosd_reads_total and ros_rosd_read_seconds keep a labelset per tenant
+// without routing any to an overflow child, and that the tenant the table
+// evicts leaves no series behind. The reads carry an unknown fog level, so
+// each one fails in runOne at once but is still counted under its tenant.
+func TestPerTenantReadSeriesRetired(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	defer forgetTenants(srv.queue)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	dropped := obs.Default.Counter(obs.DroppedLabelSetsMetric, "")
+	before := dropped.Value()
+	name := func(i int) string { return fmt.Sprintf("series-%03d", i) }
+	const tenants = tenantCapacity + 1
+	for lo := 0; lo < tenants; lo += 64 {
+		var reads []ReadRequest
+		for i := lo; i < lo+64 && i < tenants; i++ {
+			reads = append(reads, ReadRequest{Tenant: name(i), Bits: "1011", Fog: "bogus"})
+		}
+		if status, _ := postReads(t, ts, reads); status != http.StatusOK {
+			t.Fatalf("batch at tenant %d: status %d", lo, status)
+		}
+	}
+	if got := dropped.Value() - before; got != 0 {
+		t.Errorf("%s rose by %d over %d tenants, want 0", obs.DroppedLabelSetsMetric, got, tenants)
+	}
+
+	// series counts each tenant's read counter and latency histogram.
+	series := func(tenant string) (counters, histograms int) {
+		snap := obs.Default.Snapshot()
+		for _, c := range snap.Counters {
+			if c.Name == "ros_rosd_reads_total" && c.Labels["tenant"] == tenant {
+				counters++
+			}
+		}
+		for _, h := range snap.Histograms {
+			if h.Name == "ros_rosd_read_seconds" && h.Labels["tenant"] == tenant {
+				histograms++
+			}
+		}
+		return counters, histograms
+	}
+	// The first tenant was the least recently seen idle one when the last
+	// arrived, so the table evicted it.
+	if c, h := series(name(0)); c != 0 || h != 0 {
+		t.Errorf("evicted tenant %s kept %d read counters and %d histograms", name(0), c, h)
+	}
+	for _, i := range []int{1, tenants - 1} {
+		if c, h := series(name(i)); c != 1 || h != 1 {
+			t.Errorf("resident tenant %s has %d read counters and %d histograms, want 1 and 1", name(i), c, h)
 		}
 	}
 }

@@ -55,7 +55,7 @@ var (
 		"passes by outcome and worker-count bucket", "outcome", "workers")
 	hStage = obs.Default.HistogramVec("ros_stage_seconds",
 		"per-stage time of one pass (worker-summed for the frame-loop stages)",
-		obs.LogBuckets(1e-4, 10, 2), "stage")
+		obs.LogBuckets(1e-4, 10, 2), 0, "stage")
 )
 
 // Pass outcome labels for ros_reads_by_outcome_total and the flight
@@ -621,7 +621,7 @@ func RunContext(ctx context.Context, cfg DriveBy) (_ *Outcome, rerr error) {
 		return out, err
 	}
 	decSp := root.StartChild(SpanDecode)
-	decoded, err := dec.Decode(res.TagU, res.TagRSS)
+	decoded, err := dec.Decode(res.TagU, res.TagRSS, eng)
 	decSp.End()
 	if err != nil {
 		// Detected but undecodable: report as such — but no longer

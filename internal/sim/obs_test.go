@@ -68,9 +68,9 @@ func TestDefaultEngineOwnsCaches(t *testing.T) {
 			t.Errorf("per-package cache gauge %s is registered", g.Name)
 		}
 	}
-	// The engine owns exactly two caches; a third label means a sub-cache
-	// crept back in.
-	want := []string{engine.CacheSynthPlans, scene.CacheResponses}
+	// The engine owns exactly three caches; a fourth label means a
+	// sub-cache crept back in.
+	want := []string{engine.CacheSynthPlans, engine.CacheSpectrumPlans, scene.CacheResponses}
 	for _, cache := range want {
 		if resident[cache] < 1 {
 			t.Errorf(`ros_engine_cache_entries{cache=%q,engine="default"} = %v after a pass, want >= 1`,

@@ -138,7 +138,7 @@ func TestCaptureDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dec.Decode(back.U, back.RSS)
+	res, err := dec.Decode(back.U, back.RSS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func (t *Tag) PredictedSpectrum(span float64, points int) (spacing, magnitude []
 		us[i] = u
 		rss[i] = coding.MultiStackGain(pos, u, lambda)
 	}
-	spec, err := coding.ComputeSpectrum(us, rss, coding.SpectrumOptions{Lambda: lambda})
+	spec, err := coding.ComputeSpectrum(us, rss, coding.SpectrumOptions{Lambda: lambda}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
