@@ -62,6 +62,18 @@ func (l *Layout) SlotPosition(k int) float64 {
 	return sign * float64(l.M()+k-2) * l.Delta
 }
 
+// Stacks returns the number of stacks physically present, len(Positions()),
+// without building the slice: the reference stack plus one per set bit.
+func (l *Layout) Stacks() int {
+	n := 1
+	for _, b := range l.Bits {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
 // Positions returns the positions of the stacks that are physically present:
 // the reference stack at 0 plus one per set bit.
 func (l *Layout) Positions() []float64 {

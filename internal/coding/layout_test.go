@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -56,6 +57,21 @@ func TestLayoutPartialBits(t *testing.T) {
 		if math.Abs(pos[i]/lambda-want[i]) > 1e-9 {
 			t.Errorf("pos[%d] = %g lambda, want %g", i, pos[i]/lambda, want[i])
 		}
+	}
+}
+
+// TestLayoutStacksCountsPositions: Stacks is len(Positions()) for every
+// 4-bit code, and counting allocates nothing.
+func TestLayoutStacksCountsPositions(t *testing.T) {
+	for code := 0; code < 16; code++ {
+		l := mustLayout(t, fmt.Sprintf("%04b", code))
+		if got, want := l.Stacks(), len(l.Positions()); got != want {
+			t.Errorf("%04b: Stacks() = %d, len(Positions()) = %d", code, got, want)
+		}
+	}
+	l := mustLayout(t, "1011")
+	if allocs := testing.AllocsPerRun(100, func() { l.Stacks() }); allocs != 0 {
+		t.Errorf("Stacks allocated %v times per call, want 0", allocs)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 
 // spotlightFixture synthesizes one drive-by pass and clusters it, returning
 // everything the spotlight stage consumes: the frames hold detection-mode
-// profiles and decode-mode scatterers, which dec reads in closed form. The
-// returned profiles stay pooled for the benchmark's lifetime (never
-// released), which is fine for a test process.
+// columns and decode-mode scatterers, which dec reads in closed form. The
+// column store stays live for the benchmark's lifetime (never released),
+// which is fine for a test process.
 func spotlightFixture(b *testing.B) (*Pipeline, []frameData, *decodeReader, []cluster.Stats, []geom.Vec3) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -23,7 +23,8 @@ func spotlightFixture(b *testing.B) (*Pipeline, []frameData, *decodeReader, []cl
 	p := NewPipeline(radar.TI1443())
 	truth := passPositions(3, 240)
 	sp := obs.StartSpan("bench")
-	frames, _, err := p.synthesizeFrames(context.Background(), sc, truth, geom.Vec3{X: 2}, 1, sp)
+	cols := radar.NewColumnStore(len(truth), p.Radar.NumRx, p.Radar.Samples, p.columnFloor())
+	frames, _, err := p.synthesizeFrames(context.Background(), sc, truth, geom.Vec3{X: 2}, 1, cols, sp)
 	sp.Release()
 	if err != nil {
 		b.Fatal(err)

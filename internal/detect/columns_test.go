@@ -1,0 +1,115 @@
+package detect
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"ros/internal/dsp"
+	"ros/internal/geom"
+	"ros/internal/obs"
+	"ros/internal/radar"
+	"ros/internal/scene"
+	"ros/internal/sweep"
+)
+
+// TestSparseSpotlightColumns pins the argument that lets pass 1 release each
+// detection profile after its scan. Over every frame and bin of a tag-only
+// pass and a cluttered one, at each angle of the plan's 121-angle scan grid:
+// a kept column steers to exactly the power BeamPower reads off the full
+// profile, and a dropped bin never clears classifyObject's detection gate.
+// The profiles are rebuilt the way synthesizeCleanFrame builds them, and
+// the columns pass 1 kept must match theirs bit for bit. Pass 1 on the
+// ideal converter must leave no frame holding a full detection profile.
+func TestSparseSpotlightColumns(t *testing.T) {
+	clutter := buildScene(t, "1011", true, rand.New(rand.NewSource(3)))
+	clutter.Clutter = append(clutter.Clutter,
+		scene.NewObject(scene.ClassStreetLamp, geom.Vec3{X: -1.2}, rand.New(rand.NewSource(4))))
+	for _, tc := range []struct {
+		name string
+		sc   *scene.Scene
+	}{
+		{"canonical", buildScene(t, "1111", false, rand.New(rand.NewSource(1)))},
+		{"clutter", clutter},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const seed = 1
+			p := NewPipeline(radar.TI1443())
+			c := p.Radar
+			truth := passPositions(3, 120)
+			vel := geom.Vec3{X: 2}
+			cols := radar.NewColumnStore(len(truth), c.NumRx, c.Samples, p.columnFloor())
+			defer cols.Release()
+			sp := obs.StartSpan("test")
+			frames, _, err := p.synthesizeFrames(context.Background(), tc.sc, truth, vel, seed, cols, sp)
+			sp.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			plan := p.resources().SynthPlan(c)
+			angles := plan.ScanAngles()
+			if len(angles) != 121 {
+				t.Fatalf("scan grid has %d angles, want 121", len(angles))
+			}
+			noise := p.spotNoise()
+			mine := radar.NewColumnStore(len(truth), c.NumRx, c.Samples, p.columnFloor())
+			defer mine.Release()
+			kept := 0
+			for i, pose := range truth {
+				fd := frames[i]
+				if !fd.ok || fd.cols == nil {
+					t.Fatalf("frame %d: pass 1 kept no columns", i)
+				}
+				if fd.dec.Bins != nil || fd.cols.Kept() >= c.Samples {
+					t.Fatalf("frame %d holds a full profile: %d of %d detection bins kept, decode profile %v",
+						i, fd.cols.Kept(), c.Samples, fd.dec.Bins != nil)
+				}
+				kept += fd.cols.Kept()
+
+				rng := sweep.NewRand(seed, i)
+				g := dsp.AcquireGauss(noiseSeed(seed, i))
+				f := plan.Synthesize(tc.sc.Scatterers(pose, vel, scene.ModeDetect, c.FrontEnd, c.CenterFrequency, rng), g)
+				dsp.ReleaseGauss(g)
+				rp := plan.RangeProfile(f)
+				radar.ReleaseFrame(f)
+				mc := mine.Frame(i)
+				plan.PointCloudScan(rp, mc)
+				for bin := 0; bin < c.Samples; bin++ {
+					col := mc.At(bin)
+					if !equalColumn(col, fd.cols.At(bin)) {
+						t.Fatalf("frame %d bin %d: pass 1 kept %v, rebuilt profile gives %v", i, bin, fd.cols.At(bin), col)
+					}
+					for _, az := range angles {
+						full := c.BeamPower(rp, bin, az)
+						if col != nil {
+							if got := c.SteerPower(col, az); got != full {
+								t.Fatalf("frame %d bin %d az %.3f: kept column steers to %v, profile to %v", i, bin, az, got, full)
+							}
+						} else if full-noise > detGate*noise {
+							t.Fatalf("frame %d bin %d az %.3f: dropped bin clears the gate (%v > %v)",
+								i, bin, az, full-noise, detGate*noise)
+						}
+					}
+				}
+				radar.ReleaseProfile(rp)
+			}
+			t.Logf("kept %d of %d bins (%.0f%%)", kept, len(truth)*c.Samples,
+				100*float64(kept)/float64(len(truth)*c.Samples))
+		})
+	}
+}
+
+// equalColumn reports whether two kept columns (nil when dropped) agree bit
+// for bit.
+func equalColumn(a, b []complex128) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k] != b[k] {
+			return false
+		}
+	}
+	return true
+}

@@ -96,7 +96,28 @@ const (
 	// below its true rejection near the noise floor, so the threshold
 	// leans toward the tag's side).
 	tagMaxRSSLossDB = 14.2
+	// detGate is classifyObject's detection-mode gate: a frame counts
+	// when its beamformed power, less the expected beamformed noise,
+	// exceeds detGate times that noise. columnFloor derives from it.
+	detGate = 4
 )
+
+// spotNoise is the expected beamformed noise power the spotlight subtracts:
+// the Hann-windowed range transform leaves 1.5x NoisePerBin per channel,
+// and beamforming over NumRx channels divides it by NumRx.
+func (p *Pipeline) spotNoise() float64 {
+	return 1.5 * p.Radar.NoisePerBin() / float64(p.Radar.NumRx)
+}
+
+// columnFloor is the channel-summed power a bin must reach for pass 1 to
+// keep its column. The steering weights have unit modulus, so by
+// Cauchy-Schwarz BeamPower <= P/NumRx for a bin of channel-summed power P,
+// and the detection gate (BeamPower - noise > detGate*noise) needs
+// P > (detGate+1)*noise*NumRx. The floor sits 1% under that bound to cover
+// rounding, so every bin classifyObject can use is kept.
+func (p *Pipeline) columnFloor() float64 {
+	return 0.99 * (detGate + 1) * p.spotNoise() * float64(p.Radar.NumRx)
+}
 
 // Pipeline holds the detector configuration.
 type Pipeline struct {
@@ -229,14 +250,16 @@ const (
 
 // frameData is the per-frame output of the parallel synthesis stage.
 type frameData struct {
-	// det is the detection-mode range profile. Decode mode is held one of
-	// two ways: dec, the time-domain range profile (quantized configs and
-	// sample-faulted frames), or decScat, the decode-mode scatterers whose
-	// bins decodeReader evaluates directly. Exactly one is set on an ok
-	// frame.
-	det, dec radar.RangeProfile
-	decScat  []radar.Scatterer
-	points   []cluster.Point
+	// cols holds the detection-mode profile's columns that classifyObject
+	// can use (columnFloor); the profile itself is released once the
+	// frame's scan returns. Decode mode is held one of two ways: dec, the
+	// time-domain range profile (quantized configs and sample-faulted
+	// frames), or decScat, the decode-mode scatterers whose bins
+	// decodeReader evaluates directly. Exactly one is set on an ok frame.
+	cols    *radar.Columns
+	dec     radar.RangeProfile
+	decScat []radar.Scatterer
+	points  []cluster.Point
 	// synthesized and transformed count the frames this pose synthesized
 	// and range-transformed (the frames and fft_calls work counters).
 	synthesized, transformed int
@@ -281,17 +304,17 @@ func noiseSeed(seed int64, i int) int64 {
 
 // synthesizeFrames is pass 1 of Run: synthesize the detection-mode frame per
 // pose (and the decode-mode frame where the time-domain path is needed),
-// keep the range profiles or decode-mode scatterers, and extract the
-// detection-mode point cloud in world coordinates. Frames are independent
-// given their seed stream, so the loop fans out on the sweep pool;
-// per-stage times accumulate atomically across workers in child spans of sp
-// (Span.Add is one atomic add). All workers share one immutable frame
+// extract the detection-mode point cloud in world coordinates, and keep the
+// detection-mode columns in cols plus the decode profile or decode-mode
+// scatterers. Frames are independent given their seed stream, so the loop
+// fans out on the sweep pool; per-stage times accumulate atomically across
+// workers in child spans of sp (Span.Add is one atomic add). All workers share one immutable frame
 // front-end plan (scene-static synthesis terms + the fused window+FFT range
 // plan); only the frame and profile scratch buffers are pooled. The returned
-// profiles live in pooled buffers — the caller owns releasing them. The done
-// mask marks frames that actually ran (cancellation stops dispatch between
-// frames).
-func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth []geom.Vec3, vel geom.Vec3, seed int64, sp *obs.Span) ([]frameData, []bool, error) {
+// decode profiles live in pooled buffers and the columns in cols — the
+// caller owns releasing both. The done mask marks frames that actually ran
+// (cancellation stops dispatch between frames).
+func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth []geom.Vec3, vel geom.Vec3, seed int64, cols *radar.ColumnStore, sp *obs.Span) ([]frameData, []bool, error) {
 	synthSp := sp.StartChild(SpanSynthesize)
 	rangeSp := sp.StartChild(SpanRangeFFT)
 	cloudSp := sp.StartChild(SpanPointCloud)
@@ -321,10 +344,10 @@ func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth 
 			}
 			if ff.Corrupt || ff.Burst {
 				return p.synthesizeFaultyFrame(sc, truth[i], vel, seed, i, ff, plan, fe, f,
-					numRx, samples, synthSp, rangeSp, cloudSp)
+					numRx, samples, cols.Frame(i), synthSp, rangeSp, cloudSp)
 			}
 		}
-		return p.synthesizeCleanFrame(sc, truth[i], vel, seed, i, plan, fe, f, synthSp, rangeSp, cloudSp), nil
+		return p.synthesizeCleanFrame(sc, truth[i], vel, seed, i, plan, fe, f, cols.Frame(i), synthSp, rangeSp, cloudSp), nil
 	})
 }
 
@@ -333,8 +356,9 @@ func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth 
 // detection-mode frame only and keeps the decode-mode scatterers for
 // decodeReader; with a quantizer both modes take the time-domain path. The
 // detection-mode frame draws its noise first from the frame's stream either
-// way, so its realization does not depend on the decode path.
-func (p *Pipeline) synthesizeCleanFrame(sc *scene.Scene, pose geom.Vec3, vel geom.Vec3, seed int64, i int, plan *radar.SynthPlan, fe em.RadarFrontEnd, f float64, synthSp, rangeSp, cloudSp *obs.Span) frameData {
+// way, so its realization does not depend on the decode path. The scan
+// fills cols, and the detection profile then goes back to the pool.
+func (p *Pipeline) synthesizeCleanFrame(sc *scene.Scene, pose geom.Vec3, vel geom.Vec3, seed int64, i int, plan *radar.SynthPlan, fe em.RadarFrontEnd, f float64, cols *radar.Columns, synthSp, rangeSp, cloudSp *obs.Span) frameData {
 	rng := sweep.NewRand(seed, i)
 	g := dsp.AcquireGauss(noiseSeed(seed, i))
 	t0 := time.Now()
@@ -348,7 +372,8 @@ func (p *Pipeline) synthesizeCleanFrame(sc *scene.Scene, pose geom.Vec3, vel geo
 	}
 	dsp.ReleaseGauss(g)
 	t1 := time.Now()
-	fd := frameData{det: plan.RangeProfile(detFrame), synthesized: 1, transformed: 1, ok: true}
+	det := plan.RangeProfile(detFrame)
+	fd := frameData{synthesized: 1, transformed: 1, ok: true}
 	radar.ReleaseFrame(detFrame)
 	if timeDomain {
 		fd.dec = plan.RangeProfile(decFrame)
@@ -359,7 +384,7 @@ func (p *Pipeline) synthesizeCleanFrame(sc *scene.Scene, pose geom.Vec3, vel geo
 	}
 	t2 := time.Now()
 
-	p.extractPoints(&fd, pose, plan)
+	p.extractPoints(&fd, det, cols, pose, plan)
 	t3 := time.Now()
 	synthSp.Add(t1.Sub(t0))
 	rangeSp.Add(t2.Sub(t1))
@@ -371,7 +396,7 @@ func (p *Pipeline) synthesizeCleanFrame(sc *scene.Scene, pose geom.Vec3, vel geo
 // apply the injected sample faults, scrub non-finite samples before the
 // range transform, and drop the frame as corrupt when the scrub count
 // exceeds the repair threshold.
-func (p *Pipeline) synthesizeFaultyFrame(sc *scene.Scene, pose geom.Vec3, vel geom.Vec3, seed int64, i int, ff fault.FrameFaults, plan *radar.SynthPlan, fe em.RadarFrontEnd, f float64, numRx, samples int, synthSp, rangeSp, cloudSp *obs.Span) (frameData, error) {
+func (p *Pipeline) synthesizeFaultyFrame(sc *scene.Scene, pose geom.Vec3, vel geom.Vec3, seed int64, i int, ff fault.FrameFaults, plan *radar.SynthPlan, fe em.RadarFrontEnd, f float64, numRx, samples int, cols *radar.Columns, synthSp, rangeSp, cloudSp *obs.Span) (frameData, error) {
 	rng := sweep.NewRand(seed, i)
 	g := dsp.AcquireGauss(noiseSeed(seed, i))
 	t0 := time.Now()
@@ -390,8 +415,8 @@ func (p *Pipeline) synthesizeFaultyFrame(sc *scene.Scene, pose geom.Vec3, vel ge
 		radar.ReleaseFrame(decFrame)
 		return frameData{dropped: true, dropKind: dropKindCorrupt, scrubbed: scrubbed, synthesized: 2}, nil
 	}
+	det := plan.RangeProfile(detFrame)
 	fd := frameData{
-		det:         plan.RangeProfile(detFrame),
 		dec:         plan.RangeProfile(decFrame),
 		synthesized: 2,
 		transformed: 2,
@@ -401,7 +426,7 @@ func (p *Pipeline) synthesizeFaultyFrame(sc *scene.Scene, pose geom.Vec3, vel ge
 	radar.ReleaseFrame(detFrame)
 	radar.ReleaseFrame(decFrame)
 	t2 := time.Now()
-	p.extractPoints(&fd, pose, plan)
+	p.extractPoints(&fd, det, cols, pose, plan)
 	rangeSp.Add(t2.Sub(t1))
 	cloudSp.Add(time.Since(t2))
 	return fd, nil
@@ -416,9 +441,13 @@ func (p *Pipeline) resources() *engine.Engine {
 }
 
 // extractPoints converts the frame's detection-mode point cloud into world
-// coordinates via the plan's scan path.
-func (p *Pipeline) extractPoints(fd *frameData, pose geom.Vec3, plan *radar.SynthPlan) {
-	for _, d := range plan.PointCloudScan(fd.det) {
+// coordinates via the plan's scan path, keeping det's spotlight columns in
+// cols, and releases det.
+func (p *Pipeline) extractPoints(fd *frameData, det radar.RangeProfile, cols *radar.Columns, pose geom.Vec3, plan *radar.SynthPlan) {
+	dets := plan.PointCloudScan(det, cols)
+	radar.ReleaseProfile(det)
+	fd.cols = cols
+	for _, d := range dets {
 		// Radar at y > 0 looks toward -y; a detection at (range, az)
 		// sits at radar + range*(sin az, -cos az).
 		world := pose.XY().Add(geom.Vec2{
@@ -438,7 +467,7 @@ func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, dec *dec
 	report := ObjectReport{Centroid: st.Centroid, Extent: st.Extent, Points: st.Count}
 	// Subtract the expected beamformed noise power so weak decode-mode
 	// readings do not bias the loss feature low.
-	noise := 1.5 * p.Radar.NoisePerBin() / float64(p.Radar.NumRx)
+	noise := p.spotNoise()
 	var lossSamples, detSamples []float64
 	for i := range truth {
 		if !frames[i].ok {
@@ -451,8 +480,14 @@ func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, dec *dec
 			continue
 		}
 		bin := p.Radar.BinForRange(r)
-		det := p.Radar.BeamPower(frames[i].det, bin, az) - noise
-		if det > 4*noise {
+		col := frames[i].cols.At(bin)
+		if col == nil {
+			// Pass 1 dropped the column: it is below columnFloor, so it
+			// cannot clear the detection gate.
+			continue
+		}
+		det := p.Radar.SteerPower(col, az) - noise
+		if det > detGate*noise {
 			detSamples = append(detSamples, em.DBm(det))
 			if d := dec.power(&frames[i], i, bin, az) - noise; d > 2*noise {
 				lossSamples = append(lossSamples, em.DB(det/d))
@@ -539,13 +574,19 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 		maxLoss = 0.5
 	}
 
-	// Pass 1: synthesize the frames, keep range profiles (or decode-mode
+	// Pass 1: synthesize the frames, keep the detection-mode columns the
+	// spotlight can read and the decode profiles (or decode-mode
 	// scatterers), and build the merged world-frame point cloud from
-	// detection mode.
+	// detection mode. The columns and decode profiles live in pooled
+	// storage the run hands back when it is done with them (nothing in
+	// Result references them); dropped or never-run frames hold zero-value
+	// profiles, which release as no-ops.
 	n := len(truth)
 	sp.SetAttr("fft_size", p.Radar.Samples)
 	sp.SetAttr("workers", resolveWorkers(p.Workers, n))
-	frames, done, ferr := p.synthesizeFrames(ctx, sc, truth, vel, seed, sp)
+	cols := radar.NewColumnStore(n, p.Radar.NumRx, p.Radar.Samples, p.columnFloor())
+	defer cols.Release()
+	frames, done, ferr := p.synthesizeFrames(ctx, sc, truth, vel, seed, cols, sp)
 	synthesized, transformed := 0, 0
 	for _, fd := range frames {
 		synthesized += fd.synthesized
@@ -557,12 +598,8 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	mRuns.Inc()
 	mFrames.Add(int64(synthesized))
 	mFFTs.Add(ffts)
-	// The profiles live in pooled buffers; hand them back once the run is
-	// done with them (nothing in Result references them). Dropped or
-	// never-run frames hold zero-value profiles, which release as no-ops.
 	defer func() {
 		for _, fd := range frames {
-			radar.ReleaseProfile(fd.det)
 			radar.ReleaseProfile(fd.dec)
 		}
 	}()

@@ -251,7 +251,9 @@ func TestDecodeBinsIndependentOfOrderAndWorkers(t *testing.T) {
 		p.Workers = workers
 		sp := obs.StartSpan("test")
 		defer sp.Release()
-		frames, _, err := p.synthesizeFrames(context.Background(), sc, truth, geom.Vec3{X: 2}, seed, sp)
+		cols := radar.NewColumnStore(len(truth), p.Radar.NumRx, p.Radar.Samples, p.columnFloor())
+		t.Cleanup(cols.Release)
+		frames, _, err := p.synthesizeFrames(context.Background(), sc, truth, geom.Vec3{X: 2}, seed, cols, sp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,12 +38,14 @@ type Plan struct {
 	// perm is the bit-reversal permutation, fwdCoef and invCoef the window
 	// coefficients permuted to gather order and scaled by 1/gain (forward)
 	// and 1/(gain*n) (inverse), roots/rootsInv the twiddle tables
-	// exp(∓2πij/n) for j < n/2.
+	// exp(∓2πij/n) for j < n/2. The inverse tables are built by the first
+	// inverse transform (invOnce), so a forward-only plan never holds them.
 	perm     []int32
 	fwdCoef  []float64
 	invCoef  []float64
 	roots    []complex128
 	rootsInv []complex128
+	invOnce  sync.Once
 
 	// inplace recycles the staging copy of in-place executions. Owned by
 	// the plan (not a package directory) so a dropped plan cannot strand
@@ -72,21 +74,29 @@ func NewPlan(n int, w Window) *Plan {
 		j |= mask
 	}
 	p.fwdCoef = make([]float64, n)
-	p.invCoef = make([]float64, n)
 	for j, src := range p.perm {
 		p.fwdCoef[j] = win[src] * invGain
-		p.invCoef[j] = win[src] * invGain / float64(n)
 	}
 	p.roots = newTwiddleTable(n)
-	p.rootsInv = make([]complex128, len(p.roots))
-	for i, r := range p.roots {
-		p.rootsInv[i] = complex(real(r), -imag(r))
-	}
 	p.inplace = &sync.Pool{New: func() any {
 		buf := make([]complex128, n)
 		return &buf
 	}}
 	return p
+}
+
+// buildInverse fills the inverse tables from the forward ones: invCoef[j]
+// is fwdCoef[j]/n, that is (win*invGain)/n, and rootsInv conjugates roots,
+// which is exact.
+func (p *Plan) buildInverse() {
+	p.invCoef = make([]float64, p.n)
+	for j, c := range p.fwdCoef {
+		p.invCoef[j] = c / float64(p.n)
+	}
+	p.rootsInv = make([]complex128, len(p.roots))
+	for i, r := range p.roots {
+		p.rootsInv[i] = complex(real(r), -imag(r))
+	}
 }
 
 // Size returns the transform length the plan was built for.
@@ -135,6 +145,7 @@ func (p *Plan) execute(dst, src []complex128, inverse bool) {
 	}
 	coef, roots := p.fwdCoef, p.roots
 	if inverse {
+		p.invOnce.Do(p.buildInverse)
 		coef, roots = p.invCoef, p.rootsInv
 	}
 	if &dst[0] == &src[0] {

@@ -93,6 +93,35 @@ func TestNewPlanUnshared(t *testing.T) {
 	}
 }
 
+// TestPlanInverseTablesLazy: a plan that only ran Forward holds no inverse
+// tables, and the first inverse transform builds them bit-identical to the
+// window and twiddle arithmetic they are defined by.
+func TestPlanInverseTablesLazy(t *testing.T) {
+	const n = 256
+	for _, w := range []Window{Rectangular, Hann} {
+		p := NewPlan(n, w)
+		x := randomSignal(rand.New(rand.NewSource(11)), n)
+		dst := make([]complex128, n)
+		p.Forward(dst, x)
+		if p.invCoef != nil || p.rootsInv != nil {
+			t.Fatalf("%v: forward-only plan holds inverse tables", w)
+		}
+		p.Inverse(dst, x)
+		win := w.Coefficients(n)
+		invGain := 1 / Mean(win)
+		for j, src := range p.perm {
+			if want := win[src] * invGain / float64(n); p.invCoef[j] != want {
+				t.Fatalf("%v: invCoef[%d] = %v, want %v", w, j, p.invCoef[j], want)
+			}
+		}
+		for i, r := range p.roots {
+			if want := complex(real(r), -imag(r)); p.rootsInv[i] != want {
+				t.Fatalf("%v: rootsInv[%d] = %v, want %v", w, i, p.rootsInv[i], want)
+			}
+		}
+	}
+}
+
 func TestPlanInverseManyRoundTrip(t *testing.T) {
 	// A calibrated Rectangular inverse of a forward transform recovers the
 	// signal: Inverse(Forward(x)) == x.

@@ -1,0 +1,155 @@
+package radar
+
+import (
+	"math/bits"
+	"sync"
+)
+
+// Columns is the part of one frame's range profile that outlives the frame:
+// the per-channel values of every bin whose channel-summed power reached
+// the store's floor, in ascending bin order, behind a bitmap of the kept
+// bins. PointCloudScan fills it once; At reads it.
+type Columns struct {
+	mask  []uint64     // bit b set when bin b was kept
+	vals  []complex128 // NumRx values per kept bin
+	store *ColumnStore
+}
+
+// At returns bin's per-channel values (length NumRx, read-only), or nil
+// when the scan dropped the bin.
+func (c *Columns) At(bin int) []complex128 {
+	w, b := bin>>6, uint(bin&63)
+	if c.mask[w]&(1<<b) == 0 {
+		return nil
+	}
+	rank := bits.OnesCount64(c.mask[w] & (1<<b - 1))
+	for _, m := range c.mask[:w] {
+		rank += bits.OnesCount64(m)
+	}
+	nr := c.store.numRx
+	return c.vals[rank*nr : (rank+1)*nr : (rank+1)*nr]
+}
+
+// Kept returns the number of bins the scan kept.
+func (c *Columns) Kept() int { return len(c.vals) / c.store.numRx }
+
+// keep is the scan's pass over rp's last channel: it completes the
+// channel-summed power in power (which holds the other channels' sum, or
+// nothing when rp has one channel), marks every bin whose power reaches
+// the store's floor, and then gathers the marked columns of rp into
+// storage carved from the store.
+func (c *Columns) keep(rp RangeProfile, power []float64) {
+	ch, add := rp.Bins[len(rp.Bins)-1], len(rp.Bins) > 1
+	floor := c.store.floor
+	kept := 0
+	for w := range c.mask {
+		lo := w << 6
+		var m uint64
+		for b, v := range ch[lo:min(lo+64, len(ch))] {
+			p := real(v)*real(v) + imag(v)*imag(v)
+			if add {
+				p = power[lo+b] + p
+			}
+			power[lo+b] = p
+			var bit uint64 // set without a branch: kept bins fall at random
+			if p >= floor {
+				bit = 1
+			}
+			m |= bit << uint(b&63)
+		}
+		c.mask[w] = m
+		kept += bits.OnesCount64(m)
+	}
+	nr := len(rp.Bins)
+	vals := c.store.carve(kept * nr)
+	j := 0
+	for w, m := range c.mask {
+		for ; m != 0; m &= m - 1 {
+			bin := w<<6 + bits.TrailingZeros64(m)
+			for _, ch := range rp.Bins {
+				vals[j] = ch[bin]
+				j++
+			}
+		}
+	}
+	c.vals = vals
+}
+
+// ColumnStore is the storage one read's Columns live in, one Columns per
+// frame. Kept columns are carved from blocks of one range profile's size,
+// taken from and returned to the frame pool that recycles the profiles
+// themselves, so a read's columns and the next read's profiles share one
+// set of buffers; frames may fill concurrently. Stores are pooled too, so a
+// read's per-frame bookkeeping is reused.
+type ColumnStore struct {
+	numRx, bins int
+	floor       float64
+	frames      []Columns
+	masks       []uint64
+
+	mu sync.Mutex
+	// blocks hold the carved columns; off is the next free element of the
+	// last one.
+	blocks []*chanBuf
+	off    int
+}
+
+var columnStorePool sync.Pool
+
+// NewColumnStore returns an empty store for a read of the given number of
+// frames, each a profile of bins range bins over numRx channels, keeping
+// the bins whose channel-summed power is at or above floor. The caller
+// must Release it once the read no longer reads its columns.
+func NewColumnStore(frames, numRx, bins int, floor float64) *ColumnStore {
+	s, _ := columnStorePool.Get().(*ColumnStore)
+	if s == nil {
+		s = new(ColumnStore)
+	}
+	s.numRx, s.bins, s.floor = numRx, bins, floor
+	words := (bins + 63) / 64
+	s.masks = grow(s.masks, frames*words)
+	clear(s.masks)
+	s.frames = grow(s.frames, frames)
+	for i := range s.frames {
+		s.frames[i] = Columns{mask: s.masks[i*words : (i+1)*words], store: s}
+	}
+	return s
+}
+
+// grow returns s resliced to length n, reallocated when its capacity is
+// short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Frame returns frame i's columns, for PointCloudScan to fill.
+func (s *ColumnStore) Frame(i int) *Columns { return &s.frames[i] }
+
+// Release returns the store's blocks to the frame pool and the store to its
+// pool. Neither the store nor any Columns from it may be used afterwards.
+func (s *ColumnStore) Release() {
+	for i, b := range s.blocks {
+		framePool.Put(b)
+		s.blocks[i] = nil
+	}
+	s.blocks, s.off = s.blocks[:0], 0
+	clear(s.frames)
+	columnStorePool.Put(s)
+}
+
+// carve returns n elements of block storage, n <= numRx*bins: at most one
+// frame's full profile, so a frame's columns always fit one block.
+func (s *ColumnStore) carve(n int) []complex128 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.blocks) == 0 || s.off+n > s.numRx*s.bins {
+		s.blocks = append(s.blocks, acquireBuf(s.numRx, s.bins, false))
+		s.off = 0
+	}
+	v := s.blocks[len(s.blocks)-1].flat[s.off : s.off+n : s.off+n]
+	s.off += n
+	return v
+}

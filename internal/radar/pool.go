@@ -5,10 +5,13 @@ import "sync"
 // chanBuf is the pooled backing store behind frames and range profiles: one
 // contiguous channel-major buffer plus per-channel views over it. Frames use
 // flat directly (the batched range transform consumes the contiguous
-// layout); range profiles expose the views as RangeProfile.Bins. A detection
-// pass retains one profile per frame until it ends, so the buffer holds the
-// samples and nothing else: the float64 scratch lanes of the tone kernel and
-// the point-cloud scan live on the caller's stack (laneScratch).
+// layout); range profiles expose the views as RangeProfile.Bins. A
+// detection-mode profile lives only until its frame's scan has copied the
+// columns the spotlight can read (Columns), so the pool holds per-worker
+// scratch; only the time-domain decode profiles of quantized and
+// sample-faulted frames are retained until the pass ends. The buffer holds
+// the samples and nothing else: the float64 scratch lanes of the tone kernel
+// and the point-cloud scan live on the caller's stack (laneScratch).
 type chanBuf struct {
 	flat  []complex128
 	views [][]complex128

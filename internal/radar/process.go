@@ -115,10 +115,10 @@ func (p *SynthPlan) AoASpectrumInto(dst []float64, rp RangeProfile, bin int) {
 	}
 }
 
-// BeamPower is the fast single-angle beamformer used by the spotlight pass
+// BeamPower is the fast single-angle beamformer of the spotlight pass
 // (Sec 6): the beamformed received power (watts) at one range bin and
-// azimuth. It costs one Sincos for the element-to-element phase rotation;
-// the steering weights follow by complex recurrence.
+// azimuth. It gathers the bin's column and calls SteerPower, so it equals
+// SteerPower on the same column (a Columns.At vector) bit for bit.
 func (c Config) BeamPower(rp RangeProfile, bin int, azimuth float64) float64 {
 	if bin < 0 || bin >= len(rp.Bins[0]) {
 		panic(fmt.Sprintf("radar: AoA at bin %d of %d", bin, len(rp.Bins[0])))
@@ -135,7 +135,9 @@ func (c Config) BeamPower(rp RangeProfile, bin int, azimuth float64) float64 {
 }
 
 // SteerPower is BeamPower on one range bin's per-channel values v (length
-// NumRx): a profile column, or a SynthPlan.BinSpectrum vector.
+// NumRx): a profile column, or a SynthPlan.BinSpectrum vector. It costs one
+// Sincos for the element-to-element phase rotation; the steering weights
+// follow by complex recurrence.
 func (c Config) SteerPower(v []complex128, azimuth float64) float64 {
 	w := 2 * math.Pi * c.RxSpacing * math.Sin(azimuth) / c.Wavelength()
 	sin, cos := math.Sincos(w)
@@ -176,25 +178,33 @@ const (
 // own: the channel-summed power's median sets the noise floor, and every
 // bin in 1..n-2 past the leakage region that clears the threshold as a
 // local maximum gets an AoA scan.
-func (p *SynthPlan) PointCloudScan(rp RangeProfile) []Detection {
+//
+// With keep (at most one, from a ColumnStore), the scan also copies into
+// it every column whose channel-summed power is at or above the store's
+// floor, so the caller can release the profile as soon as the scan
+// returns.
+func (p *SynthPlan) PointCloudScan(rp RangeProfile, keep ...*Columns) []Detection {
 	minRange := minRangeBins * p.cfg.RangeBinSize()
 	n := len(rp.Bins[0])
 
 	// Non-coherent channel-summed power per range bin. The power sum and
 	// the median scratch are stack lanes (laneScratch), so the per-frame
-	// detection pass allocates nothing and the retained profile carries no
-	// scratch.
+	// detection pass allocates nothing and the profile carries no scratch.
 	var stack [2 * stackLanes]float64
 	power, scratch := laneScratch(stack[:], n)
+	last := len(rp.Bins) - 1
 	for ci, ch := range rp.Bins {
-		if ci == 0 {
+		switch {
+		case ci == last && len(keep) > 0:
+			keep[0].keep(rp, power)
+		case ci == 0:
 			for i, v := range ch {
 				power[i] = real(v)*real(v) + imag(v)*imag(v)
 			}
-			continue
-		}
-		for i, v := range ch {
-			power[i] += real(v)*real(v) + imag(v)*imag(v)
+		default:
+			for i, v := range ch {
+				power[i] += real(v)*real(v) + imag(v)*imag(v)
+			}
 		}
 	}
 	copy(scratch, power)

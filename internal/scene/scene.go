@@ -188,7 +188,7 @@ func (s *Scene) Scatterers(radarPos, radarVel geom.Vec3, mode Mode, fe em.RadarF
 			// Fig 13a's ~13 dB for every stack size, shaping choice, and
 			// bit pattern.
 			aperture := t.stackPowerCached(s.Responses, radarPos, f) / refElevationGain
-			mounted := float64(len(t.Layout.Positions())) / 5
+			mounted := float64(t.Layout.Stacks()) / 5
 			rcs := em.FromDBsm(t.Stats.RCSdBsm) * aperture * mounted / 3
 			for i := -1; i <= 1; i++ {
 				off := geom.Vec3{X: float64(i) * t.Stats.Extent, Z: float64(i) * t.Stats.Extent}
