@@ -18,6 +18,7 @@ import (
 	"ros/internal/geom"
 	"ros/internal/obs"
 	"ros/internal/radar"
+	"ros/internal/sim"
 	"ros/internal/vaa"
 )
 
@@ -124,9 +125,8 @@ func BenchmarkFrameSynthesis(b *testing.B) {
 
 func BenchmarkRangeProfile(b *testing.B) {
 	cfg := radar.TI1443()
-	rng := rand.New(rand.NewSource(3))
-	frame := cfg.Synthesize([]radar.Scatterer{{Range: 3, Amplitude: 1e-5}}, rng)
 	plan := cfg.NewSynthPlan()
+	frame := plan.Synthesize([]radar.Scatterer{{Range: 3, Amplitude: 1e-5}}, dsp.NewGauss(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		radar.ReleaseProfile(plan.RangeProfile(frame))
@@ -167,9 +167,8 @@ func BenchmarkRangeFFTBatched(b *testing.B) {
 
 func BenchmarkAoASpectrum(b *testing.B) {
 	cfg := radar.TI1443()
-	rng := rand.New(rand.NewSource(5))
-	frame := cfg.Synthesize([]radar.Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-4}}, rng)
 	plan := cfg.NewSynthPlan()
+	frame := plan.Synthesize([]radar.Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-4}}, dsp.NewGauss(5))
 	rp := plan.RangeProfile(frame)
 	bin := cfg.BinForRange(4)
 	spec := make([]float64, len(plan.ScanAngles()))
@@ -179,15 +178,19 @@ func BenchmarkAoASpectrum(b *testing.B) {
 	}
 }
 
+// BenchmarkBeamPower measures the spotlight's single-angle beamformer,
+// SteerPower, on one gathered profile column.
 func BenchmarkBeamPower(b *testing.B) {
 	cfg := radar.TI1443()
-	rng := rand.New(rand.NewSource(6))
-	frame := cfg.Synthesize([]radar.Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-4}}, rng)
-	rp := cfg.RangeProfile(frame)
-	bin := cfg.BinForRange(4)
+	plan := cfg.NewSynthPlan()
+	rp := plan.RangeProfile(plan.Synthesize([]radar.Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-4}}, dsp.NewGauss(6)))
+	col := make([]complex128, cfg.NumRx)
+	for k, ch := range rp.Bins {
+		col[k] = ch[cfg.BinForRange(4)]
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.BeamPower(rp, bin, 0.2)
+		cfg.SteerPower(col, 0.2)
 	}
 }
 
@@ -239,6 +242,25 @@ func BenchmarkEndToEndRead(b *testing.B) {
 		if _, err := r.Read(tag, ReadOptions{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkQuantizedPass is one pass of rosperf's sweep-grid on its
+// quantized half: the 8-module shaped "1011" tag at 3 m through a 12-bit
+// converter on one worker, so every pose's decode frame is replayed after
+// clustering. Run with -benchmem: B/op tracks what a quantized pass holds.
+func BenchmarkQuantizedPass(b *testing.B) {
+	adc := radar.TI1443()
+	adc.ADCBits = 12
+	cfg := sim.DriveBy{Bits: "1011", StackModules: 8, BeamShaped: true, Standoff: 3, Radar: &adc, Workers: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		out, err := sim.RunContext(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Span.Release()
 	}
 }
 

@@ -29,18 +29,7 @@ func spotlightFixture(b *testing.B) (*Pipeline, []frameData, *decodeReader, []cl
 	if err != nil {
 		b.Fatal(err)
 	}
-	var merged []cluster.Point
-	for _, fd := range frames {
-		merged = append(merged, fd.points...)
-	}
-	labels := cluster.DBSCAN(merged, clusterEps, clusterMinPts)
-	stats := cluster.Summarize(merged, labels, p.Radar.RangeResolution())
-	var cands []cluster.Stats
-	for _, st := range stats {
-		if st.Count >= minClusterFrames {
-			cands = append(cands, st)
-		}
-	}
+	cands := candidates(p, frames)
 	if len(cands) == 0 {
 		b.Fatal("no clusters survived the density filter")
 	}
@@ -68,7 +57,7 @@ func BenchmarkTagSampling(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range truth {
-			p.sampleTagFrame(dec, &frames[j], j, truth[j], tagPos, 60)
+			p.sampleTagFrame(dec, &frames[j], j, truth[j], tagPos)
 		}
 	}
 }

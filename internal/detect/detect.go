@@ -18,12 +18,13 @@
 // there too.
 //
 // Decode mode is read at a few range bins per frame (one per classified
-// object, one for the tag), so on the ideal converter (ADCBits == 0) the
-// pipeline never synthesizes a decode-mode frame: it keeps the frame's
-// decode-mode scatterers and evaluates the bins it reads in closed form
-// (radar.SynthPlan.BinSpectrum). Quantized configs and frames with injected
-// sample corruption or bursts keep the time-domain decode frame, because
-// the quantizer and the sample faults act there.
+// object, one for the tag), so pass 1 keeps only the frame's decode-mode
+// scatterers. On the ideal converter (ADCBits == 0) the bins read are
+// evaluated in closed form (radar.SynthPlan.BinSpectrum). The quantizer and
+// injected sample faults act on the time-domain frame, so after clustering
+// replayDecode re-synthesizes those frames once each and keeps only the
+// columns a candidate cluster can be read at: no decode profile outlives
+// its frame.
 //
 // Robustness: RunContext threads a context through every stage with
 // cooperative cancellation checks at frame and stage boundaries — a
@@ -38,6 +39,7 @@
 package detect
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -59,13 +61,13 @@ import (
 	"ros/internal/sweep"
 )
 
-// Pipeline-level metrics, accumulated on the Default registry once per run
-// (never per frame, so the hot loop pays nothing for them).
+// Pipeline-level metrics, accumulated on the Default registry once per pass
+// over the frames (never per frame, so the hot loop pays nothing for them).
 var (
 	mRuns = obs.Default.Counter("ros_pipeline_runs_total",
 		"detection pipeline runs")
 	mFrames = obs.Default.Counter("ros_frames_synthesized_total",
-		"radar frames synthesized (detection mode per pose, plus decode mode on the time-domain path)")
+		"radar frames synthesized (detection mode per pose, plus decode mode replayed for quantized and sample-faulted poses)")
 	mFFTs = obs.Default.Counter("ros_fft_calls_total",
 		"fast-time FFTs run by the range transforms")
 	mTagsFound = obs.Default.Counter("ros_tags_detected_total",
@@ -252,14 +254,17 @@ const (
 type frameData struct {
 	// cols holds the detection-mode profile's columns that classifyObject
 	// can use (columnFloor); the profile itself is released once the
-	// frame's scan returns. Decode mode is held one of two ways: dec, the
-	// time-domain range profile (quantized configs and sample-faulted
-	// frames), or decScat, the decode-mode scatterers whose bins
-	// decodeReader evaluates directly. Exactly one is set on an ok frame.
-	cols    *radar.Columns
-	dec     radar.RangeProfile
-	decScat []radar.Scatterer
-	points  []cluster.Point
+	// frame's scan returns. decodeReader evaluates decode-mode bins from
+	// decScat, the scatterers, unless replay marks a time-domain decode
+	// frame (quantizer or sample faults): replayDecode then re-synthesizes
+	// it from decNoise, the frame's Gauss stream position after the
+	// detection frame, and swaps decScat for dec, the columns read.
+	cols     *radar.Columns
+	dec      *radar.Columns
+	decScat  []radar.Scatterer
+	decNoise int64
+	replay   bool
+	points   []cluster.Point
 	// synthesized and transformed count the frames this pose synthesized
 	// and range-transformed (the frames and fft_calls work counters).
 	synthesized, transformed int
@@ -303,17 +308,15 @@ func noiseSeed(seed int64, i int) int64 {
 }
 
 // synthesizeFrames is pass 1 of Run: synthesize the detection-mode frame per
-// pose (and the decode-mode frame where the time-domain path is needed),
-// extract the detection-mode point cloud in world coordinates, and keep the
-// detection-mode columns in cols plus the decode profile or decode-mode
-// scatterers. Frames are independent given their seed stream, so the loop
-// fans out on the sweep pool; per-stage times accumulate atomically across
-// workers in child spans of sp (Span.Add is one atomic add). All workers share one immutable frame
+// pose, extract the detection-mode point cloud in world coordinates, and keep
+// the detection-mode columns in cols plus the decode-mode scatterers. Frames
+// are independent given their seed stream, so the loop fans out on the sweep
+// pool; per-stage times accumulate atomically across workers in child spans
+// of sp (Span.Add is one atomic add). All workers share one immutable frame
 // front-end plan (scene-static synthesis terms + the fused window+FFT range
-// plan); only the frame and profile scratch buffers are pooled. The returned
-// decode profiles live in pooled buffers and the columns in cols — the
-// caller owns releasing both. The done mask marks frames that actually ran
-// (cancellation stops dispatch between frames).
+// plan); only the frame and profile scratch buffers are pooled. The columns
+// live in cols, which the caller owns releasing. The done mask marks frames
+// that actually ran (cancellation stops dispatch between frames).
 func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth []geom.Vec3, vel geom.Vec3, seed int64, cols *radar.ColumnStore, sp *obs.Span) ([]frameData, []bool, error) {
 	synthSp := sp.StartChild(SpanSynthesize)
 	rangeSp := sp.StartChild(SpanRangeFFT)
@@ -322,114 +325,71 @@ func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth 
 	f := p.Radar.CenterFrequency
 	plan := p.resources().SynthPlan(p.Radar)
 	inj := p.Fault
-	samples := p.Radar.Samples
-	numRx := p.Radar.NumRx
 	return sweep.RunCtx(ctx, len(truth), p.Workers, func(ctx context.Context, i int) (frameData, error) {
-		if inj != nil {
-			ff := inj.Frame(i)
-			if ff.Delay > 0 {
-				t := time.NewTimer(ff.Delay)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return frameData{}, context.Cause(ctx)
-				}
-			}
-			if ff.Panic {
-				panic(fmt.Errorf("fault: injected worker panic at frame %d: %w", i, roserr.ErrFrameCorrupt))
-			}
-			if ff.Drop {
-				return frameData{dropped: true, dropKind: dropKindDrop}, nil
-			}
-			if ff.Corrupt || ff.Burst {
-				return p.synthesizeFaultyFrame(sc, truth[i], vel, seed, i, ff, plan, fe, f,
-					numRx, samples, cols.Frame(i), synthSp, rangeSp, cloudSp)
+		ff := inj.Frame(i)
+		if ff.Delay > 0 {
+			t := time.NewTimer(ff.Delay)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return frameData{}, context.Cause(ctx)
 			}
 		}
-		return p.synthesizeCleanFrame(sc, truth[i], vel, seed, i, plan, fe, f, cols.Frame(i), synthSp, rangeSp, cloudSp), nil
-	})
-}
-
-// synthesizeCleanFrame is the fault-free frame path — the hot loop of every
-// production read. On the ideal converter it synthesizes and transforms the
-// detection-mode frame only and keeps the decode-mode scatterers for
-// decodeReader; with a quantizer both modes take the time-domain path. The
-// detection-mode frame draws its noise first from the frame's stream either
-// way, so its realization does not depend on the decode path. The scan
-// fills cols, and the detection profile then goes back to the pool.
-func (p *Pipeline) synthesizeCleanFrame(sc *scene.Scene, pose geom.Vec3, vel geom.Vec3, seed int64, i int, plan *radar.SynthPlan, fe em.RadarFrontEnd, f float64, cols *radar.Columns, synthSp, rangeSp, cloudSp *obs.Span) frameData {
-	rng := sweep.NewRand(seed, i)
-	g := dsp.AcquireGauss(noiseSeed(seed, i))
-	t0 := time.Now()
-	detScat := sc.Scatterers(pose, vel, scene.ModeDetect, fe, f, rng)
-	decScat := sc.Scatterers(pose, vel, scene.ModeDecode, fe, f, rng)
-	detFrame := plan.Synthesize(detScat, g)
-	timeDomain := p.Radar.ADCBits > 0
-	var decFrame radar.Frame
-	if timeDomain {
-		decFrame = plan.Synthesize(decScat, g)
-	}
-	dsp.ReleaseGauss(g)
-	t1 := time.Now()
-	det := plan.RangeProfile(detFrame)
-	fd := frameData{synthesized: 1, transformed: 1, ok: true}
-	radar.ReleaseFrame(detFrame)
-	if timeDomain {
-		fd.dec = plan.RangeProfile(decFrame)
-		fd.synthesized, fd.transformed = 2, 2
-		radar.ReleaseFrame(decFrame)
-	} else {
-		fd.decScat = decScat
-	}
-	t2 := time.Now()
-
-	p.extractPoints(&fd, det, cols, pose, plan)
-	t3 := time.Now()
-	synthSp.Add(t1.Sub(t0))
-	rangeSp.Add(t2.Sub(t1))
-	cloudSp.Add(t3.Sub(t2))
-	return fd
-}
-
-// synthesizeFaultyFrame is the corrupted-frame path: synthesize both modes,
-// apply the injected sample faults, scrub non-finite samples before the
-// range transform, and drop the frame as corrupt when the scrub count
-// exceeds the repair threshold.
-func (p *Pipeline) synthesizeFaultyFrame(sc *scene.Scene, pose geom.Vec3, vel geom.Vec3, seed int64, i int, ff fault.FrameFaults, plan *radar.SynthPlan, fe em.RadarFrontEnd, f float64, numRx, samples int, cols *radar.Columns, synthSp, rangeSp, cloudSp *obs.Span) (frameData, error) {
-	rng := sweep.NewRand(seed, i)
-	g := dsp.AcquireGauss(noiseSeed(seed, i))
-	t0 := time.Now()
-	detScat := sc.Scatterers(pose, vel, scene.ModeDetect, fe, f, rng)
-	decScat := sc.Scatterers(pose, vel, scene.ModeDecode, fe, f, rng)
-	detFrame := plan.Synthesize(detScat, g)
-	decFrame := plan.Synthesize(decScat, g)
-	dsp.ReleaseGauss(g)
-	ff.Apply(detFrame.Data, numRx, samples)
-	ff.Apply(decFrame.Data, numRx, samples)
-	scrubbed := radar.ScrubFrame(detFrame) + radar.ScrubFrame(decFrame)
-	t1 := time.Now()
-	synthSp.Add(t1.Sub(t0))
-	if float64(scrubbed) > maxScrubFraction*float64(2*len(detFrame.Data)) {
+		if ff.Panic {
+			panic(fmt.Errorf("fault: injected worker panic at frame %d: %w", i, roserr.ErrFrameCorrupt))
+		}
+		if ff.Drop {
+			return frameData{dropped: true, dropKind: dropKindDrop}, nil
+		}
+		rng := sweep.NewRand(seed, i)
+		g := dsp.AcquireGauss(noiseSeed(seed, i))
+		defer dsp.ReleaseGauss(g)
+		t0 := time.Now()
+		detScat := sc.Scatterers(truth[i], vel, scene.ModeDetect, fe, f, rng)
+		fd := frameData{
+			decScat:     sc.Scatterers(truth[i], vel, scene.ModeDecode, fe, f, rng),
+			replay:      p.Radar.ADCBits > 0 || ff.Corrupt || ff.Burst,
+			synthesized: 1,
+		}
+		detFrame := plan.Synthesize(detScat, g)
+		fd.decNoise = g.Pos()
+		if ff.Corrupt || ff.Burst {
+			// Synthesize the decode frame too, only to count the samples its
+			// faults leave non-finite for the drop decision; replayDecode
+			// rebuilds it if the frame survives.
+			decFrame := plan.Synthesize(fd.decScat, g)
+			fd.synthesized = 2
+			ff.Apply(detFrame.Data, p.Radar.NumRx, p.Radar.Samples)
+			ff.Apply(decFrame.Data, p.Radar.NumRx, p.Radar.Samples)
+			fd.scrubbed = radar.ScrubFrame(detFrame) + radar.ScrubFrame(decFrame)
+			radar.ReleaseFrame(decFrame)
+			if float64(fd.scrubbed) > maxScrubFraction*float64(2*len(detFrame.Data)) {
+				radar.ReleaseFrame(detFrame)
+				synthSp.Add(time.Since(t0))
+				fd.dropped, fd.dropKind, fd.decScat = true, dropKindCorrupt, nil
+				return fd, nil
+			}
+		}
+		t1 := time.Now()
+		det := plan.RangeProfile(detFrame)
 		radar.ReleaseFrame(detFrame)
-		radar.ReleaseFrame(decFrame)
-		return frameData{dropped: true, dropKind: dropKindCorrupt, scrubbed: scrubbed, synthesized: 2}, nil
-	}
-	det := plan.RangeProfile(detFrame)
-	fd := frameData{
-		dec:         plan.RangeProfile(decFrame),
-		synthesized: 2,
-		transformed: 2,
-		ok:          true,
-		scrubbed:    scrubbed,
-	}
-	radar.ReleaseFrame(detFrame)
-	radar.ReleaseFrame(decFrame)
-	t2 := time.Now()
-	p.extractPoints(&fd, det, cols, pose, plan)
-	rangeSp.Add(t2.Sub(t1))
-	cloudSp.Add(time.Since(t2))
-	return fd, nil
+		fd.ok, fd.transformed = true, 1
+		t2 := time.Now()
+		// The scan keeps det's spotlight columns; the point cloud goes to
+		// world coordinates: radar at y > 0 looks toward -y, so a detection
+		// at (range, az) sits at radar + range*(sin az, -cos az).
+		fd.cols = cols.Frame(i)
+		for _, d := range plan.PointCloudScan(det, fd.cols) {
+			world := truth[i].XY().Add(geom.Vec2{X: d.Range * math.Sin(d.Azimuth), Y: -d.Range * math.Cos(d.Azimuth)})
+			fd.points = append(fd.points, cluster.Point{Pos: world, Weight: d.Power})
+		}
+		radar.ReleaseProfile(det)
+		synthSp.Add(t1.Sub(t0))
+		rangeSp.Add(t2.Sub(t1))
+		cloudSp.Add(time.Since(t2))
+		return fd, nil
+	})
 }
 
 // resources resolves the run's resource handle: Engine, or the default.
@@ -440,22 +400,22 @@ func (p *Pipeline) resources() *engine.Engine {
 	return engine.Default()
 }
 
-// extractPoints converts the frame's detection-mode point cloud into world
-// coordinates via the plan's scan path, keeping det's spotlight columns in
-// cols, and releases det.
-func (p *Pipeline) extractPoints(fd *frameData, det radar.RangeProfile, cols *radar.Columns, pose geom.Vec3, plan *radar.SynthPlan) {
-	dets := plan.PointCloudScan(det, cols)
-	radar.ReleaseProfile(det)
-	fd.cols = cols
-	for _, d := range dets {
-		// Radar at y > 0 looks toward -y; a detection at (range, az)
-		// sits at radar + range*(sin az, -cos az).
-		world := pose.XY().Add(geom.Vec2{
-			X: d.Range * math.Sin(d.Azimuth),
-			Y: -d.Range * math.Cos(d.Azimuth),
-		})
-		fd.points = append(fd.points, cluster.Point{Pos: world, Weight: d.Power})
+// spotView is the read geometry of classifyObject (tag false: within 60
+// degrees, past the leakage region) and sampleTagFrame (tag true: within
+// DecodeAzimuthCapDeg), shared with replayDecode: target's range bin,
+// azimuth and range from the radar at pose, and whether it is in view.
+func (p *Pipeline) spotView(pose geom.Vec3, target geom.Vec2, tag bool) (bin int, az, r float64, ok bool) {
+	capDeg, minRange := 60.0, 4*p.Radar.RangeBinSize()
+	if tag {
+		capDeg, minRange = cmp.Or(p.DecodeAzimuthCapDeg, 60), 0
 	}
+	rel := target.Sub(pose.XY())
+	r = rel.Norm()
+	az = math.Atan2(rel.X, -rel.Y)
+	if r <= minRange || r >= p.Radar.MaxRange() || math.Abs(az) > geom.Rad(capDeg) {
+		return 0, 0, 0, false
+	}
+	return p.Radar.BinForRange(r), az, r, true
 }
 
 // classifyObject spotlights one cluster in both polarization modes across
@@ -473,13 +433,10 @@ func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, dec *dec
 		if !frames[i].ok {
 			continue
 		}
-		rel := st.Centroid.Sub(truth[i].XY())
-		r := rel.Norm()
-		az := math.Atan2(rel.X, -rel.Y)
-		if math.Abs(az) > geom.Rad(60) || r >= p.Radar.MaxRange() || r <= 4*p.Radar.RangeBinSize() {
+		bin, az, _, ok := p.spotView(truth[i], st.Centroid, false)
+		if !ok {
 			continue
 		}
-		bin := p.Radar.BinForRange(r)
 		col := frames[i].cols.At(bin)
 		if col == nil {
 			// Pass 1 dropped the column: it is below columnFloor, so it
@@ -512,20 +469,63 @@ func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, dec *dec
 // using the estimated geometry (the tag axis is parallel to the road / x
 // axis), path-loss compensated per Eq 1 (d^4) using the tracked range so the
 // sample is proportional to RCS.
-func (p *Pipeline) sampleTagFrame(dec *decodeReader, fd *frameData, i int, est geom.Vec3, tagPos geom.Vec2, azCap float64) tagSample {
-	rel := est.XY().Sub(tagPos)
-	r := rel.Norm()
-	if r == 0 {
+func (p *Pipeline) sampleTagFrame(dec *decodeReader, fd *frameData, i int, est geom.Vec3, tagPos geom.Vec2) tagSample {
+	bin, az, r, ok := p.spotView(est, tagPos, true)
+	if !ok {
 		return tagSample{}
 	}
-	azRel := tagPos.Sub(est.XY())
-	az := math.Atan2(azRel.X, -azRel.Y)
-	if math.Abs(az) > geom.Rad(azCap) || r >= p.Radar.MaxRange() {
-		return tagSample{}
-	}
-	rss := dec.power(fd, i, p.Radar.BinForRange(r), az)
+	rss := dec.power(fd, i, bin, az)
 	rss *= r * r * r * r
-	return tagSample{u: rel.X / r, rss: rss, r: r, ok: true}
+	return tagSample{u: (est.X - tagPos.X) / r, rss: rss, r: r, ok: true}
+}
+
+// replayDecode runs once after clustering: for each usable frame marked
+// replay, it collects every bin spotView lets either reader ask of any
+// candidate, re-synthesizes the decode frame from decNoise (quantizer and
+// sample faults included, the detection frame's fault draws skipped), range
+// transforms it, keeps those columns in store and releases the frame and
+// profile at once. Frames fan out on the sweep pool, timed into spotSp. It
+// returns the number of frames synthesized and transformed.
+func (p *Pipeline) replayDecode(ctx context.Context, frames []frameData, cands []cluster.Stats, truth, est []geom.Vec3, store *radar.ColumnStore, spotSp *obs.Span) (int, error) {
+	plan := p.resources().SynthPlan(p.Radar)
+	var replayed atomic.Int64
+	_, _, err := sweep.RunCtx(ctx, len(frames), p.Workers, func(_ context.Context, i int) (bool, error) {
+		fd := &frames[i]
+		if !fd.ok || !fd.replay {
+			return false, nil
+		}
+		t0 := time.Now()
+		bins := make([]int, 0, 16)
+		for _, st := range cands {
+			if bin, _, _, ok := p.spotView(truth[i], st.Centroid, false); ok {
+				bins = append(bins, bin)
+			}
+			if bin, _, _, ok := p.spotView(est[i], st.Centroid, true); ok {
+				bins = append(bins, bin)
+			}
+		}
+		scat := fd.decScat
+		fd.dec, fd.decScat = store.Frame(i), nil
+		if len(bins) == 0 {
+			return false, nil
+		}
+		g := dsp.AcquireGauss(fd.decNoise)
+		f := plan.Synthesize(scat, g)
+		dsp.ReleaseGauss(g)
+		if ff := p.Fault.Frame(i); ff.Corrupt || ff.Burst {
+			ff.Apply(nil, p.Radar.NumRx, p.Radar.Samples)
+			ff.Apply(f.Data, p.Radar.NumRx, p.Radar.Samples)
+			radar.ScrubFrame(f)
+		}
+		rp := plan.RangeProfile(f)
+		radar.ReleaseFrame(f)
+		fd.dec.KeepBins(rp, bins)
+		radar.ReleaseProfile(rp)
+		spotSp.Add(time.Since(t0))
+		replayed.Add(1)
+		return true, nil
+	})
+	return int(replayed.Load()), err
 }
 
 // Run drives the full pipeline without cancellation; see RunContext.
@@ -565,44 +565,32 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 		sp.Release()
 		return nil, fmt.Errorf("detect: read cancelled before the first frame: %w: %w", roserr.ErrReadCancelled, err)
 	}
-	extThresh := p.TagMaxExtent
-	if extThresh == 0 {
-		extThresh = 0.18
-	}
-	maxLoss := p.MaxFrameLoss
-	if maxLoss == 0 {
-		maxLoss = 0.5
-	}
+	extThresh := cmp.Or(p.TagMaxExtent, 0.18)
+	maxLoss := cmp.Or(p.MaxFrameLoss, 0.5)
 
 	// Pass 1: synthesize the frames, keep the detection-mode columns the
-	// spotlight can read and the decode profiles (or decode-mode
-	// scatterers), and build the merged world-frame point cloud from
-	// detection mode. The columns and decode profiles live in pooled
-	// storage the run hands back when it is done with them (nothing in
-	// Result references them); dropped or never-run frames hold zero-value
-	// profiles, which release as no-ops.
+	// spotlight can read and the decode-mode scatterers, and build the
+	// merged world-frame point cloud from detection mode. The columns live
+	// in pooled storage the run hands back when it is done with them
+	// (nothing in Result references them).
 	n := len(truth)
 	sp.SetAttr("fft_size", p.Radar.Samples)
 	sp.SetAttr("workers", resolveWorkers(p.Workers, n))
 	cols := radar.NewColumnStore(n, p.Radar.NumRx, p.Radar.Samples, p.columnFloor())
 	defer cols.Release()
 	frames, done, ferr := p.synthesizeFrames(ctx, sc, truth, vel, seed, cols, sp)
+	// addWork counts frames synthesized and range-transformed, on the span
+	// (frames, fft_calls) and the registry.
 	synthesized, transformed := 0, 0
-	for _, fd := range frames {
-		synthesized += fd.synthesized
-		transformed += fd.transformed
+	addWork := func(synth, trans int) {
+		synthesized += synth
+		transformed += trans
+		sp.SetAttr("frames", synthesized)
+		sp.SetAttr("fft_calls", int64(transformed)*int64(p.Radar.NumRx))
+		mFrames.Add(int64(synth))
+		mFFTs.Add(int64(trans) * int64(p.Radar.NumRx))
 	}
-	ffts := int64(transformed) * int64(p.Radar.NumRx)
-	sp.SetAttr("frames", synthesized)
-	sp.SetAttr("fft_calls", ffts)
 	mRuns.Inc()
-	mFrames.Add(int64(synthesized))
-	mFFTs.Add(ffts)
-	defer func() {
-		for _, fd := range frames {
-			radar.ReleaseProfile(fd.dec)
-		}
-	}()
 
 	// A frame whose worker failed (recovered panic, injected or real) is a
 	// lost frame, not a lost read: mark it dropped and let the degradation
@@ -633,7 +621,7 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 			fd.dropKind = dropKindWorker
 		}
 	}
-	completed, dropped, scrubbed := 0, 0, 0
+	completed, dropped, scrubbed, synth, trans := 0, 0, 0, 0, 0
 	dropKinds := map[string]int64{}
 	for i := range frames {
 		if frames[i].ok {
@@ -643,7 +631,10 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 			dropKinds[frames[i].dropKind]++
 		}
 		scrubbed += frames[i].scrubbed
+		synth += frames[i].synthesized
+		trans += frames[i].transformed
 	}
+	addWork(synth, trans)
 	if dropped > 0 {
 		mFramesDropped.Add(int64(dropped))
 		for kind, n := range dropKinds {
@@ -707,16 +698,27 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 		return partial(res), fmt.Errorf("detect: read cancelled after clustering: %w: %w", roserr.ErrReadCancelled, err)
 	}
 
-	// Spotlight pass: classify every cluster that survived the density
-	// filter. Objects are independent and draw no randomness, so they fan
-	// out on the sweep pool; sweep.Run returns reports in candidate order,
-	// keeping the output byte-identical at any worker count. The span
-	// accumulates worker-summed self time, like the per-frame stages.
+	// Spotlight pass: replay the time-domain decode frames, then classify
+	// every cluster that survived the density filter. Objects are
+	// independent and draw no randomness, so they fan out on the sweep
+	// pool; sweep.Run returns reports in candidate order, keeping the output
+	// byte-identical at any worker count. The span accumulates worker-summed
+	// self time, like the per-frame stages.
 	spotSp := sp.StartChild(SpanSpotlight)
 	dec := p.newDecodeReader(seed)
 	endSpot := func() {
 		spotSp.SetAttr("decode_bins", dec.bins.Load())
 		spotSp.End()
+	}
+	// spotFailed ends a run the named spotlight stage cut short with err.
+	spotFailed := func(stage string, err error) (*Result, error) {
+		endSpot()
+		if errors.Is(err, roserr.ErrReadCancelled) {
+			return partial(res), fmt.Errorf("detect: read cancelled during %s: %w", stage, err)
+		}
+		obs.Logger().Error("detect: "+stage+" pass failed", "seed", seed, "err", err)
+		sp.Release()
+		return nil, err
 	}
 	var cands []cluster.Stats
 	for _, st := range stats {
@@ -727,6 +729,13 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	spotSp.SetAttr("objects", len(cands))
 	spotSp.SetAttr("workers", resolveWorkers(p.Workers, max(len(cands), n)))
 	if len(cands) > 0 {
+		decCols := radar.NewColumnStore(n, p.Radar.NumRx, p.Radar.Samples, 0)
+		defer decCols.Release()
+		replayed, err := p.replayDecode(ctx, frames, cands, truth, est, decCols, spotSp)
+		addWork(replayed, replayed)
+		if err != nil {
+			return spotFailed("decode replay", err)
+		}
 		reports, _, err := sweep.RunCtx(ctx, len(cands), p.Workers, func(_ context.Context, ci int) (ObjectReport, error) {
 			t0 := time.Now()
 			report := p.classifyObject(cands[ci], frames, dec, truth, extThresh)
@@ -734,13 +743,7 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 			return report, nil
 		})
 		if err != nil {
-			endSpot()
-			if errors.Is(err, roserr.ErrReadCancelled) {
-				return partial(res), fmt.Errorf("detect: read cancelled during spotlighting: %w", err)
-			}
-			obs.Logger().Error("detect: spotlight pass failed", "objects", len(cands), "seed", seed, "err", err)
-			sp.Release()
-			return nil, err
+			return spotFailed("spotlighting", err)
 		}
 		res.Objects = reports
 	}
@@ -782,28 +785,18 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	// on the pool and the samples are appended in frame order. Frames
 	// without usable profiles contribute no samples — the decoder reads
 	// from the remaining aggregate at reduced confidence.
-	azCap := p.DecodeAzimuthCapDeg
-	if azCap <= 0 {
-		azCap = 60
-	}
 	tagPos := res.Objects[res.TagIndex].Centroid
 	samples, _, err := sweep.RunCtx(ctx, n, p.Workers, func(_ context.Context, i int) (tagSample, error) {
 		if !frames[i].ok {
 			return tagSample{}, nil
 		}
 		t0 := time.Now()
-		s := p.sampleTagFrame(dec, &frames[i], i, est[i], tagPos, azCap)
+		s := p.sampleTagFrame(dec, &frames[i], i, est[i], tagPos)
 		spotSp.Add(time.Since(t0))
 		return s, nil
 	})
 	if err != nil {
-		endSpot()
-		if errors.Is(err, roserr.ErrReadCancelled) {
-			return partial(res), fmt.Errorf("detect: read cancelled during RCS sampling: %w", err)
-		}
-		obs.Logger().Error("detect: decode sampling pass failed", "frames", n, "seed", seed, "err", err)
-		sp.Release()
-		return nil, err
+		return spotFailed("RCS sampling", err)
 	}
 	for _, s := range samples {
 		if !s.ok {
@@ -823,13 +816,14 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	return res, nil
 }
 
-// decodeReader serves the decode-mode beamformed power of any frame at any
-// bin: from the frame's time-domain profile when it has one, otherwise in
-// closed form from its decode-mode scatterers via BinSpectrum. The
-// bin-domain noise of (frame i, bin) comes from its own stream keyed by
-// binNoiseSeed, so every reader of one bin — any object, any worker, in any
-// order — sees the same vector. bins counts the BinSpectrum evaluations for
-// the spotlight span's decode_bins attribute.
+// decodeReader serves the decode-mode beamformed power of any frame at the
+// bins spotView puts in view: from the columns replayDecode kept when the
+// frame's decode frame is time-domain, otherwise in closed form from its
+// decode-mode scatterers via BinSpectrum. The bin-domain noise of (frame i,
+// bin) comes from its own stream keyed by binNoiseSeed, so every reader of
+// one bin — any object, any worker, in any order — sees the same vector.
+// bins counts the BinSpectrum evaluations for the spotlight span's
+// decode_bins attribute.
 type decodeReader struct {
 	cfg  *radar.Config
 	plan *radar.SynthPlan
@@ -846,8 +840,12 @@ func (p *Pipeline) newDecodeReader(seed int64) *decodeReader {
 // power returns the decode-mode beamformed power of frame i (fd) at one
 // range bin and azimuth.
 func (d *decodeReader) power(fd *frameData, i, bin int, az float64) float64 {
-	if fd.dec.Bins != nil {
-		return d.cfg.BeamPower(fd.dec, bin, az)
+	if fd.replay {
+		col := fd.dec.At(bin)
+		if col == nil {
+			panic(fmt.Sprintf("detect: decode bin %d of frame %d was not replayed", bin, i))
+		}
+		return d.cfg.SteerPower(col, az)
 	}
 	var vbuf [16]complex128
 	v := vbuf[:]

@@ -268,7 +268,7 @@ func TestDecodeBinsIndependentOfOrderAndWorkers(t *testing.T) {
 	}
 	frames1, dec1 := synth(1)
 	for _, fd := range frames1 {
-		if !fd.ok || fd.dec.Bins != nil || len(fd.decScat) == 0 {
+		if !fd.ok || fd.replay || len(fd.decScat) == 0 {
 			t.Fatal("ideal-converter frame did not take the closed-form decode path")
 		}
 	}
@@ -307,10 +307,15 @@ func TestDecodeBinsIndependentOfOrderAndWorkers(t *testing.T) {
 }
 
 // TestWorkCountsFollowDecodePath pins the frames / fft_calls / decode_bins
-// counters to the work actually done: the ideal converter synthesizes and
-// transforms one frame per pose, a quantizer two, and a fault plan two per
-// sample-faulted pose (none per dropped pose, none transformed for a pose
-// dropped as corrupt).
+// counters to the work actually done. The ideal converter synthesizes and
+// transforms one frame per pose. Pass 1 of a quantizer does the same, and
+// the decode replay then synthesizes and transforms each pose's decode frame
+// once more. A fault plan synthesizes two frames per sample-faulted pose in
+// pass 1 (the decode frame only to count its scrubbed samples) and
+// transforms one, unless the pose is dropped as corrupt; the replay adds one
+// synthesis and one transform per surviving faulted pose. Dropped poses do
+// no work. Every pose of this pass sees the tag, so every replayable pose
+// is replayed.
 func TestWorkCountsFollowDecodePath(t *testing.T) {
 	const n = 120
 	truth := passPositions(3, n)
@@ -339,6 +344,14 @@ func TestWorkCountsFollowDecodePath(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer res.Span.Release()
+			if res.TagIndex < 0 {
+				t.Fatal("tag not detected")
+			}
+			for i := range truth {
+				if _, _, _, ok := p.spotView(truth[i], res.Objects[res.TagIndex].Centroid, false); !ok {
+					t.Fatalf("pose %d does not see the tag; the expected counts assume every pose does", i)
+				}
+			}
 			wantFrames, wantFFTFrames := n, n
 			switch tc.name {
 			case "adc12":
@@ -357,10 +370,10 @@ func TestWorkCountsFollowDecodePath(t *testing.T) {
 					}
 				}
 				// Poses dropped for corruption past the repair threshold were
-				// synthesized but never transformed.
-				corruptDropped := res.FramesDropped - inj.Kinds(n).Drop
-				wantFrames += 2 * faulted
-				wantFFTFrames += 2 * (faulted - corruptDropped)
+				// synthesized but never transformed, nor replayed.
+				replayed := faulted - (res.FramesDropped - inj.Kinds(n).Drop)
+				wantFrames += 2*faulted + replayed
+				wantFFTFrames += 2 * replayed
 				if faulted == 0 {
 					t.Fatal("fault plan injected no sample faults; raise the rates")
 				}

@@ -97,6 +97,10 @@ func NewGauss(seed int64) *Gauss {
 // Reseed rewinds the stream to a fresh seed.
 func (g *Gauss) Reseed(seed int64) { g.state = uint64(seed) }
 
+// Pos returns the stream's position: a stream reseeded with it draws what
+// this one draws next.
+func (g *Gauss) Pos() int64 { return int64(g.state) }
+
 // gaussGamma is the SplitMix64 state increment.
 const gaussGamma = 0x9e3779b97f4a7c15
 

@@ -107,6 +107,25 @@ func TestAddNoiseDeterministic(t *testing.T) {
 	}
 }
 
+// TestGaussPosResumes: a stream reseeded at another's Pos draws exactly what
+// that stream draws next, through AddNoise and Norm alike.
+func TestGaussPosResumes(t *testing.T) {
+	g := NewGauss(11)
+	g.AddNoise(make([]complex128, 37), 1)
+	r := NewGauss(g.Pos())
+	x, y := make([]complex128, 64), make([]complex128, 64)
+	g.AddNoise(x, 1)
+	r.AddNoise(y, 1)
+	for i := range x {
+		if x[i] != y[i] {
+			t.Fatalf("idx %d: resumed stream drew %v, original %v", i, y[i], x[i])
+		}
+	}
+	if a, b := g.Norm(), r.Norm(); a != b {
+		t.Fatalf("next Norm: resumed %v, original %v", b, a)
+	}
+}
+
 func BenchmarkGaussNorm(b *testing.B) {
 	g := NewGauss(1)
 	s := 0.0

@@ -233,6 +233,7 @@ func (in *Injector) Kinds(n int) KindCounts {
 // returns how many samples were overwritten with non-finite values. The
 // positions continue the frame's decision stream, so they too depend only on
 // (seed, frame index). Drop/Panic/Delay are the caller's to enforce.
+// The draws do not depend on the data, so nil data just skips them.
 func (ff FrameFaults) Apply(data []complex128, numRx, samples int) (nonFinite int) {
 	if ff.rng == nil || numRx < 1 || samples < 1 {
 		return 0
@@ -243,6 +244,9 @@ func (ff FrameFaults) Apply(data []complex128, numRx, samples int) (nonFinite in
 		base := ch * samples
 		for h := 0; h < hits; h++ {
 			t := base + ff.rng.Intn(samples)
+			if data == nil {
+				continue
+			}
 			switch h % 3 {
 			case 0:
 				data[t] = complex(math.NaN(), imag(data[t]))
@@ -263,6 +267,9 @@ func (ff FrameFaults) Apply(data []complex128, numRx, samples int) (nonFinite in
 		for t := 0; t < length; t++ {
 			idx := base + (start+t)%samples
 			phase := 2 * math.Pi * ff.rng.Float64()
+			if data == nil {
+				continue
+			}
 			s, c := math.Sincos(phase)
 			data[idx] += complex(amp*c, amp*s)
 		}

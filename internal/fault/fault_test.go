@@ -159,6 +159,31 @@ func TestApplyCorruptsAndBursts(t *testing.T) {
 	}
 }
 
+// TestApplyNilSkipsDraws: Apply with nil data consumes exactly the draws a
+// real call does, so the frame's next buffer gets the faults it would get
+// after a real first call, bit for bit.
+func TestApplyNilSkipsDraws(t *testing.T) {
+	const numRx, samples = 4, 64
+	in, _ := New(Config{Seed: 9, CorruptRate: 1, BurstRate: 1, BurstAmplitude: 1})
+	first := make([]complex128, numRx*samples)
+	want := make([]complex128, numRx*samples)
+	ff := in.Frame(3)
+	ff.Apply(first, numRx, samples)
+	ff.Apply(want, numRx, samples)
+	skip := in.Frame(3)
+	if n := skip.Apply(nil, numRx, samples); n != 0 {
+		t.Fatalf("nil-data Apply reported %d writes", n)
+	}
+	got := make([]complex128, numRx*samples)
+	skip.Apply(got, numRx, samples)
+	for i := range want {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+			t.Fatalf("sample %d: %v after a skipped first call, %v after a real one", i, got[i], want[i])
+		}
+	}
+}
+
 func TestDefaultsFilled(t *testing.T) {
 	in, err := New(Config{CorruptRate: 0.1, DelayRate: 0.1})
 	if err != nil {

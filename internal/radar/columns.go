@@ -6,9 +6,10 @@ import (
 )
 
 // Columns is the part of one frame's range profile that outlives the frame:
-// the per-channel values of every bin whose channel-summed power reached
-// the store's floor, in ascending bin order, behind a bitmap of the kept
-// bins. PointCloudScan fills it once; At reads it.
+// the per-channel values of the kept bins, in ascending bin order, behind a
+// bitmap of them. PointCloudScan fills it once with every bin whose
+// channel-summed power reached the store's floor, or KeepBins with the bins
+// its caller names; At reads it.
 type Columns struct {
 	mask  []uint64     // bit b set when bin b was kept
 	vals  []complex128 // NumRx values per kept bin
@@ -30,18 +31,23 @@ func (c *Columns) At(bin int) []complex128 {
 	return c.vals[rank*nr : (rank+1)*nr : (rank+1)*nr]
 }
 
-// Kept returns the number of bins the scan kept.
-func (c *Columns) Kept() int { return len(c.vals) / c.store.numRx }
+// KeepBins fills c with rp's columns at bins (any order, repeats allowed);
+// every other bin reads nil.
+func (c *Columns) KeepBins(rp RangeProfile, bins []int) {
+	clear(c.mask)
+	for _, b := range bins {
+		c.mask[b>>6] |= 1 << uint(b&63)
+	}
+	c.gather(rp)
+}
 
 // keep is the scan's pass over rp's last channel: it completes the
 // channel-summed power in power (which holds the other channels' sum, or
 // nothing when rp has one channel), marks every bin whose power reaches
-// the store's floor, and then gathers the marked columns of rp into
-// storage carved from the store.
+// the store's floor, and then gathers the marked columns.
 func (c *Columns) keep(rp RangeProfile, power []float64) {
 	ch, add := rp.Bins[len(rp.Bins)-1], len(rp.Bins) > 1
 	floor := c.store.floor
-	kept := 0
 	for w := range c.mask {
 		lo := w << 6
 		var m uint64
@@ -58,6 +64,15 @@ func (c *Columns) keep(rp RangeProfile, power []float64) {
 			m |= bit << uint(b&63)
 		}
 		c.mask[w] = m
+	}
+	c.gather(rp)
+}
+
+// gather copies rp's columns at the bins c.mask marks into storage carved
+// from the store.
+func (c *Columns) gather(rp RangeProfile) {
+	kept := 0
+	for _, m := range c.mask {
 		kept += bits.OnesCount64(m)
 	}
 	nr := len(rp.Bins)
@@ -97,9 +112,10 @@ type ColumnStore struct {
 var columnStorePool sync.Pool
 
 // NewColumnStore returns an empty store for a read of the given number of
-// frames, each a profile of bins range bins over numRx channels, keeping
-// the bins whose channel-summed power is at or above floor. The caller
-// must Release it once the read no longer reads its columns.
+// frames, each a profile of bins range bins over numRx channels, where
+// PointCloudScan keeps the bins whose channel-summed power is at or above
+// floor (KeepBins ignores it). The caller must Release it once the read no
+// longer reads its columns.
 func NewColumnStore(frames, numRx, bins int, floor float64) *ColumnStore {
 	s, _ := columnStorePool.Get().(*ColumnStore)
 	if s == nil {
@@ -125,7 +141,7 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Frame returns frame i's columns, for PointCloudScan to fill.
+// Frame returns frame i's columns, for PointCloudScan or KeepBins to fill.
 func (s *ColumnStore) Frame(i int) *Columns { return &s.frames[i] }
 
 // Release returns the store's blocks to the frame pool and the store to its

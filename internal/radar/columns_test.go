@@ -68,6 +68,47 @@ func TestPointCloudScanKeepsColumns(t *testing.T) {
 	}
 }
 
+// TestKeepBinsGathersNamedColumns: KeepBins keeps exactly the bins it is
+// given, in any order and with repeats, each with its profile column bit
+// for bit, and At reads nil everywhere else.
+func TestKeepBinsGathersNamedColumns(t *testing.T) {
+	c := TI1443()
+	plan := c.NewSynthPlan()
+	f := plan.Synthesize([]Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-5}}, dsp.NewGauss(2))
+	rp := plan.RangeProfile(f)
+	ReleaseFrame(f)
+	defer ReleaseProfile(rp)
+	s := NewColumnStore(1, c.NumRx, c.Samples, 0)
+	defer s.Release()
+	cols := s.Frame(0)
+	bins := []int{200, 3, 64, 3, c.Samples - 1, 0, 63}
+	cols.KeepBins(rp, bins)
+	named := map[int]bool{}
+	for _, b := range bins {
+		named[b] = true
+	}
+	for bin := 0; bin < c.Samples; bin++ {
+		col := cols.At(bin)
+		if !named[bin] {
+			if col != nil {
+				t.Fatalf("bin %d kept without being named", bin)
+			}
+			continue
+		}
+		if col == nil {
+			t.Fatalf("named bin %d not kept", bin)
+		}
+		for k, ch := range rp.Bins {
+			if col[k] != ch[bin] {
+				t.Fatalf("bin %d channel %d: kept %v, profile %v", bin, k, col[k], ch[bin])
+			}
+		}
+	}
+	if cols.Kept() != len(named) {
+		t.Fatalf("Kept() = %d, want %d", cols.Kept(), len(named))
+	}
+}
+
 // TestColumnStoreReuseAllocFree: a released store comes back from the pool
 // with its storage, so a read of the same shape fills its columns without
 // allocating.

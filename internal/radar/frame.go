@@ -54,12 +54,6 @@ func (f Frame) Channel(k int) []complex128 {
 	return f.Data[k*f.Samples : (k+1)*f.Samples]
 }
 
-// NewFrame returns a zeroed frame with the config's channel count and
-// sample length backed by a fresh (unpooled) buffer.
-func (c Config) NewFrame() Frame {
-	return Frame{Data: make([]complex128, c.NumRx*c.Samples), NumRx: c.NumRx, Samples: c.Samples}
-}
-
 // SynthPlan is the per-read execution plan of the frame front-end: every
 // term of the synthesis model (Eq 2) that depends only on the radar
 // configuration — wavelength, beat/Doppler/phase coefficients, the
@@ -221,14 +215,8 @@ func (p *SynthPlan) synthTones(f Frame, scatterers []Scatterer) bool {
 	return wrote
 }
 
-// Synthesize generates a baseband frame per Eq 2 through a fresh plan; see
-// SynthPlan.Synthesize and SynthPlan.synthesizeRand.
-func (c Config) Synthesize(scatterers []Scatterer, rng *rand.Rand) Frame {
-	return c.NewSynthPlan().synthesizeRand(scatterers, rng)
-}
-
-// synthesizeRand is Synthesize with the noise stream seeded from the rng: a
-// nil rng yields a noiseless frame; a non-nil rng seeds one pooled Gauss
+// synthesizeRand synthesizes a frame with the noise stream seeded from the
+// rng: a nil rng yields a noiseless frame; a non-nil rng seeds one pooled Gauss
 // noise stream from a single rng draw, so the output is a pure function of
 // the rng state.
 func (p *SynthPlan) synthesizeRand(scatterers []Scatterer, rng *rand.Rand) Frame {

@@ -5,11 +5,11 @@ import "sync"
 // chanBuf is the pooled backing store behind frames and range profiles: one
 // contiguous channel-major buffer plus per-channel views over it. Frames use
 // flat directly (the batched range transform consumes the contiguous
-// layout); range profiles expose the views as RangeProfile.Bins. A
-// detection-mode profile lives only until its frame's scan has copied the
-// columns the spotlight can read (Columns), so the pool holds per-worker
-// scratch; only the time-domain decode profiles of quantized and
-// sample-faulted frames are retained until the pass ends. The buffer holds
+// layout); range profiles expose the views as RangeProfile.Bins. No profile
+// outlives its frame: a detection-mode profile lives until its frame's scan
+// has copied the columns the spotlight can read, a replayed decode-mode
+// profile until the columns its readers ask for are copied (Columns), so
+// the pool holds per-worker scratch plus the column blocks. The buffer holds
 // the samples and nothing else: the float64 scratch lanes of the tone kernel
 // and the point-cloud scan live on the caller's stack (laneScratch).
 type chanBuf struct {
@@ -47,7 +47,7 @@ func (b *chanBuf) reshape(numRx, n int) {
 
 // framePool recycles the chanBufs of every synthesis plan in the process. A
 // drive-by synthesizes and transforms one frame per pose on the ideal
-// converter (280 per pass; quantized configs add the decode-mode frame), and
+// converter (280 per pass; quantized configs replay a decode frame too), and
 // with the frame loop running on a worker pool the buffers would otherwise
 // be reallocated from every worker; recycling them keeps the steady-state
 // allocation rate near zero. One pool serves all plans, so plans of the same

@@ -32,12 +32,6 @@ type RangeProfile struct {
 	buf *chanBuf
 }
 
-// RangeProfile applies the range transform of Eq 3 to a frame through a
-// fresh plan; see SynthPlan.RangeProfile.
-func (c Config) RangeProfile(f Frame) RangeProfile {
-	return c.NewSynthPlan().RangeProfile(f)
-}
-
 // RangeProfile applies the range transform of Eq 3 to a frame: an inverse
 // FFT over fast time per channel, Hann-windowed against range sidelobes (a
 // -2 dBsm street lamp would otherwise smear -13 dB rectangular sidelobes
@@ -115,29 +109,12 @@ func (p *SynthPlan) AoASpectrumInto(dst []float64, rp RangeProfile, bin int) {
 	}
 }
 
-// BeamPower is the fast single-angle beamformer of the spotlight pass
-// (Sec 6): the beamformed received power (watts) at one range bin and
-// azimuth. It gathers the bin's column and calls SteerPower, so it equals
-// SteerPower on the same column (a Columns.At vector) bit for bit.
-func (c Config) BeamPower(rp RangeProfile, bin int, azimuth float64) float64 {
-	if bin < 0 || bin >= len(rp.Bins[0]) {
-		panic(fmt.Sprintf("radar: AoA at bin %d of %d", bin, len(rp.Bins[0])))
-	}
-	var vbuf [16]complex128
-	v := vbuf[:0]
-	if c.NumRx > len(vbuf) {
-		v = make([]complex128, 0, c.NumRx)
-	}
-	for k := 0; k < c.NumRx; k++ {
-		v = append(v, rp.Bins[k][bin])
-	}
-	return c.SteerPower(v, azimuth)
-}
-
-// SteerPower is BeamPower on one range bin's per-channel values v (length
-// NumRx): a profile column, or a SynthPlan.BinSpectrum vector. It costs one
-// Sincos for the element-to-element phase rotation; the steering weights
-// follow by complex recurrence.
+// SteerPower is the fast single-angle beamformer of the spotlight pass
+// (Sec 6): the beamformed received power (watts) of one range bin's
+// per-channel values v (length NumRx: a kept profile column, Columns.At,
+// or a SynthPlan.BinSpectrum vector) at one azimuth. It costs one Sincos
+// for the element-to-element phase rotation; the steering weights follow
+// by complex recurrence.
 func (c Config) SteerPower(v []complex128, azimuth float64) float64 {
 	w := 2 * math.Pi * c.RxSpacing * math.Sin(azimuth) / c.Wavelength()
 	sin, cos := math.Sincos(w)

@@ -131,7 +131,7 @@ func TestTwoScatterersResolvedInRange(t *testing.T) {
 // spotlight steers the array to azimuth at the bin nearest rangeM and
 // returns the beamformed received power in watts (the Sec 6 spotlight).
 func spotlight(c Config, f Frame, rangeM, azimuth float64) float64 {
-	return c.BeamPower(c.RangeProfile(f), c.BinForRange(rangeM), azimuth)
+	return c.SteerPower(column(c.RangeProfile(f), c.BinForRange(rangeM)), azimuth)
 }
 
 func TestSpotlightRecoversPower(t *testing.T) {

@@ -97,13 +97,26 @@ func TestAoASpectrumCachedMatchesTrigReference(t *testing.T) {
 	}
 }
 
+// column gathers bin's per-channel values from rp, the vector SteerPower
+// beamforms.
+func column(rp RangeProfile, bin int) []complex128 {
+	v := make([]complex128, len(rp.Bins))
+	for k, ch := range rp.Bins {
+		v[k] = ch[bin]
+	}
+	return v
+}
+
+// TestBeamPowerMatchesTrigReference: SteerPower on a profile column matches
+// the trigonometric beamformer at random azimuths.
 func TestBeamPowerMatchesTrigReference(t *testing.T) {
 	c := TI1443()
 	rp := testProfile(t, c)
 	bin := c.BinForRange(4)
+	col := column(rp, bin)
 	f := func(raw float64) bool {
 		az := math.Mod(math.Abs(raw), 2.1) - 1.05 // ±60 deg
-		got := c.BeamPower(rp, bin, az)
+		got := c.SteerPower(col, az)
 		want := refSpectrum(c, rp, bin, []float64{az})[0]
 		peak := refSpectrum(c, rp, bin, []float64{0.3})[0] // near the target
 		return math.Abs(got-want) <= 1e-12*math.Max(want, peak)

@@ -221,11 +221,11 @@ func (d DriveBy) Validate() error {
 // clock.
 type Stats struct {
 	// Frames is the number of radar frames synthesized: one detection-mode
-	// frame per pose, plus a decode-mode frame for each pose that took the
-	// time-domain decode path (a quantizing ADC, or injected sample
-	// corruption or bursts). Ideal-converter poses read their decode-mode
-	// bins in closed form and synthesize no decode frame; dropped poses
-	// synthesize nothing.
+	// frame per pose, plus, after clustering, one decode-mode frame replayed
+	// per time-domain pose (quantizing ADC, or sample faults, which also
+	// synthesize it once up front to count scrubbed samples) that sees a
+	// candidate. Ideal-converter poses read decode bins in closed form;
+	// dropped poses synthesize nothing.
 	Frames int
 	// FFTCalls is the number of fast-time FFTs run by the range
 	// transforms: NumRx per frame transformed (a pose dropped as corrupt
@@ -236,8 +236,8 @@ type Stats struct {
 	// SynthesizeNS, RangeFFTNS and PointCloudNS are summed per-worker
 	// nanoseconds of the frame loop's three stages.
 	SynthesizeNS, RangeFFTNS, PointCloudNS int64
-	// ClusterNS and SpotlightNS time the sequential clustering and
-	// beamforming passes.
+	// ClusterNS and SpotlightNS time clustering and the spotlight passes
+	// (decode replay, beamforming).
 	ClusterNS, SpotlightNS int64
 	// DecodeNS times the spectral decoder.
 	DecodeNS int64
