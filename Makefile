@@ -9,7 +9,7 @@ GO ?= go
 # scripts/interleave.sh; bench-smoke runs each once, and bench-names fails
 # when a name matches no benchmark. BENCH_COUNT is bench-compare's number of
 # interleaved rounds (one run of each side per round).
-BENCH_HOT := 'BenchmarkEndToEndRead$$|BenchmarkQuantizedPass$$|BenchmarkSpotlight$$|BenchmarkDBSCAN|BenchmarkAoASpectrum$$|BenchmarkSynthesize$$|BenchmarkRangeFFTBatched$$'
+BENCH_HOT := 'BenchmarkEndToEndRead$$|BenchmarkEndToEndReadOneWorker$$|BenchmarkQuantizedPass$$|BenchmarkSpotlight$$|BenchmarkDBSCAN|BenchmarkAoASpectrum$$|BenchmarkSynthesize$$|BenchmarkRangeFFTBatched$$'
 BENCH_COUNT ?= 5
 
 # Fuzz targets smoked by fuzz-smoke; each runs for FUZZTIME.

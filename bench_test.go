@@ -245,6 +245,25 @@ func BenchmarkEndToEndRead(b *testing.B) {
 	}
 }
 
+// BenchmarkEndToEndReadOneWorker is the production read's shape: the
+// 32-module "1111" tag at 3 m on one frame-loop worker, as rosperf's
+// read-canonical and every rosd read run it. It runs at the process's
+// GOMAXPROCS, so it includes what the sweep pool costs when the other Ps
+// sit idle; a -test.cpu 1 profile of it hides that cost.
+func BenchmarkEndToEndReadOneWorker(b *testing.B) {
+	tag, err := NewTag("1111")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := NewReader()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Read(tag, ReadOptions{Standoff: 3, Seed: int64(i), Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQuantizedPass is one pass of rosperf's sweep-grid on its
 // quantized half: the 8-module shaped "1011" tag at 3 m through a 12-bit
 // converter on one worker, so every pose's decode frame is replayed after

@@ -316,7 +316,7 @@ func noiseSeed(seed int64, i int) int64 {
 // front-end plan (scene-static synthesis terms + the fused window+FFT range
 // plan); only the frame and profile scratch buffers are pooled. The columns
 // live in cols, which the caller owns releasing. The done mask marks frames
-// that actually ran (cancellation stops dispatch between frames).
+// that actually ran (after cancellation, no worker starts another frame).
 func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth []geom.Vec3, vel geom.Vec3, seed int64, cols *radar.ColumnStore, sp *obs.Span) ([]frameData, []bool, error) {
 	synthSp := sp.StartChild(SpanSynthesize)
 	rangeSp := sp.StartChild(SpanRangeFFT)
@@ -355,15 +355,11 @@ func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth 
 		detFrame := plan.Synthesize(detScat, g)
 		fd.decNoise = g.Pos()
 		if ff.Corrupt || ff.Burst {
-			// Synthesize the decode frame too, only to count the samples its
-			// faults leave non-finite for the drop decision; replayDecode
-			// rebuilds it if the frame survives.
-			decFrame := plan.Synthesize(fd.decScat, g)
-			fd.synthesized = 2
+			// The decode frame's share of the scrub count comes from its
+			// fault draws alone; replayDecode synthesizes the frame if the
+			// pose survives.
 			ff.Apply(detFrame.Data, p.Radar.NumRx, p.Radar.Samples)
-			ff.Apply(decFrame.Data, p.Radar.NumRx, p.Radar.Samples)
-			fd.scrubbed = radar.ScrubFrame(detFrame) + radar.ScrubFrame(decFrame)
-			radar.ReleaseFrame(decFrame)
+			fd.scrubbed = radar.ScrubFrame(detFrame) + ff.NonFinite(p.Radar.NumRx, p.Radar.Samples)
 			if float64(fd.scrubbed) > maxScrubFraction*float64(2*len(detFrame.Data)) {
 				radar.ReleaseFrame(detFrame)
 				synthSp.Add(time.Since(t0))

@@ -310,11 +310,11 @@ func TestDecodeBinsIndependentOfOrderAndWorkers(t *testing.T) {
 // counters to the work actually done. The ideal converter synthesizes and
 // transforms one frame per pose. Pass 1 of a quantizer does the same, and
 // the decode replay then synthesizes and transforms each pose's decode frame
-// once more. A fault plan synthesizes two frames per sample-faulted pose in
-// pass 1 (the decode frame only to count its scrubbed samples) and
-// transforms one, unless the pose is dropped as corrupt; the replay adds one
-// synthesis and one transform per surviving faulted pose. Dropped poses do
-// no work. Every pose of this pass sees the tag, so every replayable pose
+// once more. A fault plan synthesizes one frame per sample-faulted pose in
+// pass 1 (the decode frame's scrubbed samples are counted from its fault
+// draws) and transforms it, unless the pose is dropped as corrupt; the
+// replay adds one synthesis and one transform per surviving faulted pose.
+// Dropped poses do no work. Every pose of this pass sees the tag, so every replayable pose
 // is replayed.
 func TestWorkCountsFollowDecodePath(t *testing.T) {
 	const n = 120
@@ -372,7 +372,7 @@ func TestWorkCountsFollowDecodePath(t *testing.T) {
 				// Poses dropped for corruption past the repair threshold were
 				// synthesized but never transformed, nor replayed.
 				replayed := faulted - (res.FramesDropped - inj.Kinds(n).Drop)
-				wantFrames += 2*faulted + replayed
+				wantFrames += faulted + replayed
 				wantFFTFrames += 2 * replayed
 				if faulted == 0 {
 					t.Fatal("fault plan injected no sample faults; raise the rates")

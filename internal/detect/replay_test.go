@@ -245,7 +245,7 @@ func TestDecodeReplayIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // errCountCtx cancels itself on the limit-th call to Err. sweep.RunCtx calls
-// Err once per point it dispatches, so at one worker a limit past pass 1's
+// Err once per point a worker claims, so at one worker a limit past pass 1's
 // frame count cuts the run inside the decode replay.
 type errCountCtx struct {
 	context.Context

@@ -109,9 +109,15 @@ func PercentileInPlace(x []float64, p float64) float64 {
 }
 
 // selectKth places the k-th smallest element of s at index k (with smaller
-// elements before it and larger after) and returns it: Hoare partitions
-// around a median-of-three pivot, recursing only into the side holding k,
-// and finishes small ranges by insertion sort. s must be NaN-free.
+// elements before it and larger after) and returns it. Each round takes the
+// median of three as pivot and runs a branch-free Lomuto partition: every
+// element is swapped into place and the boundary advances by the comparison
+// result, so the loop has no data-dependent branch to mispredict on the
+// noise-like power frames the point-cloud floor ranks. Only the side holding
+// k is kept. When the pivot is the smallest value of its range, a second
+// pass gathers the elements equal to it, so runs of ties cannot make the
+// selection quadratic. Small ranges finish by insertion sort. s must be
+// NaN-free.
 func selectKth(s []float64, k int) float64 {
 	lo, hi := 0, len(s)-1
 	for lo < hi {
@@ -134,33 +140,48 @@ func selectKth(s []float64, k int) float64 {
 		if s[hi] < s[mid] {
 			s[hi], s[mid] = s[mid], s[hi]
 		}
+		// Park the pivot at hi; s[lo:j] holds the elements below it.
 		pivot := s[mid]
-		i, j := lo-1, hi+1
-		for {
-			for {
-				i++
-				if s[i] >= pivot {
-					break
-				}
-			}
-			for {
-				j--
-				if s[j] <= pivot {
-					break
-				}
-			}
-			if i >= j {
-				break
-			}
-			s[i], s[j] = s[j], s[i]
+		s[mid], s[hi] = s[hi], pivot
+		j := lo
+		for i := lo; i < hi; i++ {
+			x := s[i]
+			s[i] = s[j]
+			s[j] = x
+			j += b2i(x < pivot)
 		}
-		if k <= j {
-			hi = j
-		} else {
+		s[hi], s[j] = s[j], pivot
+		switch {
+		case k < j:
+			hi = j - 1
+		case k == j:
+			return pivot
+		case j > lo:
 			lo = j + 1
+		default:
+			// Nothing in range is below the pivot: gather its ties at lo.
+			m := lo + 1
+			for i := lo + 1; i <= hi; i++ {
+				x := s[i]
+				s[i] = s[m]
+				s[m] = x
+				m += b2i(x <= pivot)
+			}
+			if k < m {
+				return pivot
+			}
+			lo = m
 		}
 	}
 	return s[k]
+}
+
+// b2i is 1 for true and 0 for false, compiled to a flag move, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Max returns the maximum of x and its index, or (0, -1) for an empty slice.

@@ -122,32 +122,87 @@ func TestPercentileEdgeRanks(t *testing.T) {
 	}
 }
 
-func BenchmarkMedianInPlace256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := make([]float64, 256)
-	for i := range src {
-		src[i] = rng.NormFloat64()
+// TestSelectKthPartitions pins selectKth's contract on its own: s[k] is the
+// k-th order statistic, nothing before it is larger, nothing after it is
+// smaller, and the samples are only moved. The inputs mix heavy ties (all
+// equal, a few distinct levels, runs of zeros under a noise tail) with
+// ranges too small to partition.
+func TestSelectKthPartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial%4 == 0 {
+			n = 1 + rng.Intn(16)
+		}
+		levels := []int{1, 2, 3, 7, 1 << 30}[rng.Intn(5)]
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(rng.Intn(levels))
+			if levels == 1<<30 && rng.Intn(3) == 0 {
+				x[i] = 0
+			}
+		}
+		want := append([]float64(nil), x...)
+		sort.Float64s(want)
+		k := rng.Intn(n)
+		s := append([]float64(nil), x...)
+		if got := selectKth(s, k); got != want[k] || s[k] != got {
+			t.Fatalf("trial %d: selectKth(n=%d, k=%d) = %g (s[k] = %g), want %g", trial, n, k, got, s[k], want[k])
+		}
+		for i, v := range s {
+			if (i < k && v > s[k]) || (i > k && v < s[k]) {
+				t.Fatalf("trial %d: s[%d] = %g on the wrong side of s[%d] = %g", trial, i, v, k, s[k])
+			}
+		}
+		sort.Float64s(s)
+		for i := range s {
+			if s[i] != want[i] {
+				t.Fatalf("trial %d: selectKth changed the samples", trial)
+			}
+		}
 	}
-	x := make([]float64, len(src))
+}
+
+// powerFrames returns count channel-summed power frames of n bins: each bin
+// is the power of four unit complex Gaussian channels, a chi-square with 8
+// degrees of freedom like a noise-only range profile.
+func powerFrames(count, n int) [][]float64 {
+	rng := rand.New(rand.NewSource(1))
+	frames := make([][]float64, count)
+	for f := range frames {
+		frames[f] = make([]float64, n)
+		for i := range frames[f] {
+			for ch := 0; ch < 8; ch++ {
+				v := rng.NormFloat64()
+				frames[f][i] += v * v
+			}
+		}
+	}
+	return frames
+}
+
+// BenchmarkMedianInPlace256 is the point-cloud floor's median of one
+// 256-bin power frame. It cycles through 64 distinct frames: re-selecting
+// one input lets the branch predictor learn its comparisons and hides what
+// a partition's mispredictions cost on fresh data.
+func BenchmarkMedianInPlace256(b *testing.B) {
+	frames := powerFrames(64, 256)
+	x := make([]float64, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(x, src)
+		copy(x, frames[i%len(frames)])
 		MedianInPlace(x)
 	}
 }
 
 func BenchmarkMedianSortRef256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := make([]float64, 256)
-	for i := range src {
-		src[i] = rng.NormFloat64()
-	}
-	x := make([]float64, len(src))
+	frames := powerFrames(64, 256)
+	x := make([]float64, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(x, src)
+		copy(x, frames[i%len(frames)])
 		sort.Float64s(x)
 	}
 }

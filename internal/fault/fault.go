@@ -235,6 +235,21 @@ func (in *Injector) Kinds(n int) KindCounts {
 // (seed, frame index). Drop/Panic/Delay are the caller's to enforce.
 // The draws do not depend on the data, so nil data just skips them.
 func (ff FrameFaults) Apply(data []complex128, numRx, samples int) (nonFinite int) {
+	return ff.apply(data, nil, numRx, samples)
+}
+
+// NonFinite consumes the same draws as Apply and returns how many distinct
+// samples its corruption overwrites: the count ScrubFrame finds after Apply
+// on a frame of finite samples (a position hit twice is one sample, and
+// bursts add finite values), without synthesizing the frame.
+func (ff FrameFaults) NonFinite(numRx, samples int) int {
+	return ff.apply(nil, make([]uint64, (max(samples, 0)+63)/64), numRx, samples)
+}
+
+// apply is Apply and NonFinite: with seen non-nil it marks each corrupted
+// offset within the hit channel there and counts the distinct ones instead
+// of writing data.
+func (ff FrameFaults) apply(data []complex128, seen []uint64, numRx, samples int) (nonFinite int) {
 	if ff.rng == nil || numRx < 1 || samples < 1 {
 		return 0
 	}
@@ -243,7 +258,15 @@ func (ff FrameFaults) Apply(data []complex128, numRx, samples int) (nonFinite in
 		hits := int(math.Ceil(ff.cfg.CorruptFraction * float64(samples)))
 		base := ch * samples
 		for h := 0; h < hits; h++ {
-			t := base + ff.rng.Intn(samples)
+			off := ff.rng.Intn(samples)
+			t := base + off
+			if seen != nil {
+				if bit := uint64(1) << (off % 64); seen[off/64]&bit == 0 {
+					seen[off/64] |= bit
+					nonFinite++
+				}
+				continue
+			}
 			if data == nil {
 				continue
 			}

@@ -184,6 +184,49 @@ func TestApplyNilSkipsDraws(t *testing.T) {
 	}
 }
 
+// TestNonFiniteMatchesScrubCount: NonFinite counts exactly the samples
+// Apply leaves non-finite in a finite frame, repeated hits included, and
+// consumes the same draws, so a later Apply on the frame's next buffer is
+// unchanged.
+func TestNonFiniteMatchesScrubCount(t *testing.T) {
+	const numRx, samples = 4, 64
+	in, _ := New(Config{Seed: 2, CorruptRate: 0.8, CorruptFraction: 0.5, BurstRate: 0.5, BurstAmplitude: 1})
+	repeats := false
+	for i := 0; i < 200; i++ {
+		data := make([]complex128, numRx*samples)
+		for k := range data {
+			data[k] = complex(float64(k), -1)
+		}
+		ff := in.Frame(i)
+		writes := ff.Apply(data, numRx, samples)
+		nonFinite := 0
+		for _, v := range data {
+			if math.IsNaN(real(v)) || math.IsNaN(imag(v)) || math.IsInf(real(v), 0) || math.IsInf(imag(v), 0) {
+				nonFinite++
+			}
+		}
+		repeats = repeats || writes > nonFinite
+		want := make([]complex128, numRx*samples)
+		ff.Apply(want, numRx, samples)
+
+		counted := in.Frame(i)
+		if got := counted.NonFinite(numRx, samples); got != nonFinite {
+			t.Fatalf("frame %d: NonFinite = %d, Apply left %d non-finite samples", i, got, nonFinite)
+		}
+		got := make([]complex128, numRx*samples)
+		counted.Apply(got, numRx, samples)
+		for k := range want {
+			if math.Float64bits(real(got[k])) != math.Float64bits(real(want[k])) ||
+				math.Float64bits(imag(got[k])) != math.Float64bits(imag(want[k])) {
+				t.Fatalf("frame %d sample %d: %v after NonFinite, %v after Apply", i, k, got[k], want[k])
+			}
+		}
+	}
+	if !repeats {
+		t.Error("no frame hit a sample twice; raise CorruptFraction")
+	}
+}
+
 func TestDefaultsFilled(t *testing.T) {
 	in, err := New(Config{CorruptRate: 0.1, DelayRate: 0.1})
 	if err != nil {

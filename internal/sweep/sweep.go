@@ -14,6 +14,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"ros/internal/obs"
 	"ros/internal/roserr"
@@ -33,6 +35,13 @@ var (
 	mBatches = obs.Default.CounterVec("ros_sweep_batches_total",
 		"sweep batches run, by outcome", "outcome")
 )
+
+// yieldInterval bounds how long a worker runs points without yielding its
+// P, so timers and goroutines waiting on other Ps' run queues (a cancel
+// issued from a sleeping goroutine, say) are not held up behind a batch of
+// points that never block. Yielding after every point instead costs most
+// of what claiming points without a channel saves.
+const yieldInterval = 500 * time.Microsecond
 
 // PanicError is a recovered worker panic, tagged with the point index and
 // carrying the stack trace captured at recovery time. It matches both
@@ -112,11 +121,13 @@ func Run[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 }
 
 // RunCtx evaluates fn for every index 0..n-1 on a worker pool, returning the
-// results in order plus a done mask marking which points completed. A worker
-// count of 0 uses GOMAXPROCS.
+// results in order plus a done mask marking which points completed. Each of
+// the `workers` goroutines claims the next index from one shared counter
+// until none is left; a worker count of 0 uses GOMAXPROCS.
 //
-// Cancellation is cooperative: when ctx is cancelled, no new points are
-// dispatched, in-flight points finish (fn may also watch ctx to return
+// Cancellation is cooperative: when ctx is cancelled, or its deadline has
+// passed on the clock each worker reads before every point, no worker starts
+// another point, in-flight points finish (fn may also watch ctx to return
 // early), and RunCtx returns the completed prefix with an error wrapping
 // both roserr.ErrReadCancelled and the context cause — so
 // errors.Is(err, context.DeadlineExceeded) identifies an expired deadline.
@@ -164,32 +175,38 @@ func RunCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 		return fn(ctx, i)
 	}
 
-	idx := make(chan int)
+	deadline, hasDeadline := ctx.Deadline()
+	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				// A point dequeued after cancellation is skipped, not run:
-				// the caller sees it as not-done rather than paying for it.
-				if ctx.Err() != nil {
-					continue
+			yielded := time.Now()
+			for {
+				// A point claimed after cancellation is skipped, not run: the
+				// caller sees it as not-done rather than paying for it.
+				i := int(next.Add(1) - 1)
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				// A point that never yields can keep the deadline's timer
+				// from firing, so the clock is read here; waiting on Done
+				// lets the timer set the cause the caller reports.
+				now := time.Now()
+				if hasDeadline && !now.Before(deadline) {
+					<-ctx.Done()
+					return
+				}
+				if now.Sub(yielded) >= yieldInterval {
+					runtime.Gosched()
+					yielded = time.Now()
 				}
 				out[i], errs[i] = point(i)
 				done[i] = true
 			}
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
 	wg.Wait()
 
 	completed := 0

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -252,5 +254,178 @@ func TestPointErrors(t *testing.T) {
 	}
 	if PointErrors(nil) != nil {
 		t.Error("PointErrors(nil) != nil")
+	}
+}
+
+// spinPoint is the cost of one point in the promptness tests on an idle
+// core: a busy loop that never blocks, so nothing in the point function
+// gives the scheduler a chance to fire timers or run other goroutines on the
+// worker's P. The loop counts work, not wall time, so a loaded host
+// stretches the point time and the bounds measured in it.
+const spinPoint = 50 * time.Microsecond
+
+var spinSink atomic.Uint64
+
+func spinLoop(n int) {
+	x := uint64(1)
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	spinSink.Add(x)
+}
+
+// spinIters is the loop count of one spinPoint, calibrated once per process
+// from the fastest of a few probes.
+var spinIters = sync.OnceValue(func() int {
+	const probe = 1 << 16
+	best := time.Duration(math.MaxInt64)
+	for k := 0; k < 5; k++ {
+		start := time.Now()
+		spinLoop(probe)
+		best = min(best, time.Since(start))
+	}
+	return int(probe * float64(spinPoint) / float64(best))
+})
+
+func spin() { spinLoop(spinIters()) }
+
+// spinPointTime is the wall time per point of a full batch of spin points
+// at the given worker count, measured in this process so that host load
+// and the race detector stretch the promptness bounds along with the pool.
+func spinPointTime(t *testing.T, workers int) time.Duration {
+	const n = 200
+	start := time.Now()
+	if _, _, err := RunCtx(context.Background(), n, workers, func(context.Context, int) (int, error) {
+		spin()
+		return 0, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return time.Since(start) / n
+}
+
+// cutter makes the context of one promptness batch; its cancel func only
+// releases resources.
+type cutter func() (context.Context, context.CancelFunc)
+
+func deadlineIn(d time.Duration) cutter {
+	return func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), d)
+	}
+}
+
+func cancelIn(d time.Duration) cutter {
+	return func() (context.Context, context.CancelFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(d)
+			cancel()
+		}()
+		return ctx, cancel
+	}
+}
+
+// lateBy runs a batch of spin points under a context that cut ends after d
+// and returns how long past d the batch returned, plus the share of a core
+// each worker got: the spin work of the points done over the batch's wall
+// time × the workers that can run at once. It checks the error chain against
+// want and that every done point holds its result. With yield set, every
+// point also yields after its spin: the control, whose lateness is the
+// host's own timer and wake-up latency, which no pool can beat.
+func lateBy(t *testing.T, cut cutter, d time.Duration, workers int, yield bool, want error) (late time.Duration, share float64) {
+	ctx, cancel := cut()
+	defer cancel()
+	start := time.Now()
+	out, done, err := RunCtx(ctx, 4000, workers, func(_ context.Context, i int) (int, error) {
+		spin()
+		if yield {
+			runtime.Gosched()
+		}
+		return i + 1, nil
+	})
+	elapsed := time.Since(start)
+	if !errors.Is(err, roserr.ErrReadCancelled) || !errors.Is(err, want) {
+		t.Fatalf("err = %v, want ErrReadCancelled and %v", err, want)
+	}
+	completed := 0
+	for i, ok := range done {
+		if ok {
+			completed++
+			if out[i] != i+1 {
+				t.Fatalf("done point %d holds %d, want %d", i, out[i], i+1)
+			}
+		}
+	}
+	cores := min(workers, runtime.GOMAXPROCS(0))
+	return elapsed - d, float64(completed) * float64(spinPoint) / (float64(elapsed) * float64(cores))
+}
+
+// promptly measures a batch of spin points cut after d against a control
+// batch run just before it, and passes when the batch returns within the
+// control's lateness plus allowPoints point-times. A descheduled attempt is
+// retried up to five times, while a pool that stops noticing the context
+// misses on every attempt. An attempt on a host too busy to judge the pool
+// is not counted: one whose workers got under minShare of a core each (a
+// spinning worker then loses whole OS time slices), or whose control alone
+// is later than the bound allows. With no attempt counted, the test skips.
+func promptly(t *testing.T, cut cutter, d time.Duration, workers, allowPoints int, want error) {
+	const minShare = 0.8
+	var misses []string
+	judged := 0
+	for a := 0; a < 5; a++ {
+		pt := spinPointTime(t, workers)
+		control, _ := lateBy(t, cut, d, workers, true, want)
+		over, share := lateBy(t, cut, d, workers, false, want)
+		allow := time.Duration(allowPoints) * pt
+		if share < minShare || control > allow {
+			continue
+		}
+		judged++
+		if over <= control+allow {
+			return
+		}
+		misses = append(misses, fmt.Sprintf("%v past the cut (%.1f point-times of %v; control %v, core share %.2f, %d allowed)",
+			over, float64(over)/float64(pt), pt, control, share, allowPoints))
+	}
+	if judged == 0 {
+		t.Skip("host too busy in every attempt to bound promptness")
+	}
+	t.Fatalf("every judged attempt missed: %s", strings.Join(misses, "; "))
+}
+
+// TestRunCtxDeadlinePromptWithoutYield: points that never yield must not
+// hold a deadline off. Workers read the clock before each point, so a 5 ms
+// deadline stops the batch within one point per worker plus the return,
+// bounded in point-times like TestChaosDeadlinePromptness bounds frames.
+func TestRunCtxDeadlinePromptWithoutYield(t *testing.T) {
+	const (
+		deadline = 5 * time.Millisecond
+		// returnPoints covers waking on the expired context and returning.
+		returnPoints = 10
+	)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			promptly(t, deadlineIn(deadline), deadline, workers, workers+returnPoints, context.DeadlineExceeded)
+		})
+	}
+}
+
+// TestRunCtxCancelPromptWithoutYield: a cancel issued from a goroutine that
+// sleeps 3 ms needs a P to fire its timer and run it. Workers yield after
+// about half a millisecond of points, so the cancel lands within about a
+// millisecond plus a few points even when every P is spinning.
+func TestRunCtxCancelPromptWithoutYield(t *testing.T) {
+	const (
+		sleep = 3 * time.Millisecond
+		// slackPoints is about a millisecond of points on an idle core:
+		// the yield interval plus the point that overruns it.
+		slackPoints = 20
+		// returnPoints covers the in-flight points and the return.
+		returnPoints = 4
+	)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			promptly(t, cancelIn(sleep), sleep, workers, slackPoints+workers+returnPoints, context.Canceled)
+		})
 	}
 }
