@@ -18,8 +18,8 @@ FUZZ_TIME ?= 30s
 # Synthesis-kernel micro-benchmarks compared by bench-kernel: tone lanes,
 # batched Gaussian noise, fused window+FFT plans, the closed-form decode bin,
 # the decoder's spectrum on an owned plan, the scene-response memo, and the
-# point-cloud scan.
-BENCH_KERNEL := 'BenchmarkBinSpectrum$$|BenchmarkToneFill256$$|BenchmarkAccumulateRotated256$$|BenchmarkGaussNorm$$|BenchmarkGaussAddNoise1024$$|BenchmarkPlanInverse256$$|BenchmarkComputeSpectrum$$|BenchmarkSceneResponseMemo$$|BenchmarkSceneResponseDirect$$|BenchmarkPointCloudScan$$'
+# point-cloud scan, alone and keeping a read's spotlight columns.
+BENCH_KERNEL := 'BenchmarkBinSpectrum$$|BenchmarkToneFill256$$|BenchmarkAccumulateRotated256$$|BenchmarkGaussNorm$$|BenchmarkGaussAddNoise1024$$|BenchmarkPlanInverse256$$|BenchmarkComputeSpectrum$$|BenchmarkSceneResponseMemo$$|BenchmarkSceneResponseDirect$$|BenchmarkPointCloudScan$$|BenchmarkPointCloudScanKeep$$'
 
 # Observability overhead budget (percent) enforced by obs-overhead.
 OBS_OVERHEAD_PCT ?= 2

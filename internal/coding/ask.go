@@ -108,8 +108,9 @@ func WeightedMultiStackGain(positions, weights []float64, u, lambda float64) flo
 	var re, im float64
 	k := 4 * math.Pi * u / lambda
 	for i, d := range positions {
-		re += weights[i] * math.Cos(k*d)
-		im += weights[i] * math.Sin(k*d)
+		sin, cos := math.Sincos(k * d)
+		re += weights[i] * cos
+		im += weights[i] * sin
 	}
 	return re*re + im*im
 }

@@ -145,8 +145,9 @@ func MultiStackGain(positions []float64, u, lambda float64) float64 {
 	var re, im float64
 	k := 4 * math.Pi * u / lambda
 	for _, d := range positions {
-		re += math.Cos(k * d)
-		im += math.Sin(k * d)
+		sin, cos := math.Sincos(k * d)
+		re += cos
+		im += sin
 	}
 	return re*re + im*im
 }

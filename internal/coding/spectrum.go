@@ -74,8 +74,9 @@ type PlanSource interface {
 // frequency spectrum: resample onto a uniform u grid, strip the slowly
 // varying envelope, window, zero-pad, FFT, and rescale the axis to stack
 // spacing. Only non-negative spacings are returned (the RSS is real, so the
-// spectrum is symmetric). The transform runs on the plan plans supplies; a
-// nil plans builds a fresh one for this call.
+// spectrum is symmetric). The transform runs on the plan plans supplies,
+// between buffers the plan recycles; a nil plans builds a fresh one for
+// this call.
 func ComputeSpectrum(u, rss []float64, opts SpectrumOptions, plans PlanSource) (*Spectrum, error) {
 	if opts.Lambda <= 0 {
 		return nil, fmt.Errorf("coding: %w: spectrum requires a positive wavelength, got %g", roserr.ErrConfig, opts.Lambda)
@@ -124,20 +125,15 @@ func ComputeSpectrum(u, rss []float64, opts SpectrumOptions, plans PlanSource) (
 	opts.Window.ApplyFloat(det)
 
 	m := dsp.NextPow2(n * spectrumOversample)
-	x := make([]complex128, m)
-	for i, v := range det {
-		x[i] = complex(v, 0)
-	}
 	var plan *dsp.Plan
 	if plans != nil {
 		plan = plans.SpectrumPlan(m)
 	} else {
 		plan = dsp.NewPlan(m, dsp.Rectangular)
 	}
-	plan.Forward(x, x)
 	du := grid[1] - grid[0]
 	mag := make([]float64, m/2)
-	dsp.MagnitudeInto(mag, x[:m/2])
+	plan.ForwardMagnitude(mag, det)
 	spacing := make([]float64, m/2)
 	for i := range spacing {
 		// Bin i is frequency i/(m*du) cycles per unit u; a stack at

@@ -106,16 +106,18 @@ const (
 
 // spotNoise is the expected beamformed noise power the spotlight subtracts:
 // the Hann-windowed range transform leaves 1.5x NoisePerBin per channel,
-// and beamforming over NumRx channels divides it by NumRx.
+// and beamforming over NumRx channels divides it by NumRx. The detection
+// gate, and with it columnFloor, is a multiple of it.
 func (p *Pipeline) spotNoise() float64 {
 	return 1.5 * p.Radar.NoisePerBin() / float64(p.Radar.NumRx)
 }
 
-// columnFloor is the channel-summed power a bin must reach for pass 1 to
-// keep its column. The steering weights have unit modulus, so by
-// Cauchy-Schwarz BeamPower <= P/NumRx for a bin of channel-summed power P,
-// and the detection gate (BeamPower - noise > detGate*noise) needs
-// P > (detGate+1)*noise*NumRx. The floor sits 1% under that bound to cover
+// columnFloor is the store floor pass 1 keeps columns against: a bin is kept
+// when its autocorrelation steering bound R reaches NumRx times the floor
+// (radar.Columns). No azimuth steers a column above R/NumRx^2, and the
+// detection gate (SteerPower - noise > detGate*noise) needs
+// SteerPower > (detGate+1)*noise, so a bin the gate can pass has
+// R > (detGate+1)*noise*NumRx^2. The floor sits 1% under that bound to cover
 // rounding, so every bin classifyObject can use is kept.
 func (p *Pipeline) columnFloor() float64 {
 	return 0.99 * (detGate + 1) * p.spotNoise() * float64(p.Radar.NumRx)
@@ -435,8 +437,8 @@ func (p *Pipeline) classifyObject(st cluster.Stats, frames []frameData, dec *dec
 		}
 		col := frames[i].cols.At(bin)
 		if col == nil {
-			// Pass 1 dropped the column: it is below columnFloor, so it
-			// cannot clear the detection gate.
+			// Pass 1 dropped the column: its steering bound is below
+			// columnFloor, so it cannot clear the detection gate.
 			continue
 		}
 		det := p.Radar.SteerPower(col, az) - noise

@@ -47,10 +47,11 @@ type Plan struct {
 	rootsInv []complex128
 	invOnce  sync.Once
 
-	// inplace recycles the staging copy of in-place executions. Owned by
-	// the plan (not a package directory) so a dropped plan cannot strand
+	// scratch recycles n-point buffers: the staging copy of in-place
+	// executions and ForwardMagnitude's input and output. Owned by the
+	// plan (not a package directory) so a dropped plan cannot strand
 	// per-size pools process-wide.
-	inplace *sync.Pool
+	scratch *sync.Pool
 }
 
 // NewPlan builds a fresh execution plan for n-point transforms under the
@@ -78,7 +79,7 @@ func NewPlan(n int, w Window) *Plan {
 		p.fwdCoef[j] = win[src] * invGain
 	}
 	p.roots = newTwiddleTable(n)
-	p.inplace = &sync.Pool{New: func() any {
+	p.scratch = &sync.Pool{New: func() any {
 		buf := make([]complex128, n)
 		return &buf
 	}}
@@ -120,6 +121,27 @@ func (p *Plan) Forward(dst, src []complex128) { p.execute(dst, src, false) }
 // rules match Forward.
 func (p *Plan) Inverse(dst, src []complex128) { p.execute(dst, src, true) }
 
+// ForwardMagnitude writes into mag the magnitudes of the first len(mag) bins
+// of Forward applied to the real series x zero-padded to the plan's length;
+// x and mag must each be at most Size() long. The complex input and output
+// are scratch buffers of the plan's own, so the transform runs out of place
+// and a warm plan allocates nothing.
+func (p *Plan) ForwardMagnitude(mag, x []float64) {
+	if len(x) > p.n || len(mag) > p.n {
+		panic(fmt.Sprintf("dsp: plan of size %d given %d samples for %d magnitudes", p.n, len(x), len(mag)))
+	}
+	in, out := p.scratch.Get().(*[]complex128), p.scratch.Get().(*[]complex128)
+	src := *in
+	for i, v := range x {
+		src[i] = complex(v, 0)
+	}
+	clear(src[len(x):])
+	p.stages(*out, src, p.fwdCoef, p.roots)
+	MagnitudeInto(mag, (*out)[:len(mag)])
+	p.scratch.Put(in)
+	p.scratch.Put(out)
+}
+
 // InverseMany runs Inverse over channels independent signals stored in one
 // contiguous buffer with the given stride: channel k occupies
 // src[k*stride : k*stride+Size()], and its transform lands at the same
@@ -152,10 +174,10 @@ func (p *Plan) execute(dst, src []complex128, inverse bool) {
 		// In-place request: the fused gather reads src through the
 		// permutation while writing dst, so stage through a scratch copy
 		// from the plan's own pool.
-		tmp := p.inplace.Get().(*[]complex128)
+		tmp := p.scratch.Get().(*[]complex128)
 		copy(*tmp, src)
 		p.stages(dst, *tmp, coef, roots)
-		p.inplace.Put(tmp)
+		p.scratch.Put(tmp)
 		return
 	}
 	p.stages(dst, src, coef, roots)

@@ -1,15 +1,17 @@
 package radar
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 )
 
 // Columns is the part of one frame's range profile that outlives the frame:
 // the per-channel values of the kept bins, in ascending bin order, behind a
-// bitmap of them. PointCloudScan fills it once with every bin whose
-// channel-summed power reached the store's floor, or KeepBins with the bins
-// its caller names; At reads it.
+// bitmap of them. PointCloudScan fills it once with every bin a steered
+// beam can lift to the store's floor (its steering bound, steerBound,
+// reaches NumRx times the floor), or KeepBins with the bins its caller
+// names; At reads it.
 type Columns struct {
 	mask  []uint64     // bit b set when bin b was kept
 	vals  []complex128 // NumRx values per kept bin
@@ -43,10 +45,17 @@ func (c *Columns) KeepBins(rp RangeProfile, bins []int) {
 
 // keep is the scan's pass over rp's last channel: it completes the
 // channel-summed power in power (which holds the other channels' sum, or
-// nothing when rp has one channel), marks every bin whose power reaches
-// the store's floor, and then gathers the marked columns.
+// nothing when rp has one channel), marks every bin a steered beam can lift
+// to the store's floor, and then gathers the marked columns.
+//
+// A bin is kept when its steering bound (steerBound) reaches NumRx times
+// the floor. The bound never exceeds NumRx times the bin's power P, so the
+// first pass marks the bins with P >= floor and the second evaluates the
+// bound only on those. Both set and clear bits without a branch: which
+// bins pass falls at random.
 func (c *Columns) keep(rp RangeProfile, power []float64) {
-	ch, add := rp.Bins[len(rp.Bins)-1], len(rp.Bins) > 1
+	nr := len(rp.Bins)
+	ch, add := rp.Bins[nr-1], nr > 1
 	floor := c.store.floor
 	for w := range c.mask {
 		lo := w << 6
@@ -57,7 +66,7 @@ func (c *Columns) keep(rp RangeProfile, power []float64) {
 				p = power[lo+b] + p
 			}
 			power[lo+b] = p
-			var bit uint64 // set without a branch: kept bins fall at random
+			var bit uint64
 			if p >= floor {
 				bit = 1
 			}
@@ -65,8 +74,74 @@ func (c *Columns) keep(rp RangeProfile, power []float64) {
 		}
 		c.mask[w] = m
 	}
+
+	// Four channels, as every shipped front end has, take steerBound's
+	// sums unrolled in place and in its order, so they keep exactly the
+	// bins it would (TestPointCloudScanKeepsColumns compares the two); any
+	// other count gathers the column and calls it.
+	var x0, x1, x2, x3 []complex128
+	if nr == 4 {
+		x0, x1, x2, x3 = rp.Bins[0], rp.Bins[1], rp.Bins[2], rp.Bins[3]
+	}
+	var stack [8]complex128
+	col := stack[:]
+	if nr > len(stack) {
+		col = make([]complex128, nr)
+	}
+	col = col[:nr]
+	reach := float64(nr) * floor
+	for w, m := range c.mask {
+		lo := w << 6
+		for rest := m; rest != 0; rest &= rest - 1 {
+			b := bits.TrailingZeros64(rest)
+			i := lo + b
+			var r float64
+			if nr == 4 {
+				c0 := complex(real(x0[i]), -imag(x0[i]))
+				c1 := complex(real(x1[i]), -imag(x1[i]))
+				c2 := complex(real(x2[i]), -imag(x2[i]))
+				r = power[i] + 2*(cabs(x1[i]*c0+x2[i]*c1+x3[i]*c2)+cabs(x2[i]*c0+x3[i]*c1)+cabs(x3[i]*c0))
+			} else {
+				for k, chk := range rp.Bins {
+					col[k] = chk[i]
+				}
+				r = steerBound(col, power[i])
+			}
+			var drop uint64
+			if r < reach {
+				drop = 1
+			}
+			m &^= drop << uint(b)
+		}
+		c.mask[w] = m
+	}
 	c.gather(rp)
 }
+
+// steerBound returns an upper bound R on |sum_k x_k e^{ikw}|^2 over every
+// steering phase w, for the column x with power r0 = sum_k |x_k|^2. Expanding
+// the square gives r0 + 2 Re sum_{m>=1} r_m e^{imw}, where
+// r_m = sum_k x_{k+m} conj(x_k) is the column's lag-m autocorrelation
+// across channels, so by the triangle inequality R = r0 + 2 sum_m |r_m|
+// bounds it. SteerPower reads that magnitude over NumRx^2, so no azimuth
+// can steer x above R/NumRx^2. R is at most (sum_k |x_k|)^2 <= NumRx*r0,
+// and it equals the true maximum for a single plane wave.
+func steerBound(x []complex128, r0 float64) float64 {
+	var sum float64
+	for m := 1; m < len(x); m++ {
+		var r complex128
+		for k, v := range x[m:] {
+			r += v * complex(real(x[k]), -imag(x[k]))
+		}
+		sum += cabs(r)
+	}
+	return r0 + 2*sum
+}
+
+// cabs is |z|, without cmplx.Abs's scaling against overflow: the squares
+// of a column's products stay far inside float64's range, as the squares
+// summed into its power do.
+func cabs(z complex128) float64 { return math.Sqrt(real(z)*real(z) + imag(z)*imag(z)) }
 
 // gather copies rp's columns at the bins c.mask marks into storage carved
 // from the store.
@@ -113,9 +188,9 @@ var columnStorePool sync.Pool
 
 // NewColumnStore returns an empty store for a read of the given number of
 // frames, each a profile of bins range bins over numRx channels, where
-// PointCloudScan keeps the bins whose channel-summed power is at or above
-// floor (KeepBins ignores it). The caller must Release it once the read no
-// longer reads its columns.
+// PointCloudScan keeps the bins whose steering bound is at or above numRx
+// times floor (KeepBins ignores it). The caller must Release it once the
+// read no longer reads its columns.
 func NewColumnStore(frames, numRx, bins int, floor float64) *ColumnStore {
 	s, _ := columnStorePool.Get().(*ColumnStore)
 	if s == nil {

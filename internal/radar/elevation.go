@@ -79,8 +79,8 @@ func (e ElevationMIMO) EstimateElevation(burst []Frame, rangeM, azimuth float64)
 		var sum complex128
 		sinAz := math.Sin(azimuth)
 		for k := 0; k < e.NumRx; k++ {
-			w := 2 * math.Pi * float64(k) * e.RxSpacing * sinAz / lambda
-			sum += rp.Bins[k][bin] * complex(math.Cos(w), math.Sin(w))
+			sin, cos := math.Sincos(2 * math.Pi * float64(k) * e.RxSpacing * sinAz / lambda)
+			sum += rp.Bins[k][bin] * complex(cos, sin)
 		}
 		return sum
 	}

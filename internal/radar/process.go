@@ -157,8 +157,8 @@ const (
 // local maximum gets an AoA scan.
 //
 // With keep (at most one, from a ColumnStore), the scan also copies into
-// it every column whose channel-summed power is at or above the store's
-// floor, so the caller can release the profile as soon as the scan
+// it every column a steered beam can lift to the store's floor (see
+// Columns), so the caller can release the profile as soon as the scan
 // returns.
 func (p *SynthPlan) PointCloudScan(rp RangeProfile, keep ...*Columns) []Detection {
 	minRange := minRangeBins * p.cfg.RangeBinSize()

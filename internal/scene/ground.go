@@ -44,11 +44,12 @@ func (g *GroundMultipath) TwoWayFactor(radarPos, target geom.Vec3, lambda float6
 	bounced := math.Sqrt(horiz*horiz + (ht+hr)*(ht+hr))
 	delta := bounced - direct
 	ph := 2 * math.Pi * delta / lambda
+	sin, cos := math.Sincos(ph)
 	// One-way field: 1 + Gamma*e^{-j*ph}; the round trip squares it in
 	// power, i.e. the amplitude factor is |1 + Gamma*e^{-j*ph}|^2... the
 	// same composite channel is traversed twice, so the two-way amplitude
 	// is the one-way power factor.
-	re := 1 + g.ReflectionCoeff*math.Cos(ph)
-	im := -g.ReflectionCoeff * math.Sin(ph)
+	re := 1 + g.ReflectionCoeff*cos
+	im := -g.ReflectionCoeff * sin
 	return re*re + im*im
 }

@@ -52,9 +52,9 @@ func (s *Stack) NearFieldBoresightGain(distance, f float64) float64 {
 		r := math.Sqrt(distance*distance + z*z)
 		el := math.Atan2(z, distance)
 		amp := s.Module.Element.Pattern(el)
-		ph := -2*k*(r-distance) + s.Phases[j]
-		re += amp * math.Cos(ph)
-		im += amp * math.Sin(ph)
+		sin, cos := math.Sincos(-2*k*(r-distance) + s.Phases[j])
+		re += amp * cos
+		im += amp * sin
 	}
 	return re*re + im*im
 }

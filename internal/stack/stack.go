@@ -114,9 +114,9 @@ func (s *Stack) ArrayFactor(el, f float64) complex128 {
 	var re, im float64
 	sinEl := math.Sin(el)
 	for j, z := range s.Heights {
-		ph := 2*k*z*sinEl + s.Phases[j]
-		re += math.Cos(ph)
-		im += math.Sin(ph)
+		sin, cos := math.Sincos(2*k*z*sinEl + s.Phases[j])
+		re += cos
+		im += sin
 	}
 	return complex(re, im)
 }

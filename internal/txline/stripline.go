@@ -98,8 +98,8 @@ func (s Stripline) Amplitude(length, f float64) float64 {
 // amplitude loss and electrical phase delay exp(-j*beta*L).
 func (s Stripline) Through(length, f float64) complex128 {
 	a := s.Amplitude(length, f)
-	ph := s.Phase(length, f)
-	return complex(a*math.Cos(ph), -a*math.Sin(ph))
+	sin, cos := math.Sincos(s.Phase(length, f))
+	return complex(a*cos, -a*sin)
 }
 
 // MaxLengthDifference returns the paper's Sec 4.1 bound on the maximum TL

@@ -301,8 +301,8 @@ func (a *Array) rawScatter(thetaIn, thetaOut, f, pathCal, structCal float64) em.
 		}
 		for e := 0; e < a.Elements(); e++ {
 			x := a.elementPosition(e)
-			ph := k * x * (math.Sin(thetaIn) + math.Sin(thetaOut))
-			g := phase0 * complex(base*math.Cos(ph), base*math.Sin(ph))
+			sin, cos := math.Sincos(k * x * (math.Sin(thetaIn) + math.Sin(thetaOut)))
+			g := phase0 * complex(base*cos, base*sin)
 			// Mirror-like: specular metal flips circular handedness
 			// (em.MirrorScatter); linear magnitudes are unaffected.
 			s.HH += g
@@ -317,8 +317,8 @@ func (a *Array) rawScatter(thetaIn, thetaOut, f, pathCal, structCal float64) em.
 func pathGain(a *Array, r, t int, k, thetaIn, thetaOut float64, base float64) complex128 {
 	xr := a.elementPosition(r)
 	xt := a.elementPosition(t)
-	ph := k * (xr*math.Sin(thetaIn) + xt*math.Sin(thetaOut))
-	return complex(base*math.Cos(ph), base*math.Sin(ph))
+	sin, cos := math.Sincos(k * (xr*math.Sin(thetaIn) + xt*math.Sin(thetaOut)))
+	return complex(base*cos, base*sin)
 }
 
 // addPath accumulates one antenna-mode path (receive at element r, re-radiate
