@@ -79,8 +79,8 @@ func BenchmarkMonteCarloBER(b *testing.B) { benchTable(b, experiments.MonteCarlo
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkFFT1024 runs one out-of-place forward transform on a prebuilt
-// Rectangular plan.
+// BenchmarkFFT1024 runs the production transform, InverseMany, on one
+// channel of a prebuilt 1024-point Rectangular plan.
 func BenchmarkFFT1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := make([]complex128, 1024)
@@ -91,7 +91,7 @@ func BenchmarkFFT1024(b *testing.B) {
 	p := dsp.NewPlan(len(x), dsp.Rectangular)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(dst, x)
+		p.InverseMany(dst, x, 1, len(x))
 	}
 }
 
@@ -126,7 +126,7 @@ func BenchmarkFrameSynthesis(b *testing.B) {
 func BenchmarkRangeProfile(b *testing.B) {
 	cfg := radar.TI1443()
 	plan := cfg.NewSynthPlan()
-	frame := plan.Synthesize([]radar.Scatterer{{Range: 3, Amplitude: 1e-5}}, dsp.NewGauss(3))
+	frame := plan.Synthesize([]radar.Scatterer{{Range: 3, Amplitude: 1e-5}}, dsp.AcquireGauss(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		radar.ReleaseProfile(plan.RangeProfile(frame))
@@ -158,7 +158,7 @@ func BenchmarkSynthesize(b *testing.B) {
 func BenchmarkRangeFFTBatched(b *testing.B) {
 	cfg := radar.TI1443()
 	plan := cfg.NewSynthPlan()
-	frame := plan.Synthesize([]radar.Scatterer{{Range: 3, Amplitude: 1e-5}}, dsp.NewGauss(3))
+	frame := plan.Synthesize([]radar.Scatterer{{Range: 3, Amplitude: 1e-5}}, dsp.AcquireGauss(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		radar.ReleaseProfile(plan.RangeProfile(frame))
@@ -168,7 +168,7 @@ func BenchmarkRangeFFTBatched(b *testing.B) {
 func BenchmarkAoASpectrum(b *testing.B) {
 	cfg := radar.TI1443()
 	plan := cfg.NewSynthPlan()
-	frame := plan.Synthesize([]radar.Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-4}}, dsp.NewGauss(5))
+	frame := plan.Synthesize([]radar.Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-4}}, dsp.AcquireGauss(5))
 	rp := plan.RangeProfile(frame)
 	bin := cfg.BinForRange(4)
 	spec := make([]float64, len(plan.ScanAngles()))
@@ -183,7 +183,7 @@ func BenchmarkAoASpectrum(b *testing.B) {
 func BenchmarkBeamPower(b *testing.B) {
 	cfg := radar.TI1443()
 	plan := cfg.NewSynthPlan()
-	rp := plan.RangeProfile(plan.Synthesize([]radar.Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-4}}, dsp.NewGauss(6)))
+	rp := plan.RangeProfile(plan.Synthesize([]radar.Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-4}}, dsp.AcquireGauss(6)))
 	col := make([]complex128, cfg.NumRx)
 	for k, ch := range rp.Bins {
 		col[k] = ch[cfg.BinForRange(4)]

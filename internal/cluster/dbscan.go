@@ -169,19 +169,6 @@ func (g *gridIndex) neighbours(i int, out []int) []int {
 	return out
 }
 
-// bruteNeighbours is the O(n^2) reference query the grid index replaced,
-// kept for the equivalence property tests.
-func bruteNeighbours(points []Point, eps2 float64, i int, out []int) []int {
-	pi := points[i].Pos
-	for j := range points {
-		d := pi.Sub(points[j].Pos)
-		if d.X*d.X+d.Y*d.Y <= eps2 {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Stats summarizes one cluster.
 type Stats struct {
 	// Label is the cluster id.

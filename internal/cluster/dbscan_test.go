@@ -176,6 +176,19 @@ func textbookExpand(points []Point, minPts int, labels []int, neighbours func(i 
 	return labels
 }
 
+// bruteNeighbours is the O(n^2) reference query the grid index replaced:
+// the oracle of the equivalence property tests.
+func bruteNeighbours(points []Point, eps2 float64, i int, out []int) []int {
+	pi := points[i].Pos
+	for j := range points {
+		d := pi.Sub(points[j].Pos)
+		if d.X*d.X+d.Y*d.Y <= eps2 {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 // bruteDBSCAN is the reference DBSCAN: the textbook expansion over the
 // O(n^2) neighbourhood query the grid index replaced. The equivalence tests
 // compare the production path against it, so they cover both the query and

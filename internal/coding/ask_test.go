@@ -3,6 +3,7 @@ package coding
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -200,7 +201,7 @@ func TestHammingRoundTrip(t *testing.T) {
 		if corrected != 0 {
 			t.Errorf("clean codeword %d reported correction at %d", v, corrected)
 		}
-		if !BitsEqual(back, data) {
+		if !slices.Equal(back, data) {
 			t.Errorf("round trip failed for %d: %v -> %v", v, data, back)
 		}
 	}
@@ -220,7 +221,7 @@ func TestHammingCorrectsEverySingleBitError(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return BitsEqual(back, data) && corrected == p+1
+		return slices.Equal(back, data) && corrected == p+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

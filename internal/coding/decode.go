@@ -191,19 +191,6 @@ func (d *Decoder) DecodeSpectrum(spec *Spectrum) (*Result, error) {
 	}, nil
 }
 
-// BitsEqual reports whether two bit strings match.
-func BitsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // BitsString formats bits as a "1011"-style string.
 func BitsString(bits []bool) string {
 	out := make([]byte, len(bits))

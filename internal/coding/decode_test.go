@@ -3,6 +3,7 @@ package coding
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -239,14 +240,8 @@ func TestBitsHelpers(t *testing.T) {
 	if BitsString(b) != "1010" {
 		t.Errorf("round trip failed: %q", BitsString(b))
 	}
-	if !BitsEqual(b, []bool{true, false, true, false}) {
-		t.Error("BitsEqual false negative")
-	}
-	if BitsEqual(b, []bool{true, false, true}) {
-		t.Error("BitsEqual length confusion")
-	}
-	if BitsEqual(b, []bool{true, true, true, false}) {
-		t.Error("BitsEqual false positive")
+	if !slices.Equal(b, []bool{true, false, true, false}) {
+		t.Errorf("ParseBits(\"1010\") = %v", b)
 	}
 	if _, err := ParseBits(""); err == nil {
 		t.Error("empty string accepted")
@@ -276,7 +271,7 @@ func TestDecodeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return BitsEqual(res.Bits, bits)
+		return slices.Equal(res.Bits, bits)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

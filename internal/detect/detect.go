@@ -699,8 +699,8 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 	// Spotlight pass: replay the time-domain decode frames, then classify
 	// every cluster that survived the density filter. Objects are
 	// independent and draw no randomness, so they fan out on the sweep
-	// pool; sweep.Run returns reports in candidate order, keeping the output
-	// byte-identical at any worker count. The span accumulates worker-summed
+	// pool; sweep.RunCtx returns reports in candidate order, keeping the
+	// output byte-identical at any worker count. The span accumulates worker-summed
 	// self time, like the per-frame stages.
 	spotSp := sp.StartChild(SpanSpotlight)
 	dec := p.newDecodeReader(seed)
@@ -866,7 +866,7 @@ func binNoiseSeed(seed int64, i, bin int) int64 {
 	return sweep.SubSeed(sweep.SubSeed(sweep.SubSeed(seed, i), 2), bin)
 }
 
-// resolveWorkers mirrors sweep.Run's worker-count resolution for reporting.
+// resolveWorkers mirrors sweep.RunCtx's worker-count resolution for reporting.
 func resolveWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -15,16 +15,3 @@ func DB(p float64) float64 {
 func FromDB(db float64) float64 {
 	return math.Pow(10, db/10)
 }
-
-// AmpDB converts a linear amplitude ratio to decibels (20*log10).
-func AmpDB(a float64) float64 {
-	if a <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(a)
-}
-
-// AmpFromDB converts decibels to a linear amplitude ratio.
-func AmpFromDB(db float64) float64 {
-	return math.Pow(10, db/20)
-}

@@ -42,19 +42,11 @@ func newTwiddleTable(n int) []complex128 {
 	return t
 }
 
-// Magnitude returns |x| element-wise. Hot paths that own a destination
-// buffer use MagnitudeInto.
-func Magnitude(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	MagnitudeInto(out, x)
-	return out
-}
-
 // MagnitudeInto writes |src| element-wise into dst, which must have the
 // length of src.
 func MagnitudeInto(dst []float64, src []complex128) {
 	if len(dst) != len(src) {
-		panic(fmt.Sprintf("dsp: Magnitude dst has %d slots for %d samples", len(dst), len(src)))
+		panic(fmt.Sprintf("dsp: MagnitudeInto dst has %d slots for %d samples", len(dst), len(src)))
 	}
 	for i, v := range src {
 		dst[i] = cmplx.Abs(v)

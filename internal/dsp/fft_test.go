@@ -192,11 +192,12 @@ func TestFFTLinearity(t *testing.T) {
 
 func TestMagnitude(t *testing.T) {
 	x := []complex128{3 + 4i, 0, -2}
-	mag := Magnitude(x)
+	mag := make([]float64, len(x))
+	MagnitudeInto(mag, x)
 	wantMag := []float64{5, 0, 2}
 	for i := range x {
 		if math.Abs(mag[i]-wantMag[i]) > 1e-12 {
-			t.Errorf("Magnitude[%d] = %g, want %g", i, mag[i], wantMag[i])
+			t.Errorf("MagnitudeInto[%d] = %g, want %g", i, mag[i], wantMag[i])
 		}
 	}
 }

@@ -88,12 +88,6 @@ type Gauss struct {
 	state uint64
 }
 
-// NewGauss returns a stream seeded with the given sub-stream seed (the same
-// int64 seeds sweep.SubSeed hands out).
-func NewGauss(seed int64) *Gauss {
-	return &Gauss{state: uint64(seed)}
-}
-
 // Reseed rewinds the stream to a fresh seed.
 func (g *Gauss) Reseed(seed int64) { g.state = uint64(seed) }
 

@@ -10,7 +10,7 @@ import (
 // table or squeeze bug fails deterministically while a healthy sampler
 // never does.
 func TestNormMoments(t *testing.T) {
-	g := NewGauss(42)
+	g := AcquireGauss(42)
 	const n = 4_000_000
 	var m1, m2, m3, m4 float64
 	for i := 0; i < n; i++ {
@@ -35,7 +35,7 @@ func TestNormMoments(t *testing.T) {
 // table would push a large fraction of draws onto the slow path and show
 // up here long before it showed up as a distribution error.
 func TestZigguratFastPath(t *testing.T) {
-	g := NewGauss(1)
+	g := AcquireGauss(1)
 	slow := 0
 	const draws = 1_000_000
 	for k := 0; k < draws; k++ {
@@ -60,8 +60,8 @@ func TestZigguratFastPath(t *testing.T) {
 func TestAddNoiseMatchesNormSequence(t *testing.T) {
 	const sigma = 0.37
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 256} {
-		a := NewGauss(7)
-		b := NewGauss(7)
+		a := AcquireGauss(7)
+		b := AcquireGauss(7)
 		dst := make([]complex128, n)
 		for i := range dst {
 			dst[i] = complex(float64(i), -float64(i))
@@ -94,7 +94,7 @@ func withinOneUlp(got, want float64) bool {
 // sub-streams rely on for worker-count-independent output.
 func TestAddNoiseDeterministic(t *testing.T) {
 	mk := func() []complex128 {
-		g := NewGauss(123)
+		g := AcquireGauss(123)
 		dst := make([]complex128, 300)
 		g.AddNoise(dst, 1.5)
 		return dst
@@ -110,9 +110,9 @@ func TestAddNoiseDeterministic(t *testing.T) {
 // TestGaussPosResumes: a stream reseeded at another's Pos draws exactly what
 // that stream draws next, through AddNoise and Norm alike.
 func TestGaussPosResumes(t *testing.T) {
-	g := NewGauss(11)
+	g := AcquireGauss(11)
 	g.AddNoise(make([]complex128, 37), 1)
-	r := NewGauss(g.Pos())
+	r := AcquireGauss(g.Pos())
 	x, y := make([]complex128, 64), make([]complex128, 64)
 	g.AddNoise(x, 1)
 	r.AddNoise(y, 1)
@@ -127,7 +127,7 @@ func TestGaussPosResumes(t *testing.T) {
 }
 
 func BenchmarkGaussNorm(b *testing.B) {
-	g := NewGauss(1)
+	g := AcquireGauss(1)
 	s := 0.0
 	for i := 0; i < b.N; i++ {
 		s += g.Norm()
@@ -136,7 +136,7 @@ func BenchmarkGaussNorm(b *testing.B) {
 }
 
 func BenchmarkGaussAddNoise1024(b *testing.B) {
-	g := NewGauss(1)
+	g := AcquireGauss(1)
 	dst := make([]complex128, 1024)
 	b.SetBytes(1024 * 16)
 	b.ResetTimer()

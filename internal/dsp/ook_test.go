@@ -64,14 +64,8 @@ func TestDBHelpers(t *testing.T) {
 	if got := FromDB(30); math.Abs(got-1000) > 1e-9 {
 		t.Errorf("FromDB(30) = %g, want 1000", got)
 	}
-	if got := AmpDB(10); math.Abs(got-20) > 1e-12 {
-		t.Errorf("AmpDB(10) = %g, want 20", got)
-	}
-	if got := AmpFromDB(40); math.Abs(got-100) > 1e-9 {
-		t.Errorf("AmpFromDB(40) = %g, want 100", got)
-	}
-	if !math.IsInf(DB(0), -1) || !math.IsInf(AmpDB(-1), -1) {
-		t.Error("DB/AmpDB of non-positive input should be -Inf")
+	if !math.IsInf(DB(0), -1) || !math.IsInf(DB(-1), -1) {
+		t.Error("DB of non-positive input should be -Inf")
 	}
 }
 

@@ -11,19 +11,22 @@ import (
 // window coefficients pre-permuted and pre-scaled — so executing a transform
 // touches no process-wide cache and allocates nothing.
 //
+// Production runs two transforms. InverseMany is the range transform of
+// Eq 3: it computes, per channel, the inverse FFT of (win .* x) /
+// coherentGain including the conventional 1/N, out of place, so a coherent
+// tone's peak magnitude equals its time-domain amplitude. ForwardMagnitude
+// is the decoder's spectrum of Eq 7: the magnitudes of FFT(win .* x) /
+// coherentGain for a zero-padded real series. A Rectangular plan
+// degenerates to the plain transforms.
+//
 // The window multiply is fused into the transform's first butterfly pass:
 // the input gather through the bit-reversal permutation scales each sample
 // by its (permuted) window coefficient and immediately applies the
 // twiddle-free first stage, removing the separate window pass, the swap
 // loop, and — because the coherent-gain and 1/N normalizations are folded
 // into the same coefficients — the trailing scale pass of the unfused
-// pipeline.
-//
-// Semantics: Forward computes FFT(win .* x) / coherentGain and Inverse
-// computes the inverse FFT of (win .* x) / coherentGain, including the
-// conventional 1/N, so a coherent tone's peak magnitude equals its
-// time-domain amplitude in both directions. A Rectangular plan degenerates
-// to the plain forward and inverse FFT.
+// pipeline. Because the gather reads src while writing dst, dst and src
+// must not share storage.
 //
 // Sizes are powers of two of at least 8: the 256-sample chirp of the range
 // transform (Eq 3) and the zero-padded RCS series of the decoder (Eq 7).
@@ -31,9 +34,7 @@ import (
 // Plans are safe for concurrent use: the frame workers of package detect
 // execute one shared plan from many goroutines at once.
 type Plan struct {
-	n      int
-	window Window
-	gain   float64
+	n int
 
 	// perm is the bit-reversal permutation, fwdCoef and invCoef the window
 	// coefficients permuted to gather order and scaled by 1/gain (forward)
@@ -47,10 +48,9 @@ type Plan struct {
 	rootsInv []complex128
 	invOnce  sync.Once
 
-	// scratch recycles n-point buffers: the staging copy of in-place
-	// executions and ForwardMagnitude's input and output. Owned by the
-	// plan (not a package directory) so a dropped plan cannot strand
-	// per-size pools process-wide.
+	// scratch recycles ForwardMagnitude's n-point complex input and
+	// output. Owned by the plan (not a package directory) so a dropped
+	// plan cannot strand per-size pools process-wide.
 	scratch *sync.Pool
 }
 
@@ -62,9 +62,8 @@ func NewPlan(n int, w Window) *Plan {
 		panic(fmt.Sprintf("dsp: NewPlan with size %d, want a power of two >= 8", n))
 	}
 	win := w.Coefficients(n)
-	gain := Mean(win)
-	p := &Plan{n: n, window: w, gain: gain}
-	invGain := 1 / gain
+	p := &Plan{n: n}
+	invGain := 1 / Mean(win)
 	p.perm = make([]int32, n)
 	for i, j := 0, 0; i < n; i++ {
 		p.perm[i] = int32(j)
@@ -100,32 +99,12 @@ func (p *Plan) buildInverse() {
 	}
 }
 
-// Size returns the transform length the plan was built for.
-func (p *Plan) Size() int { return p.n }
-
-// PlanWindow returns the window the plan fuses into the transform.
-func (p *Plan) PlanWindow() Window { return p.window }
-
-// CoherentGain returns the window's coherent gain, already divided out of
-// the plan's outputs.
-func (p *Plan) CoherentGain() float64 { return p.gain }
-
-// Forward executes the windowed forward transform: dst = FFT(win .* src) /
-// coherentGain. dst and src must both have the plan's length; dst may be the
-// same slice as src (the transform is then in place at the cost of one
-// internal copy). Distinct but overlapping slices are not supported.
-func (p *Plan) Forward(dst, src []complex128) { p.execute(dst, src, false) }
-
-// Inverse executes the windowed inverse transform including the 1/N
-// normalization: dst = inverse FFT of (win .* src) / coherentGain. Aliasing
-// rules match Forward.
-func (p *Plan) Inverse(dst, src []complex128) { p.execute(dst, src, true) }
-
 // ForwardMagnitude writes into mag the magnitudes of the first len(mag) bins
-// of Forward applied to the real series x zero-padded to the plan's length;
-// x and mag must each be at most Size() long. The complex input and output
-// are scratch buffers of the plan's own, so the transform runs out of place
-// and a warm plan allocates nothing.
+// of the windowed forward transform FFT(win .* x) / coherentGain of the real
+// series x zero-padded to the plan's length; x and mag must each be at most
+// the plan's size. The complex input and output are scratch buffers of the
+// plan's own, so the transform runs out of place and a warm plan allocates
+// nothing.
 func (p *Plan) ForwardMagnitude(mag, x []float64) {
 	if len(x) > p.n || len(mag) > p.n {
 		panic(fmt.Sprintf("dsp: plan of size %d given %d samples for %d magnitudes", p.n, len(x), len(mag)))
@@ -142,45 +121,34 @@ func (p *Plan) ForwardMagnitude(mag, x []float64) {
 	p.scratch.Put(out)
 }
 
-// InverseMany runs Inverse over channels independent signals stored in one
-// contiguous buffer with the given stride: channel k occupies
-// src[k*stride : k*stride+Size()], and its transform lands at the same
-// offsets in dst. All channels share the plan's tables; nothing is
-// allocated. It panics if stride < Size() or either buffer is too short.
+// InverseMany runs the windowed inverse transform, dst = inverse FFT of
+// (win .* src) / coherentGain including the 1/N normalization, over
+// channels independent signals stored in one contiguous buffer with the
+// given stride: channel k occupies src[k*stride : k*stride+n] for the
+// plan's size n, and its transform lands at the same offsets in dst. All
+// channels share the plan's tables; nothing is allocated. It panics if
+// stride < n, if either buffer is too short, or if dst and src share a
+// backing array.
 func (p *Plan) InverseMany(dst, src []complex128, channels, stride int) {
 	if stride < p.n {
 		panic(fmt.Sprintf("dsp: plan stride %d below transform size %d", stride, p.n))
 	}
-	if need := (channels-1)*stride + p.n; channels > 0 && (len(dst) < need || len(src) < need) {
-		panic(fmt.Sprintf("dsp: plan buffers hold %d/%d samples, need %d", len(dst), len(src), need))
-	}
-	for k := 0; k < channels; k++ {
-		off := k * stride
-		p.execute(dst[off:off+p.n], src[off:off+p.n], true)
-	}
-}
-
-func (p *Plan) execute(dst, src []complex128, inverse bool) {
-	n := p.n
-	if len(dst) != n || len(src) != n {
-		panic(fmt.Sprintf("dsp: plan of size %d executed on %d -> %d samples", n, len(src), len(dst)))
-	}
-	coef, roots := p.fwdCoef, p.roots
-	if inverse {
-		p.invOnce.Do(p.buildInverse)
-		coef, roots = p.invCoef, p.rootsInv
-	}
-	if &dst[0] == &src[0] {
-		// In-place request: the fused gather reads src through the
-		// permutation while writing dst, so stage through a scratch copy
-		// from the plan's own pool.
-		tmp := p.scratch.Get().(*[]complex128)
-		copy(*tmp, src)
-		p.stages(dst, *tmp, coef, roots)
-		p.scratch.Put(tmp)
+	if channels <= 0 {
 		return
 	}
-	p.stages(dst, src, coef, roots)
+	if need := (channels-1)*stride + p.n; len(dst) < need || len(src) < need {
+		panic(fmt.Sprintf("dsp: plan buffers hold %d/%d samples, need %d", len(dst), len(src), need))
+	}
+	// Slices of one array end their capacity at the same element (unless
+	// a full slice expression cut one short).
+	if &dst[:cap(dst)][cap(dst)-1] == &src[:cap(src)][cap(src)-1] {
+		panic("dsp: plan InverseMany with dst and src sharing storage")
+	}
+	p.invOnce.Do(p.buildInverse)
+	for k := 0; k < channels; k++ {
+		off := k * stride
+		p.stages(dst[off:off+p.n], src[off:off+p.n], p.invCoef, p.rootsInv)
+	}
 }
 
 // stages runs the radix-2 pipeline: a fused gather (bit-reversal permutation

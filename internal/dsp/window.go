@@ -75,18 +75,3 @@ func (w Window) ApplyFloat(x []float64) []float64 {
 	}
 	return x
 }
-
-// CoherentGain returns the mean of the window coefficients, i.e. the factor
-// by which the window scales the amplitude of a coherent tone. Dividing the
-// spectrum by this restores calibrated peak amplitudes.
-func (w Window) CoherentGain(n int) float64 {
-	c := w.Coefficients(n)
-	if len(c) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, v := range c {
-		sum += v
-	}
-	return sum / float64(len(c))
-}

@@ -17,25 +17,6 @@ var (
 	PolLHC = Polarization{H: complex(1/math.Sqrt2, 0), V: complex(0, 1/math.Sqrt2)}
 )
 
-// MirrorScatter returns the scattering matrix of an ordinary (specular)
-// reflector of amplitude a expressed so that its effect on circular
-// polarization is explicit: a mirror preserves linear polarization but flips
-// circular handedness (RHC in -> LHC out). In the (H, V) Jones basis this is
-// diag(a, -a): the tangential field component reverses on reflection.
-func MirrorScatter(a complex128) ScatterMatrix {
-	return ScatterMatrix{HH: a, VV: -a}
-}
-
-// HandednessPreservingScatter returns the scattering matrix of a reflector
-// that preserves circular handedness (RHC in -> RHC out), the behaviour of
-// the CP Van Atta retroreflector of Sec 8: receive on one CP antenna,
-// re-radiate from its partner with the same handedness. In the (H, V) basis
-// this is diag(a, a) — the identity, which maps RHC to RHC under the
-// monostatic convention used by MirrorScatter.
-func HandednessPreservingScatter(a complex128) ScatterMatrix {
-	return IdentityScatter(a)
-}
-
 // HandednessRejectionDB measures how strongly a scatterer's response to an
 // RHC interrogation separates into same-handed (CP tag) vs opposite-handed
 // (mirror-like clutter) receive channels: positive values mean the

@@ -64,22 +64,13 @@ func DBsm(sigma float64) float64 { return DB(sigma) }
 // FromDBsm converts dBsm to square meters.
 func FromDBsm(dbsm float64) float64 { return FromDB(dbsm) }
 
-// ReceivedPower evaluates the paper's Eq 1, the monostatic round-trip radar
-// equation:
+// ReceivedPowerDBm evaluates the paper's Eq 1, the monostatic round-trip
+// radar equation
 //
 //	Pr = Pt * Gt * Gr * lambda^2 * sigma / ((4*pi)^3 * d^4)
 //
-// All gains are linear, powers in watts, sigma in m^2, d in meters.
-func ReceivedPower(pt, gt, gr, lambda, d, sigma float64) float64 {
-	if d <= 0 {
-		panic(fmt.Sprintf("em: ReceivedPower at non-positive distance %g", d))
-	}
-	fourPi := 4 * math.Pi
-	return pt * gt * gr * lambda * lambda * sigma / (fourPi * fourPi * fourPi * d * d * d * d)
-}
-
-// ReceivedPowerDBm is ReceivedPower with dB-domain inputs: EIRP (Pt*Gt) in
-// dBm, Rx gain in dB, RCS in dBsm. It returns dBm.
+// in the dB domain: EIRP (Pt*Gt) in dBm, Rx gain in dB, lambda and d in
+// meters, RCS in dBsm. It returns dBm.
 func ReceivedPowerDBm(eirpDBm, rxGainDB, lambda, d, rcsDBsm float64) float64 {
 	if d <= 0 {
 		panic(fmt.Sprintf("em: ReceivedPowerDBm at non-positive distance %g", d))

@@ -59,7 +59,7 @@ func TestReceivedPowerMatchesDBForm(t *testing.T) {
 	gr := FromDB(55)
 	sigma := FromDBsm(-23)
 	d := 5.0
-	lin := ReceivedPower(pt, gt, gr, lambda, d, sigma)
+	lin := pt * gt * gr * lambda * lambda * sigma / (math.Pow(4*math.Pi, 3) * math.Pow(d, 4))
 	dbm := ReceivedPowerDBm(12+9, 55, lambda, d, -23)
 	if math.Abs(DBm(lin)-dbm) > 1e-9 {
 		t.Errorf("linear form %g dBm vs dB form %g dBm", DBm(lin), dbm)
@@ -68,20 +68,20 @@ func TestReceivedPowerMatchesDBForm(t *testing.T) {
 
 func TestReceivedPowerFourthPowerLaw(t *testing.T) {
 	lambda := Lambda79()
-	p1 := ReceivedPower(1, 1, 1, lambda, 2, 1)
-	p2 := ReceivedPower(1, 1, 1, lambda, 4, 1)
-	if math.Abs(p1/p2-16) > 1e-9 {
-		t.Errorf("doubling distance changed power by %g, want 16x", p1/p2)
+	p1 := ReceivedPowerDBm(0, 0, lambda, 2, 0)
+	p2 := ReceivedPowerDBm(0, 0, lambda, 4, 0)
+	if r := FromDB(p1 - p2); math.Abs(r-16) > 1e-9 {
+		t.Errorf("doubling distance changed power by %g, want 16x", r)
 	}
 }
 
 func TestReceivedPowerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("ReceivedPower at d=0 did not panic")
+			t.Error("ReceivedPowerDBm at d=0 did not panic")
 		}
 	}()
-	ReceivedPower(1, 1, 1, 0.004, 0, 1)
+	ReceivedPowerDBm(0, 0, 0.004, 0, 0)
 }
 
 func TestTIRadarNoiseFloorMatchesPaper(t *testing.T) {

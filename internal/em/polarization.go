@@ -76,39 +76,3 @@ func (s ScatterMatrix) Apply(in Polarization) Polarization {
 func (s ScatterMatrix) Coupling(tx, rx Polarization) complex128 {
 	return rx.Dot(s.Apply(tx))
 }
-
-// IdentityScatter returns the scattering matrix of an ideal
-// polarization-preserving reflector with amplitude a.
-func IdentityScatter(a complex128) ScatterMatrix {
-	return ScatterMatrix{HH: a, VV: a}
-}
-
-// SwitchScatter returns the scattering matrix of an ideal polarization
-// switching reflector (the PSVAA of Sec 4.2) with amplitude a: incident H
-// re-radiates as V and vice versa.
-func SwitchScatter(a complex128) ScatterMatrix {
-	return ScatterMatrix{HV: a, VH: a}
-}
-
-// ClutterScatter returns the scattering matrix of an ordinary roadside
-// object: mirror-like co-polarized reflection with amplitude a (the VV sign
-// flip encodes the handedness reversal every specular reflector applies to
-// circular polarization, see MirrorScatter) plus a weaker cross-pol leakage
-// crossRejectionDB below it (Fig 13a measures 16-19 dB median rejection for
-// parking meters, lamps, signs, humans, and trees).
-func ClutterScatter(a complex128, crossRejectionDB float64) ScatterMatrix {
-	leak := a * complex(math.Pow(10, -crossRejectionDB/20), 0)
-	return ScatterMatrix{HH: a, VV: -a, HV: leak, VH: leak}
-}
-
-// CrossPolRejectionDB measures how much weaker the cross-polarized response
-// of s is relative to its co-polarized response, in power dB, probing with
-// H transmit. It returns +Inf for a pure co-pol scatterer.
-func CrossPolRejectionDB(s ScatterMatrix) float64 {
-	co := cmplx.Abs(s.Coupling(PolH, PolH))
-	cross := cmplx.Abs(s.Coupling(PolH, PolV))
-	if cross == 0 {
-		return math.Inf(1)
-	}
-	return 20 * math.Log10(co/cross)
-}

@@ -125,7 +125,7 @@ func TestCloseClearsCaches(t *testing.T) {
 
 	// synth returns one noisy frame of the scene and its point cloud.
 	synth := func(p *radar.SynthPlan) ([]complex128, []radar.Detection) {
-		f := p.Synthesize(scat, dsp.NewGauss(7))
+		f := p.Synthesize(scat, dsp.AcquireGauss(7))
 		defer radar.ReleaseFrame(f)
 		rp := p.RangeProfile(f)
 		defer radar.ReleaseProfile(rp)

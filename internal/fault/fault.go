@@ -120,9 +120,6 @@ func New(cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg}, nil
 }
 
-// Config returns the (defaults-filled) configuration behind the injector.
-func (in *Injector) Config() Config { return in.cfg }
-
 // FrameFaults is the fault decision for one frame. The zero value injects
 // nothing.
 type FrameFaults struct {
@@ -139,11 +136,6 @@ type FrameFaults struct {
 
 	cfg Config
 	rng *rand.Rand
-}
-
-// Any reports whether the decision injects anything at all.
-func (ff FrameFaults) Any() bool {
-	return ff.Drop || ff.Panic || ff.Corrupt || ff.Burst || ff.Delay > 0
 }
 
 // Frame returns the fault decision for frame i. The decision depends only on

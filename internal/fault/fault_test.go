@@ -54,7 +54,7 @@ func TestValidateRejects(t *testing.T) {
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var in *Injector
 	for i := 0; i < 100; i++ {
-		if in.Frame(i).Any() {
+		if in.Frame(i) != (FrameFaults{}) {
 			t.Fatalf("nil injector faulted frame %d", i)
 		}
 	}
@@ -232,7 +232,7 @@ func TestDefaultsFilled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := in.Config()
+	cfg := in.cfg
 	if cfg.CorruptFraction != 0.02 || cfg.BurstFraction != 0.1 ||
 		cfg.BurstAmplitude != 1e-4 || cfg.Delay != time.Millisecond {
 		t.Errorf("defaults not filled: %+v", cfg)

@@ -8,36 +8,5 @@ func Deg(rad float64) float64 { return rad * 180 / math.Pi }
 // Rad converts degrees to radians.
 func Rad(deg float64) float64 { return deg * math.Pi / 180 }
 
-// WrapPi wraps an angle to (-pi, pi].
-func WrapPi(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a <= -math.Pi {
-		a += 2 * math.Pi
-	}
-	return a
-}
-
-// Wrap2Pi wraps an angle to [0, 2*pi).
-func Wrap2Pi(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
-	if a < 0 {
-		a += 2 * math.Pi
-	}
-	return a
-}
-
-// Clamp restricts x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // MPH converts miles per hour to meters per second.
 func MPH(mph float64) float64 { return mph * 0.44704 }

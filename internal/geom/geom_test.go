@@ -20,28 +20,11 @@ func TestVec2Ops(t *testing.T) {
 	if got := a.Scale(2); got != (Vec2{2, 4}) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := a.Dot(b); got != 1 {
-		t.Errorf("Dot = %g", got)
-	}
 	if got := (Vec2{3, 4}).Norm(); got != 5 {
 		t.Errorf("Norm = %g", got)
 	}
 	if got := a.Dist(b); !almost(got, math.Sqrt(13), 1e-12) {
 		t.Errorf("Dist = %g", got)
-	}
-	if got := (Vec2{0, 1}).Angle(); !almost(got, math.Pi/2, 1e-12) {
-		t.Errorf("Angle = %g", got)
-	}
-}
-
-func TestVec2Unit(t *testing.T) {
-	u := Vec2{3, 4}.Unit()
-	if !almost(u.Norm(), 1, 1e-12) {
-		t.Errorf("unit norm = %g", u.Norm())
-	}
-	z := Vec2{}.Unit()
-	if z != (Vec2{}) {
-		t.Errorf("zero unit = %v", z)
 	}
 }
 
@@ -94,39 +77,6 @@ func TestAngleConversions(t *testing.T) {
 	}
 	if !almost(Rad(Deg(1.234)), 1.234, 1e-12) {
 		t.Error("Rad/Deg round trip failed")
-	}
-}
-
-func TestWrapPi(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0},
-		{math.Pi, math.Pi},
-		{-math.Pi, math.Pi},
-		{3 * math.Pi, math.Pi},
-		{math.Pi + 0.5, -math.Pi + 0.5},
-	}
-	for _, c := range cases {
-		if got := WrapPi(c.in); !almost(got, c.want, 1e-12) {
-			t.Errorf("WrapPi(%g) = %g, want %g", c.in, got, c.want)
-		}
-	}
-}
-
-func TestWrap2Pi(t *testing.T) {
-	for _, a := range []float64{-7, -1, 0, 1, 7, 13} {
-		got := Wrap2Pi(a)
-		if got < 0 || got >= 2*math.Pi {
-			t.Errorf("Wrap2Pi(%g) = %g out of range", a, got)
-		}
-		if !almost(math.Sin(got), math.Sin(a), 1e-12) || !almost(math.Cos(got), math.Cos(a), 1e-12) {
-			t.Errorf("Wrap2Pi(%g) = %g changed the angle", a, got)
-		}
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp misbehaves")
 	}
 }
 

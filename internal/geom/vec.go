@@ -26,28 +26,11 @@ func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 // Scale returns v scaled by s.
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 
-// Dot returns the dot product of v and w.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
-
 // Norm returns the Euclidean length of v.
 func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 
 // Dist returns the Euclidean distance between v and w.
 func (v Vec2) Dist(w Vec2) float64 { return v.Sub(w).Norm() }
-
-// Angle returns the angle of v measured from the +x axis in radians,
-// in (-pi, pi].
-func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
-
-// Unit returns v normalized to unit length. The zero vector is returned
-// unchanged.
-func (v Vec2) Unit() Vec2 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
 
 // Vec3 is a 3-D vector; z is height.
 type Vec3 struct {
@@ -68,9 +51,6 @@ func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Dist returns the Euclidean distance between v and w.
-func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
 
 // XY projects v onto the ground plane.
 func (v Vec3) XY() Vec2 { return Vec2{v.X, v.Y} }

@@ -30,7 +30,7 @@ func goldenRegistry() *Registry {
 	oc.With("ok", "4").Add(12)
 	oc.With("partial", "4").Add(2)
 	oc.With("ok", "1").Add(3)
-	sg := r.GaugeVec("ros_cache_entries", "memo cache entries", "cache")
+	sg := r.GaugeVecCapacity("ros_cache_entries", "memo cache entries", 0, "cache")
 	sg.With("plans").Set(3)
 	sh := r.HistogramVec("ros_stage_seconds", "per-stage pass time", []float64{0.01, 0.1}, 0, "stage")
 	sh.With("synthesize").Observe(0.02)

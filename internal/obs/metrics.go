@@ -108,9 +108,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Bounds returns the bucket upper bounds (without the implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // LogBuckets returns perDecade logarithmically spaced upper bounds per
 // decade from min to max inclusive — the fixed log-scale buckets used for
 // latency, SNR ratios, and BER, whose natural ranges span decades.

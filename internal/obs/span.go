@@ -83,14 +83,8 @@ func (s *Span) Add(d time.Duration) {
 	s.selfNS.Add(d.Nanoseconds())
 }
 
-// Name returns the span name.
-func (s *Span) Name() string { return s.name }
-
 // Wall returns the End-recorded wall duration (0 before End).
 func (s *Span) Wall() time.Duration { return time.Duration(s.wallNS.Load()) }
-
-// Self returns the Add-accumulated worker-summed duration.
-func (s *Span) Self() time.Duration { return time.Duration(s.selfNS.Load()) }
 
 // Duration returns the span's stage time: self time when any was
 // accumulated, wall time otherwise.
@@ -147,13 +141,6 @@ func (s *Span) Child(name string) *Span {
 		}
 	}
 	return nil
-}
-
-// Children returns a copy of the direct children.
-func (s *Span) Children() []*Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Span(nil), s.children...)
 }
 
 // ChildDuration is shorthand for the named child's Duration (0 when the

@@ -26,10 +26,10 @@ func TestSpanNesting(t *testing.T) {
 	if root.Child("synthesize") != nil {
 		t.Error("Child must not recurse into grandchildren")
 	}
-	if got := len(det.Children()); got != 2 {
+	if got := len(det.children); got != 2 {
 		t.Errorf("detect has %d children, want 2", got)
 	}
-	if got := synth.Self(); got != 5*time.Millisecond {
+	if got := time.Duration(synth.selfNS.Load()); got != 5*time.Millisecond {
 		t.Errorf("synthesize self time = %v, want 5ms", got)
 	}
 	// Duration prefers accumulated self time, falls back to wall time.
@@ -56,7 +56,7 @@ func TestSpanAdopt(t *testing.T) {
 	if root.Child("detect") != orphan {
 		t.Fatal("adopted span not found")
 	}
-	if got := len(root.Children()); got != 1 {
+	if got := len(root.children); got != 1 {
 		t.Fatalf("root has %d children, want 1", got)
 	}
 }
@@ -89,7 +89,7 @@ func TestSpanReleaseResets(t *testing.T) {
 	s.Release()
 	// Whatever the pool hands out next must look freshly started.
 	n := StartSpan("fresh")
-	if len(n.Children()) != 0 || n.Attr("k") != nil || n.Self() != 0 || n.Wall() != 0 {
+	if len(n.children) != 0 || n.Attr("k") != nil || n.selfNS.Load() != 0 || n.Wall() != 0 {
 		t.Errorf("pooled span not reset: %+v", n.View())
 	}
 	n.Release()
@@ -112,7 +112,7 @@ func TestSpanConcurrentAdd(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, want := stage.Self(), workers*perWorker*time.Microsecond; got != want {
+	if got, want := time.Duration(stage.selfNS.Load()), workers*perWorker*time.Microsecond; got != want {
 		t.Errorf("accumulated %v, want %v", got, want)
 	}
 }

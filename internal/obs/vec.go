@@ -225,16 +225,12 @@ func (r *Registry) CounterVecCapacity(name, help string, maxSets int, labels ...
 	return v
 }
 
-// GaugeVec returns the named gauge vector, creating it on first use.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return r.GaugeVecCapacity(name, help, 0, labels...)
-}
-
-// GaugeVecCapacity is GaugeVec with an explicit labelset cap (0 means
-// MaxLabelSets; later calls ignore the cap, like every other constructor
-// argument). Per-instance resource gauges — many short-lived handles, each
-// registering a few labelsets and Delete-ing them on Close — size their cap
-// to the handle population instead of the global default.
+// GaugeVecCapacity returns the named gauge vector, creating it on first use
+// with the given labelset cap (0 means MaxLabelSets; later calls ignore the
+// cap, like every other constructor argument). Per-instance resource
+// gauges — many short-lived handles, each registering a few labelsets and
+// Delete-ing them on Close — size their cap to the handle population
+// instead of the global default.
 func (r *Registry) GaugeVecCapacity(name, help string, maxSets int, labels ...string) *GaugeVec {
 	r.mu.RLock()
 	v := r.gaugeVecs[name]

@@ -44,7 +44,7 @@ func TestCounterVecBasics(t *testing.T) {
 
 func TestGaugeVec(t *testing.T) {
 	r := NewRegistry()
-	v := r.GaugeVec("ros_stage_ms", "per-stage gauge", "stage")
+	v := r.GaugeVecCapacity("ros_stage_ms", "per-stage gauge", 0, "stage")
 	v.With("synthesize").Set(8.5)
 	v.With("decode").Set(0.25)
 	var got []string

@@ -29,7 +29,7 @@ func testKeepsColumns(t *testing.T, nr int) {
 	f := plan.Synthesize([]Scatterer{
 		{Range: 5, Azimuth: 0.1, Amplitude: 3e-5},
 		{Range: 9.5, Azimuth: -0.3, Amplitude: 1.2e-5},
-	}, dsp.NewGauss(3))
+	}, dsp.AcquireGauss(3))
 	rp := plan.RangeProfile(f)
 	ReleaseFrame(f)
 	defer ReleaseProfile(rp)
@@ -177,7 +177,7 @@ func TestSteerBoundCoversEverySteering(t *testing.T) {
 func TestKeepBinsGathersNamedColumns(t *testing.T) {
 	c := TI1443()
 	plan := c.NewSynthPlan()
-	f := plan.Synthesize([]Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-5}}, dsp.NewGauss(2))
+	f := plan.Synthesize([]Scatterer{{Range: 4, Azimuth: 0.2, Amplitude: 1e-5}}, dsp.AcquireGauss(2))
 	rp := plan.RangeProfile(f)
 	ReleaseFrame(f)
 	defer ReleaseProfile(rp)
@@ -221,7 +221,7 @@ func TestColumnStoreReuseAllocFree(t *testing.T) {
 	}
 	c := TI1443()
 	plan := c.NewSynthPlan()
-	f := plan.Synthesize([]Scatterer{{Range: 5, Azimuth: 0.1, Amplitude: 3e-5}}, dsp.NewGauss(5))
+	f := plan.Synthesize([]Scatterer{{Range: 5, Azimuth: 0.1, Amplitude: 3e-5}}, dsp.AcquireGauss(5))
 	rp := plan.RangeProfile(f)
 	ReleaseFrame(f)
 	defer ReleaseProfile(rp)

@@ -103,12 +103,6 @@ func (c Config) MaxRange() float64 { return em.C * c.SampleRate / (2 * c.Slope) 
 // RangeResolution for an unpadded FFT.
 func (c Config) RangeBinSize() float64 { return c.MaxRange() / float64(c.Samples) }
 
-// Beamwidth returns the Rx array's angular resolution in radians,
-// lambda/(N*d) (~28.6 deg for 4 half-wavelength elements, Sec 7.1).
-func (c Config) Beamwidth() float64 {
-	return c.Wavelength() / (float64(c.NumRx) * c.RxSpacing)
-}
-
 // NoisePerBin returns the per-channel post-range-FFT noise power in watts:
 // the front end's noise floor (Sec 5.3's -62 dBm for the TI radar).
 func (c Config) NoisePerBin() float64 {

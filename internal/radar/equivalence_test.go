@@ -106,7 +106,7 @@ func refQuantize(chans [][]complex128, bits int) {
 func refRangeProfile(c Config, chans [][]complex128) [][]complex128 {
 	n := c.Samples
 	win := dsp.Hann.Coefficients(n)
-	invGain := 1 / dsp.Hann.CoherentGain(n)
+	invGain := 1 / dsp.Mean(win)
 	// roots[j] = exp(2*pi*i*j/n); indexing by k*t mod n keeps every phase
 	// exact.
 	roots := make([]complex128, n)
@@ -208,8 +208,8 @@ func TestSynthesizeMatchesReference(t *testing.T) {
 				for _, noisy := range []bool{false, true} {
 					var gPlan, gRef *dsp.Gauss
 					if noisy {
-						gPlan = dsp.NewGauss(seed + 1)
-						gRef = dsp.NewGauss(seed + 1)
+						gPlan = dsp.AcquireGauss(seed + 1)
+						gRef = dsp.AcquireGauss(seed + 1)
 					}
 					got := plan.Synthesize(scene, gPlan)
 					ref := refSynthesize(c, scene, gRef)
@@ -240,8 +240,8 @@ func TestQuantizedSynthesisSameCells(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(31*trial + 3)
 		scene := randomScene(rand.New(rand.NewSource(seed)), c)
-		got := plan.Synthesize(scene, dsp.NewGauss(seed+2))
-		ref := refSynthesize(c, scene, dsp.NewGauss(seed+2))
+		got := plan.Synthesize(scene, dsp.AcquireGauss(seed+2))
+		ref := refSynthesize(c, scene, dsp.AcquireGauss(seed+2))
 		if err := maxRelDiff(t, got, ref); err > stepRel*1e-6 {
 			t.Errorf("trial %d: max relative error %.3g suggests a quantizer cell flip (step %.3g)",
 				trial, err, stepRel)
@@ -260,7 +260,7 @@ func TestRangeProfileMatchesReference(t *testing.T) {
 			for trial := 0; trial < 8; trial++ {
 				seed := int64(500*trial + 11)
 				scene := randomScene(rand.New(rand.NewSource(seed)), c)
-				f := plan.Synthesize(scene, dsp.NewGauss(seed+1))
+				f := plan.Synthesize(scene, dsp.AcquireGauss(seed+1))
 				refChans := make([][]complex128, c.NumRx)
 				for k := range refChans {
 					refChans[k] = append([]complex128(nil), f.Channel(k)...)

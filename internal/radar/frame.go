@@ -49,11 +49,6 @@ type Frame struct {
 	buf *chanBuf
 }
 
-// Channel returns channel k's samples as a view into the frame's buffer.
-func (f Frame) Channel(k int) []complex128 {
-	return f.Data[k*f.Samples : (k+1)*f.Samples]
-}
-
 // SynthPlan is the per-read execution plan of the frame front-end: every
 // term of the synthesis model (Eq 2) that depends only on the radar
 // configuration — wavelength, beat/Doppler/phase coefficients, the
@@ -123,9 +118,6 @@ func (c Config) NewSynthPlan() *SynthPlan {
 	}
 	return p
 }
-
-// Config returns the radar configuration the plan was built for.
-func (p *SynthPlan) Config() Config { return p.cfg }
 
 // Synthesize generates a baseband frame per Eq 2 for the given scatterers,
 // adding per-sample thermal noise sized so that the post-range-FFT per-bin

@@ -49,7 +49,7 @@ func TestFramePoolSharedAcrossPlans(t *testing.T) {
 		{Range: 5, Azimuth: 0.1, Amplitude: 3e-5},
 		{Range: 9.5, Azimuth: -0.3, Amplitude: 1.2e-5},
 	}
-	g := dsp.NewGauss(7)
+	g := dsp.AcquireGauss(7)
 	turn := func() {
 		for _, p := range plans {
 			f := p.Synthesize(scat, g)

@@ -150,6 +150,10 @@ const (
 	minRangeBins = 4
 )
 
+// detectThreshold is detectThresholdDB as a linear power ratio, converted
+// once rather than once per frame.
+var detectThreshold = dsp.FromDB(detectThresholdDB)
+
 // PointCloudScan extracts detections from an already-computed range profile
 // against the plan's captured steering table. Each frame is scanned on its
 // own: the channel-summed power's median sets the noise floor, and every
@@ -189,7 +193,7 @@ func (p *SynthPlan) PointCloudScan(rp RangeProfile, keep ...*Columns) []Detectio
 	if noise <= 0 {
 		noise = 1e-30
 	}
-	thresh := noise * dsp.FromDB(detectThresholdDB)
+	thresh := noise * detectThreshold
 
 	angles := p.steer.angles
 	// The median scratch is free again; it holds the AoA spectrum when the

@@ -75,7 +75,7 @@ func TestSingleScattererRangeAndAmplitude(t *testing.T) {
 	want := 3.0
 	f := c.Synthesize([]Scatterer{{Range: want, Azimuth: 0, Amplitude: amp}}, nil)
 	rp := c.RangeProfile(f)
-	mag := dsp.Magnitude(rp.Bins[0])
+	mag := magnitudes(rp.Bins[0])
 	_, peak := dsp.Max(mag)
 	got := float64(peak) * rp.BinSize
 	if math.Abs(got-want) > rp.BinSize {
@@ -113,7 +113,7 @@ func TestTwoScatterersResolvedInRange(t *testing.T) {
 		{Range: 5, Azimuth: 0, Amplitude: 1e-4},
 	}, nil)
 	rp := c.RangeProfile(f)
-	mag := dsp.Magnitude(rp.Bins[0])
+	mag := magnitudes(rp.Bins[0])
 	peaks := dsp.FindPeaks(mag, 0.3e-4, 3)
 	if len(peaks) < 2 {
 		t.Fatalf("found %d peaks, want 2", len(peaks))
@@ -180,7 +180,7 @@ func TestSNRAtNoiseFloorTarget(t *testing.T) {
 	c := TI1443()
 	rng := rand.New(rand.NewSource(2))
 	floorAmp := math.Sqrt(c.NoisePerBin())
-	strong := floorAmp * dsp.AmpFromDB(14)
+	strong := floorAmp * math.Pow(10, 14.0/20)
 	f := c.Synthesize([]Scatterer{{Range: 4, Azimuth: 0, Amplitude: strong}}, rng)
 	rss := spotlight(c, f, 4, 0)
 	snr := em.DB(rss / (c.NoisePerBin() / float64(c.NumRx)))
@@ -193,7 +193,7 @@ func TestSNRAtNoiseFloorTarget(t *testing.T) {
 func TestPointCloudFindsObjects(t *testing.T) {
 	c := TI1443()
 	rng := rand.New(rand.NewSource(3))
-	amp := math.Sqrt(c.NoisePerBin()) * dsp.AmpFromDB(20)
+	amp := math.Sqrt(c.NoisePerBin()) * math.Pow(10, 20.0/20)
 	f := c.Synthesize([]Scatterer{
 		{Range: 3, Azimuth: geom.Rad(10), Amplitude: amp},
 		{Range: 5.5, Azimuth: geom.Rad(-25), Amplitude: amp},
@@ -236,8 +236,8 @@ func TestDopplerNegligible(t *testing.T) {
 	moving := c.Synthesize([]Scatterer{{Range: 4, Azimuth: 0, Amplitude: 1e-4, RadialVelocity: 35}}, nil)
 	rpS := c.RangeProfile(static)
 	rpM := c.RangeProfile(moving)
-	_, pS := dsp.Max(dsp.Magnitude(rpS.Bins[0]))
-	_, pM := dsp.Max(dsp.Magnitude(rpM.Bins[0]))
+	_, pS := dsp.Max(magnitudes(rpS.Bins[0]))
+	_, pM := dsp.Max(magnitudes(rpM.Bins[0]))
 	if abs := pS - pM; abs < -1 || abs > 1 {
 		t.Errorf("Doppler moved the range peak by %d bins", pM-pS)
 	}
@@ -303,7 +303,7 @@ func TestPhaseCoherenceAcrossFrames(t *testing.T) {
 	bin := c.BinForRange(d)
 	p1 := cmplx.Phase(c.RangeProfile(f1).Bins[0][bin])
 	p2 := cmplx.Phase(c.RangeProfile(f2).Bins[0][bin])
-	diff := math.Abs(geom.WrapPi(p1 - p2))
+	diff := math.Abs(math.Remainder(p1-p2, 2*math.Pi))
 	if math.Abs(diff-math.Pi) > 0.3 {
 		t.Errorf("phase difference = %g rad, want ~pi", diff)
 	}
@@ -313,7 +313,7 @@ func TestADCQuantization(t *testing.T) {
 	c := TI1443()
 	c.ADCBits = 12
 	rng := rand.New(rand.NewSource(21))
-	amp := math.Sqrt(c.NoisePerBin()) * dsp.AmpFromDB(20)
+	amp := math.Sqrt(c.NoisePerBin()) * math.Pow(10, 20.0/20)
 	f12 := c.Synthesize([]Scatterer{{Range: 3, Amplitude: amp}}, rng)
 	rss12 := spotlight(c, f12, 3, 0)
 
@@ -331,7 +331,7 @@ func TestADCQuantization(t *testing.T) {
 	c2.ADCBits = 2
 	f2 := c2.Synthesize([]Scatterer{{Range: 3, Amplitude: amp}}, rand.New(rand.NewSource(1)))
 	rp := c2.RangeProfile(f2)
-	mag := dsp.Magnitude(rp.Bins[0])
+	mag := magnitudes(rp.Bins[0])
 	_, peak := dsp.Max(mag)
 	if peak != c2.BinForRange(3) {
 		t.Errorf("2-bit ADC lost the target peak (at bin %d)", peak)

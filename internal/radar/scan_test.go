@@ -11,7 +11,7 @@ import (
 // in stack lanes, so a frame with no detections allocates nothing.
 func TestPointCloudScanAllocFree(t *testing.T) {
 	plan := TI1443().NewSynthPlan()
-	f := plan.Synthesize(nil, dsp.NewGauss(5))
+	f := plan.Synthesize(nil, dsp.AcquireGauss(5))
 	rp := plan.RangeProfile(f)
 	ReleaseFrame(f)
 	defer ReleaseProfile(rp)
@@ -31,7 +31,7 @@ func TestPointCloudScanAllocFree(t *testing.T) {
 func BenchmarkPointCloudScan(b *testing.B) {
 	c := TI1443()
 	plan := c.NewSynthPlan()
-	g := dsp.NewGauss(3)
+	g := dsp.AcquireGauss(3)
 	f := plan.Synthesize([]Scatterer{
 		{Range: 5, Azimuth: 0.1, Amplitude: 3e-5},
 		{Range: 9.5, Azimuth: -0.3, Amplitude: 1.2e-5},
@@ -60,7 +60,7 @@ func BenchmarkPointCloudScanKeep(b *testing.B) {
 		f := plan.Synthesize([]Scatterer{
 			{Range: 5, Azimuth: 0.1, Amplitude: 3e-5},
 			{Range: 9.5, Azimuth: -0.3, Amplitude: 1.2e-5},
-		}, dsp.NewGauss(int64(i+3)))
+		}, dsp.AcquireGauss(int64(i+3)))
 		profiles[i] = plan.RangeProfile(f)
 		ReleaseFrame(f)
 		defer ReleaseProfile(profiles[i])

@@ -337,10 +337,6 @@ func (s *Server) Drain(budget time.Duration) error {
 	return drainErr
 }
 
-// Draining reports whether a drain has started (readiness is down and new
-// batches are being refused).
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // flushTelemetry logs the final service state and, when DrainDumpDir is set,
 // writes the flight-recorder ring and a full metrics snapshot there — the
 // post-mortem a crash would have lost.

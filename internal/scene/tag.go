@@ -3,7 +3,6 @@ package scene
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"ros/internal/coding"
 	"ros/internal/em"
@@ -172,13 +171,6 @@ func (t *Tag) Response(radarPos geom.Vec3, f float64) complex128 {
 	return complex(sumRe, sumIm)
 }
 
-// RCS returns the decode-mode radar cross section in m^2 seen from
-// radarPos.
-func (t *Tag) RCS(radarPos geom.Vec3, f float64) float64 {
-	a := cmplx.Abs(t.Response(radarPos, f))
-	return a * a
-}
-
 // stackPowerCached is stackPower memoizing through a cache; nil skips
 // memoization entirely.
 func (t *Tag) stackPowerCached(rc *ResponseCache, radarPos geom.Vec3, f float64) float64 {
@@ -224,16 +216,4 @@ func (t *Tag) stackPower(radarPos geom.Vec3, f float64) float64 {
 		im += amp * sp
 	}
 	return re*re + im*im
-}
-
-// U returns the spatial-coding observation coordinate u = cos(theta) for a
-// radar at the given position, theta being the angle between the radar line
-// of sight and the tag's +x axis (Sec 5.1).
-func (t *Tag) U(radarPos geom.Vec3) float64 {
-	rel := radarPos.Sub(t.Position)
-	n := rel.Norm()
-	if n == 0 {
-		return 0
-	}
-	return rel.X / n
 }

@@ -20,7 +20,7 @@ func TestRunSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := out.Span
-	if root == nil || root.Name() != SpanRead {
+	if root == nil || root.View().Name != SpanRead {
 		t.Fatalf("missing %q root span", SpanRead)
 	}
 	det := root.Child(detect.SpanRun)

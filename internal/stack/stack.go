@@ -138,24 +138,6 @@ func (s *Stack) RCS(az, el, f float64, tx, rx em.Polarization) float64 {
 	return single * s.ElevationGain(el, f) * elemEl * elemEl
 }
 
-// RCSdB is RCS in dBsm.
-func (s *Stack) RCSdB(az, el, f float64, tx, rx em.Polarization) float64 {
-	return em.DBsm(s.RCS(az, el, f, tx, rx))
-}
-
-// Beamwidth evaluates the paper's Eq 5 for a uniformly spaced stack:
-//
-//	theta = 0.886 * lambda / (2 * N * d_v)   [radians]
-//
-// where d_v is the vertical module pitch. For the 32-module stack at the
-// default pitch this is the paper's 1.1 degrees.
-func Beamwidth(n int, pitch, lambda float64) float64 {
-	if n < 1 || pitch <= 0 || lambda <= 0 {
-		panic(fmt.Sprintf("stack: Beamwidth(n=%d, pitch=%g, lambda=%g)", n, pitch, lambda))
-	}
-	return 0.886 * lambda / (2 * float64(n) * pitch)
-}
-
 // MeasuredBeamwidth scans the elevation pattern and returns the full width
 // (radians) over which the gain stays within -3 dB of its peak.
 func (s *Stack) MeasuredBeamwidth(f float64) float64 {
@@ -183,13 +165,4 @@ func (s *Stack) MeasuredBeamwidth(f float64) float64 {
 		return 0
 	}
 	return hi - lo
-}
-
-// FarFieldDistance returns the Fraunhofer distance 2*D^2/lambda (Eq 8) for
-// the stack's height aperture; within it the plane-wave decoding model is
-// inaccurate (the effect behind the 32-stack SNR penalty of Fig 15b).
-func (s *Stack) FarFieldDistance(f float64) float64 {
-	d := s.Height()
-	lambda := em.Wavelength(f)
-	return 2 * d * d / lambda
 }

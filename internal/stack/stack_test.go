@@ -80,7 +80,7 @@ func TestRCSStackingGain(t *testing.T) {
 	// later spends ~10 dB of this to widen the beam, yielding the paper's
 	// -23 dBsm tag).
 	s := NewUniform(32)
-	got := s.RCSdB(0, 0, fc, em.PolV, em.PolH)
+	got := em.DBsm(s.RCS(0, 0, fc, em.PolV, em.PolH))
 	if math.Abs(got-(-13)) > 1.5 {
 		t.Errorf("32-stack boresight RCS = %g dBsm, want ~-13", got)
 	}

@@ -84,7 +84,7 @@ func (e *PointError) Error() string { return fmt.Sprintf("point %d: %v", e.Index
 // Unwrap returns the underlying point error.
 func (e *PointError) Unwrap() error { return e.Err }
 
-// PointErrors walks an error returned by Run/RunCtx and collects every
+// PointErrors walks an error returned by RunCtx and collects every
 // *PointError in it (nil and non-sweep errors yield nil).
 func PointErrors(err error) []*PointError {
 	var out []*PointError
@@ -108,16 +108,6 @@ func PointErrors(err error) []*PointError {
 	}
 	walk(err)
 	return out
-}
-
-// Run evaluates fn for every index 0..n-1 on a worker pool and returns the
-// results in order; see RunCtx for the error contract. Run never cancels:
-// an error cancels nothing (remaining points still run).
-func Run[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out, _, err := RunCtx(context.Background(), n, workers, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-	return out, err
 }
 
 // RunCtx evaluates fn for every index 0..n-1 on a worker pool, returning the
@@ -244,14 +234,8 @@ func RunCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 	return out, done, nil
 }
 
-// Map evaluates fn over the inputs concurrently, preserving order.
-func Map[In, Out any](inputs []In, workers int, fn func(In) (Out, error)) ([]Out, error) {
-	return Run(len(inputs), workers, func(i int) (Out, error) {
-		return fn(inputs[i])
-	})
-}
-
-// MapCtx is Map with cooperative cancellation; see RunCtx.
+// MapCtx evaluates fn over the inputs concurrently, preserving order, with
+// cooperative cancellation; see RunCtx.
 func MapCtx[In, Out any](ctx context.Context, inputs []In, workers int, fn func(ctx context.Context, in In) (Out, error)) ([]Out, []bool, error) {
 	return RunCtx(ctx, len(inputs), workers, func(ctx context.Context, i int) (Out, error) {
 		return fn(ctx, inputs[i])

@@ -16,7 +16,7 @@ import (
 )
 
 func TestRunPreservesOrder(t *testing.T) {
-	out, err := Run(100, 8, func(i int) (int, error) { return i * i, nil })
+	out, _, err := RunCtx(context.Background(), 100, 8, func(_ context.Context, i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRunActuallyConcurrent(t *testing.T) {
 	// Each task waits (bounded) until it observes a second in-flight task,
 	// which can only happen if the pool really runs them concurrently.
 	var peak, cur atomic.Int32
-	_, err := Run(16, 8, func(i int) (int, error) {
+	_, _, err := RunCtx(context.Background(), 16, 8, func(_ context.Context, i int) (int, error) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -55,7 +55,7 @@ func TestRunActuallyConcurrent(t *testing.T) {
 
 func TestRunReportsError(t *testing.T) {
 	wantErr := errors.New("boom")
-	out, err := Run(10, 4, func(i int) (int, error) {
+	out, _, err := RunCtx(context.Background(), 10, 4, func(_ context.Context, i int) (int, error) {
 		if i == 7 {
 			return 0, wantErr
 		}
@@ -71,18 +71,18 @@ func TestRunReportsError(t *testing.T) {
 }
 
 func TestRunEdgeCases(t *testing.T) {
-	if _, err := Run(-1, 2, func(int) (int, error) { return 0, nil }); err == nil {
+	if _, _, err := RunCtx(context.Background(), -1, 2, func(context.Context, int) (int, error) { return 0, nil }); err == nil {
 		t.Error("negative n accepted")
 	}
-	if _, err := Run[int](3, 2, nil); err == nil {
+	if _, _, err := RunCtx[int](context.Background(), 3, 2, nil); err == nil {
 		t.Error("nil fn accepted")
 	}
-	out, err := Run(0, 2, func(int) (int, error) { return 0, nil })
+	out, _, err := RunCtx(context.Background(), 0, 2, func(context.Context, int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty run: %v, %v", out, err)
 	}
 	// Default worker count.
-	out, err = Run(5, 0, func(i int) (int, error) { return i, nil })
+	out, _, err = RunCtx(context.Background(), 5, 0, func(_ context.Context, i int) (int, error) { return i, nil })
 	if err != nil || len(out) != 5 {
 		t.Errorf("default workers: %v, %v", out, err)
 	}
@@ -90,7 +90,7 @@ func TestRunEdgeCases(t *testing.T) {
 
 func TestMap(t *testing.T) {
 	in := []string{"a", "bb", "ccc"}
-	out, err := Map(in, 2, func(s string) (int, error) { return len(s), nil })
+	out, _, err := MapCtx(context.Background(), in, 2, func(_ context.Context, s string) (int, error) { return len(s), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMap(t *testing.T) {
 }
 
 func TestRunRecoversPanic(t *testing.T) {
-	out, err := Run(10, 4, func(i int) (int, error) {
+	out, _, err := RunCtx(context.Background(), 10, 4, func(_ context.Context, i int) (int, error) {
 		if i == 5 {
 			panic("kaboom")
 		}

@@ -64,19 +64,3 @@ func (tr Tracker) Estimate(truth []geom.Vec3, rng *rand.Rand) ([]geom.Vec3, erro
 	}
 	return out, nil
 }
-
-// RelativeErrorOf measures the realized drift of an estimated trajectory:
-// the final position error divided by the distance traveled.
-func RelativeErrorOf(truth, est []geom.Vec3) float64 {
-	if len(truth) < 2 || len(truth) != len(est) {
-		return 0
-	}
-	dist := 0.0
-	for i := 1; i < len(truth); i++ {
-		dist += truth[i].Dist(truth[i-1])
-	}
-	if dist == 0 {
-		return 0
-	}
-	return truth[len(truth)-1].Dist(est[len(est)-1]) / dist
-}

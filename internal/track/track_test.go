@@ -9,6 +9,22 @@ import (
 	"ros/internal/geom"
 )
 
+// RelativeErrorOf measures the realized drift of an estimated trajectory:
+// the final position error divided by the distance traveled.
+func RelativeErrorOf(truth, est []geom.Vec3) float64 {
+	if len(truth) < 2 || len(truth) != len(est) {
+		return 0
+	}
+	dist := 0.0
+	for i := 1; i < len(truth); i++ {
+		dist += truth[i].Sub(truth[i-1]).Norm()
+	}
+	if dist == 0 {
+		return 0
+	}
+	return truth[len(truth)-1].Sub(est[len(est)-1]).Norm() / dist
+}
+
 func straightLine(n int, step float64) []geom.Vec3 {
 	out := make([]geom.Vec3, n)
 	for i := range out {

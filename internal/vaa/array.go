@@ -183,11 +183,6 @@ func (a *Array) Validate() error {
 // Elements returns the total element count (2 per pair).
 func (a *Array) Elements() int { return 2 * a.Pairs }
 
-// Width returns the physical aperture width in meters.
-func (a *Array) Width() float64 {
-	return float64(a.Elements()-1) * a.Spacing
-}
-
 // elementPosition returns the x coordinate of element k, centered about the
 // array midpoint.
 func (a *Array) elementPosition(k int) float64 {
@@ -304,7 +299,7 @@ func (a *Array) rawScatter(thetaIn, thetaOut, f, pathCal, structCal float64) em.
 			sin, cos := math.Sincos(k * x * (math.Sin(thetaIn) + math.Sin(thetaOut)))
 			g := phase0 * complex(base*cos, base*sin)
 			// Mirror-like: specular metal flips circular handedness
-			// (em.MirrorScatter); linear magnitudes are unaffected.
+			// (diag(g, -g)); linear magnitudes are unaffected.
 			s.HH += g
 			s.VV -= g
 		}

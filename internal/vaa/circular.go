@@ -7,8 +7,8 @@ import (
 )
 
 // Circular-polarization extension (Sec 8): a PSVAA built from circularly
-// polarized elements. Ordinary reflectors flip circular handedness
-// (em.MirrorScatter), but a CP Van Atta pair — receive on one element,
+// polarized elements. Ordinary reflectors flip circular handedness (in the
+// (H, V) basis a mirror is diag(a, -a)), but a CP Van Atta pair — receive on one element,
 // re-radiate from its partner — preserves it, so a radar with co-handed
 // Tx/Rx separates tag from clutter without sacrificing half the elements:
 // the 6 dB PSVAA loss is recovered.
@@ -22,7 +22,7 @@ func NewCPVAA(pairs int) *Array {
 }
 
 // cpAntennaJones accumulates one CP antenna-mode path: handedness-preserving
-// identity coupling (see em.HandednessPreservingScatter) scaled by g.
+// identity coupling, diag(g, g), which maps RHC to RHC.
 func cpAntennaJones(s *em.ScatterMatrix, g complex128) {
 	s.HH += g
 	s.VV += g

@@ -55,11 +55,12 @@ func TestMirrorFlipsHandedness(t *testing.T) {
 	if rej := em.HandednessRejectionDB(s); rej > -20 {
 		t.Errorf("ULA handedness rejection = %g dB, want strongly negative", rej)
 	}
-	// em-level sanity.
-	if rej := em.HandednessRejectionDB(em.MirrorScatter(1)); !math.IsInf(rej, -1) {
+	// em-level sanity: an ideal mirror, diag(1, -1), flips handedness; the
+	// identity preserves it.
+	if rej := em.HandednessRejectionDB(em.ScatterMatrix{HH: 1, VV: -1}); !math.IsInf(rej, -1) {
 		t.Errorf("ideal mirror rejection = %g, want -Inf", rej)
 	}
-	if rej := em.HandednessRejectionDB(em.HandednessPreservingScatter(1)); !math.IsInf(rej, 1) {
+	if rej := em.HandednessRejectionDB(em.ScatterMatrix{HH: 1, VV: 1}); !math.IsInf(rej, 1) {
 		t.Errorf("ideal preserver rejection = %g, want +Inf", rej)
 	}
 	if rej := em.HandednessRejectionDB(em.ScatterMatrix{}); rej != 0 {
