@@ -53,14 +53,16 @@ race:
 generate:
 	$(GO) generate ./internal/beamshape
 
-# Regenerate the checked-in golden digest of the reproduction
-# (testdata/golden_reads.txt): a fixed seed x configuration grid of full
-# reads recording detection, decoded bits, SNR, point count, tag centroid
-# and detection-mode RSS. TestGoldenDigest compares against it on every
-# `go test`; regenerate only for a deliberate behaviour change and explain
-# the diff.
+# Regenerate the checked-in golden files of the reproduction:
+# testdata/golden_reads.txt, a fixed seed x configuration grid of full reads
+# recording detection, decoded bits, SNR, point count, tag centroid and
+# detection-mode RSS, and internal/experiments/testdata/golden_tables.txt,
+# every rosbench table as rendered. TestGoldenDigest and TestGoldenTables
+# compare against them on every `go test`; regenerate only for a deliberate
+# behaviour change and explain the diff.
 golden:
 	$(GO) test -run '^TestGoldenDigest$$' -update-golden .
+	$(GO) test ./internal/experiments -run '^TestGoldenTables$$' -update-golden
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
