@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -28,7 +29,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
-	out, err := sim.Run(sim.DriveBy{
+	out, err := sim.RunContext(context.Background(), sim.DriveBy{
 		Bits:        *bits,
 		BeamShaped:  true,
 		Standoff:    *distance,

@@ -34,7 +34,7 @@
 // (Pipeline.Fault) injects deterministic frame drops, sample corruption,
 // worker panics and latency; the pipeline degrades gracefully — non-finite
 // samples are scrubbed before the range transform, lost frames are excluded
-// from the aggregate up to MaxFrameLoss, and beyond that budget the run
+// from the aggregate up to maxFrameLoss, and beyond that budget the run
 // fails with a typed roserr.ErrFrameCorrupt.
 package detect
 
@@ -150,12 +150,6 @@ type Pipeline struct {
 	// see internal/fault). With Fault nil the pipeline's output is
 	// byte-identical to a build that never loads the fault layer.
 	Fault *fault.Injector
-	// MaxFrameLoss is the tolerated fraction of frame poses lost to drops,
-	// corruption, or worker failure before the run fails with
-	// roserr.ErrFrameCorrupt (default 0.5). The decoder reads from an
-	// aggregate of azimuth samples, so partial frame loss degrades SNR
-	// rather than correctness.
-	MaxFrameLoss float64
 	// Engine supplies the resource handle the run draws its synthesis plan
 	// (and with it the steering table and range transform) from; nil uses
 	// engine.Default(). Frame and profile buffers come from the radar
@@ -189,8 +183,6 @@ func (p *Pipeline) Validate() error {
 		return fmt.Errorf("detect: %w: decode azimuth cap %g outside [0, 90]", roserr.ErrConfig, p.DecodeAzimuthCapDeg)
 	case p.Workers < 0:
 		return fmt.Errorf("detect: %w: negative worker count %d", roserr.ErrConfig, p.Workers)
-	case p.MaxFrameLoss < 0 || p.MaxFrameLoss > 1 || math.IsNaN(p.MaxFrameLoss):
-		return fmt.Errorf("detect: %w: max frame loss %g outside [0, 1]", roserr.ErrConfig, p.MaxFrameLoss)
 	}
 	return nil
 }
@@ -299,6 +291,12 @@ type tagSample struct {
 // fraction of its samples non-finite carries no trustworthy signal and is
 // dropped as corrupt rather than scrubbed and kept.
 const maxScrubFraction = 0.25
+
+// maxFrameLoss is the tolerated fraction of frame poses lost to drops,
+// corruption, or worker failure before the run fails with
+// roserr.ErrFrameCorrupt. The decoder reads from an aggregate of azimuth
+// samples, so partial frame loss degrades SNR rather than correctness.
+const maxFrameLoss = 0.5
 
 // noiseSeed derives the frame's thermal-noise sub-stream seed: the scene
 // draws consume the frame stream SubSeed(seed, i) through their own
@@ -526,11 +524,6 @@ func (p *Pipeline) replayDecode(ctx context.Context, frames []frameData, cands [
 	return int(replayed.Load()), err
 }
 
-// Run drives the full pipeline without cancellation; see RunContext.
-func (p *Pipeline) Run(sc *scene.Scene, truth, est []geom.Vec3, vel geom.Vec3, seed int64) (*Result, error) {
-	return p.RunContext(context.Background(), sc, truth, est, vel, seed)
-}
-
 // RunContext drives the full pipeline: truth are the radar's true per-frame
 // positions (used to synthesize physics, and for the short-horizon
 // operations of clustering and spotlighting, which integrate over windows
@@ -564,7 +557,6 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 		return nil, fmt.Errorf("detect: read cancelled before the first frame: %w: %w", roserr.ErrReadCancelled, err)
 	}
 	extThresh := cmp.Or(p.TagMaxExtent, 0.18)
-	maxLoss := cmp.Or(p.MaxFrameLoss, 0.5)
 
 	// Pass 1: synthesize the frames, keep the detection-mode columns the
 	// spotlight can read and the decode-mode scatterers, and build the
@@ -662,11 +654,11 @@ func (p *Pipeline) RunContext(ctx context.Context, sc *scene.Scene, truth, est [
 			"completed", completed, "of", n, "seed", seed)
 		return partial(nil), fmt.Errorf("detect: read cancelled after %d/%d frames: %w", completed, n, ferr)
 	}
-	if float64(dropped) > maxLoss*float64(n) {
+	if float64(dropped) > maxFrameLoss*float64(n) {
 		obs.Logger().Error("detect: frame loss beyond budget",
-			"dropped", dropped, "of", n, "budget", maxLoss, "seed", seed)
+			"dropped", dropped, "of", n, "budget", maxFrameLoss, "seed", seed)
 		return partial(nil), fmt.Errorf("detect: %d/%d frames lost (budget %.0f%%): %w",
-			dropped, n, 100*maxLoss, roserr.ErrFrameCorrupt)
+			dropped, n, 100*maxFrameLoss, roserr.ErrFrameCorrupt)
 	}
 	if dropped > 0 || scrubbed > 0 {
 		obs.Logger().Warn("detect: degraded run continues",

@@ -58,7 +58,7 @@ func TestPipelineDetectsAndSeparatesTagFromTripod(t *testing.T) {
 	sc := buildScene(t, "1111", true, rng)
 	p := NewPipeline(radar.TI1443())
 	truth := passPositions(3, 240)
-	res, err := p.Run(sc, truth, truth, geom.Vec3{X: 2}, seed)
+	res, err := p.RunContext(context.Background(), sc, truth, truth, geom.Vec3{X: 2}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestTagRSSLossNearThirteenDB(t *testing.T) {
 	sc := buildScene(t, "1111", false, rng)
 	p := NewPipeline(radar.TI1443())
 	truth := passPositions(3, 240)
-	res, err := p.Run(sc, truth, truth, geom.Vec3{X: 2}, seed)
+	res, err := p.RunContext(context.Background(), sc, truth, truth, geom.Vec3{X: 2}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestClutterRSSLossSixteenToNineteen(t *testing.T) {
 	sc.Clutter = append(sc.Clutter, lamp)
 	p := NewPipeline(radar.TI1443())
 	truth := passPositions(3, 240)
-	res, err := p.Run(sc, truth, truth, geom.Vec3{X: 2}, seed)
+	res, err := p.RunContext(context.Background(), sc, truth, truth, geom.Vec3{X: 2}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestTagSamplesFeedDecoder(t *testing.T) {
 	sc := buildScene(t, "1111", false, rng)
 	p := NewPipeline(radar.TI1443())
 	truth := passPositions(3, 300)
-	res, err := p.Run(sc, truth, truth, geom.Vec3{X: 2}, seed)
+	res, err := p.RunContext(context.Background(), sc, truth, truth, geom.Vec3{X: 2}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMinClusterFramesDefaultAligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sc := buildScene(t, "1111", true, rng)
 	truth := passPositions(3, 150)
-	a, err := NewPipeline(radar.TI1443()).Run(sc, truth, truth, geom.Vec3{X: 2}, 11)
+	a, err := NewPipeline(radar.TI1443()).RunContext(context.Background(), sc, truth, truth, geom.Vec3{X: 2}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestMinClusterFramesDefaultAligned(t *testing.T) {
 		}
 	}
 	q := &Pipeline{Radar: radar.TI1443(), DecodeAzimuthCapDeg: 60} // TagMaxExtent falls back in Run
-	b, err := q.Run(sc, truth, truth, geom.Vec3{X: 2}, 11)
+	b, err := q.RunContext(context.Background(), sc, truth, truth, geom.Vec3{X: 2}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,16 +206,16 @@ func TestRunErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sc := buildScene(t, "11", false, rng)
 	p := NewPipeline(radar.TI1443())
-	if _, err := p.Run(sc, nil, nil, geom.Vec3{}, seed); err == nil {
+	if _, err := p.RunContext(context.Background(), sc, nil, nil, geom.Vec3{}, seed); err == nil {
 		t.Error("empty trajectory accepted")
 	}
 	truth := passPositions(3, 10)
-	if _, err := p.Run(sc, truth, truth[:5], geom.Vec3{}, seed); err == nil {
+	if _, err := p.RunContext(context.Background(), sc, truth, truth[:5], geom.Vec3{}, seed); err == nil {
 		t.Error("mismatched estimates accepted")
 	}
 	bad := p
 	bad.Radar.NumRx = 0
-	if _, err := bad.Run(sc, truth, truth, geom.Vec3{}, seed); err == nil {
+	if _, err := bad.RunContext(context.Background(), sc, truth, truth, geom.Vec3{}, seed); err == nil {
 		t.Error("invalid radar accepted")
 	}
 }
@@ -228,7 +228,7 @@ func TestNoTagScene(t *testing.T) {
 	}}
 	p := NewPipeline(radar.TI1443())
 	truth := passPositions(3, 150)
-	res, err := p.Run(sc, truth, truth, geom.Vec3{X: 2}, seed)
+	res, err := p.RunContext(context.Background(), sc, truth, truth, geom.Vec3{X: 2}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestWorkCountsFollowDecodePath(t *testing.T) {
 			p := NewPipeline(tc.radar)
 			p.Fault = tc.fault
 			sc := buildScene(t, "1111", false, rand.New(rand.NewSource(1)))
-			res, err := p.Run(sc, truth, truth, geom.Vec3{X: 2}, 3)
+			res, err := p.RunContext(context.Background(), sc, truth, truth, geom.Vec3{X: 2}, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

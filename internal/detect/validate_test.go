@@ -2,7 +2,6 @@ package detect
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"ros/internal/radar"
@@ -28,8 +27,6 @@ func TestPipelineValidateRejections(t *testing.T) {
 		{"negative extent", func(p *Pipeline) { p.TagMaxExtent = -0.5 }},
 		{"azimuth cap above 90", func(p *Pipeline) { p.DecodeAzimuthCapDeg = 91 }},
 		{"negative workers", func(p *Pipeline) { p.Workers = -2 }},
-		{"frame loss above 1", func(p *Pipeline) { p.MaxFrameLoss = 1.5 }},
-		{"NaN frame loss", func(p *Pipeline) { p.MaxFrameLoss = math.NaN() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -105,7 +105,10 @@ func PercentileInPlace(x []float64, p float64) float64 {
 	// After selectKth, s[lo+1:] holds exactly the ranks above lo, so the
 	// interpolation partner (rank lo+1) is its minimum.
 	w, _ := Min(s[lo+1:])
-	return v*(1-frac) + w*frac
+	// Rounding can carry the blend an ulp outside [v, w] (equal huge
+	// neighbours do it); the clamp never moves a median, whose halves sum
+	// exactly.
+	return min(max(v*(1-frac)+w*frac, v), w)
 }
 
 // selectKth places the k-th smallest element of s at index k (with smaller

@@ -37,91 +37,83 @@ func decodeWith(out *sim.Outcome, window dsp.Window, disableDetrend bool) float6
 // polarization switching is more than 14 dB": decoding with the PSVAA
 // against the same pass with a plain (co-polarized) VAA tag amid clutter.
 func AblationPolSwitch(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Ablation: polarization switching",
 		Title:   "decoding with vs without the PSVAA's polarization switching (clutter present)",
 		Columns: []string{"configuration", "SNR (dB)", "bits"},
 		Notes: "paper Sec 4.2: switching costs 6 dB of RCS but buys > 14 dB " +
 			"of clutter suppression — a clear net win near clutter",
-	}
-	on := mustRun(ctx, sim.DriveBy{BeamShaped: true, WithClutter: true, Seed: 500})
-	off := mustRun(ctx, sim.DriveBy{BeamShaped: true, WithClutter: true, DisablePolSwitching: true, Seed: 500})
-	t.AddRow("PSVAA (switching on)", snrCell(on), on.Bits)
-	t.AddRow("plain VAA (switching off)", snrCell(off), off.Bits)
-	if on.Detected && off.Detected && !math.IsInf(off.SNRdB, -1) {
-		t.AddRow("switching benefit (dB)", f1(on.SNRdB-off.SNRdB), "")
-	}
-	return t
+	}, []int64{500}, func(seed int64) []sim.DriveBy {
+		return []sim.DriveBy{
+			{BeamShaped: true, WithClutter: true, Seed: seed},
+			{BeamShaped: true, WithClutter: true, DisablePolSwitching: true, Seed: seed},
+		}
+	}, func(t *Table, _ int64, outs []*sim.Outcome) {
+		on, off := outs[0], outs[1]
+		t.AddRow("PSVAA (switching on)", snrCell(on), on.Bits)
+		t.AddRow("plain VAA (switching off)", snrCell(off), off.Bits)
+		if on.Detected && off.Detected && !math.IsInf(off.SNRdB, -1) {
+			t.AddRow("switching benefit (dB)", f1(on.SNRdB-off.SNRdB), "")
+		}
+	})
 }
 
 // AblationWindow compares spectral windows in the decoder.
 func AblationWindow(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Ablation: spectrum window",
 		Title:   "decoder window choice on the same pass",
 		Columns: []string{"window", "SNR (dB)"},
 		Notes: "rectangular leaks strong coding peaks into neighbouring " +
 			"slots; Hann (the default) balances leakage and resolution",
-	}
-	out := mustRun(ctx, sim.DriveBy{BeamShaped: true, WithClutter: true, Seed: 501})
-	for _, w := range []dsp.Window{dsp.Rectangular, dsp.Hann, dsp.Hamming, dsp.Blackman} {
-		snr := decodeWith(out, w, false)
-		cell := "lost"
-		if !math.IsInf(snr, -1) {
-			cell = f1(snr)
+	}, []int64{501}, func(seed int64) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, WithClutter: true, Seed: seed}}
+	}, func(t *Table, _ int64, outs []*sim.Outcome) {
+		for _, w := range []dsp.Window{dsp.Rectangular, dsp.Hann, dsp.Hamming, dsp.Blackman} {
+			t.AddRow(w.String(), dbCell(true, decodeWith(outs[0], w, false)))
 		}
-		t.AddRow(w.String(), cell)
-	}
-	return t
+	})
 }
 
 // AblationDetrend compares decoding with and without stripping the
 // single-stack envelope r_T(theta) before the FFT (Sec 5.1/6).
 func AblationDetrend(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Ablation: envelope detrending",
 		Title:   "decoding with vs without r_T(theta) envelope removal",
 		Columns: []string{"configuration", "SNR (dB)"},
 		Notes: "the slowly varying single-stack envelope leaks low-frequency " +
 			"energy across the coding band unless removed (Sec 6's " +
 			"normalization step)",
-	}
-	out := mustRun(ctx, sim.DriveBy{BeamShaped: true, Seed: 502})
-	with := decodeWith(out, dsp.Hann, false)
-	without := decodeWith(out, dsp.Hann, true)
-	cell := func(v float64) string {
-		if math.IsInf(v, -1) {
-			return "lost"
-		}
-		return f1(v)
-	}
-	t.AddRow("with detrending", cell(with))
-	t.AddRow("without detrending", cell(without))
-	return t
+	}, []int64{502}, func(seed int64) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, Seed: seed}}
+	}, func(t *Table, _ int64, outs []*sim.Outcome) {
+		t.AddRow("with detrending", dbCell(true, decodeWith(outs[0], dsp.Hann, false)))
+		t.AddRow("without detrending", dbCell(true, decodeWith(outs[0], dsp.Hann, true)))
+	})
 }
 
 // AblationSampling sweeps the per-pass frame budget against Eq 9's Nyquist
 // requirement.
 func AblationSampling(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Ablation: RCS sampling density",
 		Title:   "decoding SNR vs frames per pass (Eq 9 Nyquist bound)",
 		Columns: []string{"frames", "SNR (dB)", "bits"},
 		Notes: "the fastest coding tone needs ~60 samples over the pass " +
 			"(Sec 5.3); oversampling beyond that buys averaging gain",
-	}
-	for _, frames := range []int{48, 96, 192, 280} {
-		out := mustRun(ctx, sim.DriveBy{BeamShaped: true, FrameBudget: frames, Seed: 503})
-		t.AddRow(itoa(frames), snrCell(out), out.Bits)
-	}
-	return t
+	}, []int{48, 96, 192, 280}, func(frames int) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, FrameBudget: frames, Seed: 503}}
+	}, func(t *Table, frames int, outs []*sim.Outcome) {
+		t.AddRow(itoa(frames), snrCell(outs[0]), outs[0].Bits)
+	})
 }
 
 // AblationGroundMultipath adds the two-ray road bounce the paper's
 // evaluation setup avoids (tags on tripods, short ranges) and shows the
 // frequency-domain code shrugging it off.
 func AblationGroundMultipath(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Ablation: ground multipath",
 		Title:   "two-ray road-surface bounce on vs off",
 		Columns: []string{"distance (m)", "flat channel", "with ground bounce"},
@@ -129,65 +121,69 @@ func AblationGroundMultipath(ctx context.Context) *Table {
 			"detrending strips most of it so decoding usually survives with a " +
 			"few dB penalty, though a deep bounce null can still defeat " +
 			"detection at unlucky geometries",
-	}
-	for _, d := range []float64{2, 3, 4} {
-		flat := mustRun(ctx, sim.DriveBy{BeamShaped: true, Standoff: d, Seed: 800 + int64(d)})
-		bounce := mustRun(ctx, sim.DriveBy{BeamShaped: true, Standoff: d, GroundMultipath: true, Seed: 800 + int64(d)})
-		t.AddRow(f1(d), snrCell(flat), snrCell(bounce))
-	}
-	return t
+	}, []float64{2, 3, 4}, func(d float64) []sim.DriveBy {
+		return []sim.DriveBy{
+			{BeamShaped: true, Standoff: d, Seed: 800 + int64(d)},
+			{BeamShaped: true, Standoff: d, GroundMultipath: true, Seed: 800 + int64(d)},
+		}
+	}, func(t *Table, d float64, outs []*sim.Outcome) {
+		t.AddRow(f1(d), snrCell(outs[0]), snrCell(outs[1]))
+	})
 }
 
-// AblationADC sweeps the baseband converter resolution.
+// AblationADC sweeps the baseband converter resolution; 0 bits is the
+// ideal converter.
 func AblationADC(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Ablation: ADC resolution",
 		Title:   "decoding SNR vs baseband ADC bits",
 		Columns: []string{"ADC bits", "SNR (dB)", "bits"},
 		Notes: "the TI radar digitizes at 12+ bits; the spatial code keeps " +
 			"working down to coarse converters because the coding information " +
 			"lives in peak positions, not fine amplitudes",
-	}
-	for _, bits := range []int{4, 6, 8, 12} {
+	}, []int{4, 6, 8, 12, 0}, func(bits int) []sim.DriveBy {
 		cfg := radar.TI1443()
 		cfg.ADCBits = bits
-		out := mustRun(ctx, sim.DriveBy{BeamShaped: true, Radar: &cfg, Seed: 801})
-		t.AddRow(itoa(bits), snrCell(out), out.Bits)
-	}
-	ideal := mustRun(ctx, sim.DriveBy{BeamShaped: true, Seed: 801})
-	t.AddRow("ideal", snrCell(ideal), ideal.Bits)
-	return t
+		return []sim.DriveBy{{BeamShaped: true, Radar: &cfg, Seed: 801}}
+	}, func(t *Table, bits int, outs []*sim.Outcome) {
+		label := itoa(bits)
+		if bits == 0 {
+			label = "ideal"
+		}
+		t.AddRow(label, snrCell(outs[0]), outs[0].Bits)
+	})
 }
 
 // AblationWavelength probes the decoder's sensitivity to an incorrect
 // wavelength assumption: the spacing axis of the RCS spectrum scales with
 // lambda, so a mis-assumed carrier shifts every coding peak off its slot.
 func AblationWavelength(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Ablation: wavelength assumption",
 		Title:   "decoding with a wrong carrier-frequency assumption",
 		Columns: []string{"assumed carrier (GHz)", "SNR (dB)", "bits"},
 		Notes: "peaks live at 2*d/lambda cycles per unit u; a ~3 GHz (4%) " +
 			"carrier error shifts the 10.5-lambda peak by ~0.4 lambda, " +
 			"half a slot tolerance — the decoder must know the band it reads",
-	}
-	out := mustRun(ctx, sim.DriveBy{BeamShaped: true, Seed: 810})
-	if !out.Detected {
-		t.AddRow("n/a", "lost", "")
-		return t
-	}
-	for _, ghz := range []float64{73, 76, 79, 82, 85} {
-		lambda := em.C / (ghz * 1e9)
-		dec, err := coding.NewDecoder(4, coding.DefaultDelta(), lambda)
-		if err != nil {
-			panic(err)
+	}, []int64{810}, func(seed int64) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, Seed: seed}}
+	}, func(t *Table, _ int64, outs []*sim.Outcome) {
+		out := outs[0]
+		if !out.Detected {
+			t.AddRow("n/a", "lost", "")
+			return
 		}
-		res, err := dec.Decode(out.Detection.TagU, out.Detection.TagRSS, nil)
-		if err != nil {
-			t.AddRow(f1(ghz), "lost", "")
-			continue
+		for _, ghz := range []float64{73, 76, 79, 82, 85} {
+			dec, err := coding.NewDecoder(4, coding.DefaultDelta(), em.C/(ghz*1e9))
+			if err != nil {
+				panic(err)
+			}
+			res, err := dec.Decode(out.Detection.TagU, out.Detection.TagRSS, nil)
+			if err != nil {
+				t.AddRow(f1(ghz), "lost", "")
+				continue
+			}
+			t.AddRow(f1(ghz), f1(res.SNRdB), coding.BitsString(res.Bits))
 		}
-		t.AddRow(f1(ghz), f1(res.SNRdB), coding.BitsString(res.Bits))
-	}
-	return t
+	})
 }

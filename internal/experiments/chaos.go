@@ -14,7 +14,8 @@ import (
 // the aggregate of azimuth samples, so losing a random subset of frames
 // lowers SNR smoothly instead of breaking the read.
 func ChaosFaultSweep(ctx context.Context) *Table {
-	t := &Table{
+	rates := []float64{0, 0.05, 0.1, 0.2, 0.3}
+	return runPoints(ctx, &Table{
 		ID:    "Chaos",
 		Title: "decoding under injected frame loss and sample corruption",
 		Columns: []string{"drop rate", "frames kept", "dropped", "scrubbed",
@@ -22,29 +23,20 @@ func ChaosFaultSweep(ctx context.Context) *Table {
 		Notes: "expected: correct decode with gently falling SNR through 20% " +
 			"frame loss; reads fail typed (ErrFrameCorrupt) only past the " +
 			"50% loss budget",
-	}
-	rates := []float64{0, 0.05, 0.1, 0.2, 0.3}
-	var cfgs []sim.DriveBy
-	for i, rate := range rates {
-		cfgs = append(cfgs, sim.DriveBy{
+	}, []int{0, 1, 2, 3, 4}, func(i int) []sim.DriveBy {
+		seed := 190 + int64(i)
+		return []sim.DriveBy{{
 			BeamShaped: true,
-			Seed:       190 + int64(i),
-			Fault: &fault.Config{
-				Seed:          190 + int64(i),
-				FrameDropRate: rate,
-				CorruptRate:   rate,
-			},
-		})
-	}
-	outs := runAll(ctx, cfgs)
-	for i, rate := range rates {
-		o := outs[i]
+			Seed:       seed,
+			Fault:      &fault.Config{Seed: seed, FrameDropRate: rates[i], CorruptRate: rates[i]},
+		}}
+	}, func(t *Table, i int, outs []*sim.Outcome) {
+		o := outs[0]
 		correct := "no"
 		if o.Correct {
 			correct = "yes"
 		}
-		t.AddRow(f2(rate), itoa(o.FramesCompleted), itoa(o.FramesDropped),
+		t.AddRow(f2(rates[i]), itoa(o.FramesCompleted), itoa(o.FramesDropped),
 			itoa(o.SamplesScrubbed), snrCell(o), o.Bits, correct)
-	}
-	return t
+	})
 }

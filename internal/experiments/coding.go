@@ -17,11 +17,7 @@ func Fig10(ctx context.Context) *Table {
 		Notes: "paper: coding stacks at 6, -7.5, 9, -10.5 lambda; 4 coding " +
 			"peaks at those spacings; secondary peaks outside the coding band",
 	}
-	bits, err := coding.ParseBits("1111")
-	if err != nil {
-		panic(err)
-	}
-	l, err := coding.NewLayout(bits, coding.DefaultDelta())
+	l, err := coding.NewLayout([]bool{true, true, true, true}, coding.DefaultDelta())
 	if err != nil {
 		panic(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"ros/internal/dsp"
 	"ros/internal/em"
 	"ros/internal/geom"
 	"ros/internal/obs"
@@ -11,84 +12,89 @@ import (
 	"ros/internal/sweep"
 )
 
-// mustRun executes a drive-by and panics on configuration errors
-// (experiment definitions are static, so errors are programmer errors). A
-// cancelled context also surfaces as a panic — carrying the typed
-// roserr.ErrReadCancelled — which cmd/rosbench recovers into a clean exit.
-// The failing configuration is logged first so the panic has context.
-func mustRun(ctx context.Context, cfg sim.DriveBy) *sim.Outcome {
-	out, err := sim.RunContext(ctx, cfg)
+// runPoints runs every drive-by of every point in one pass on the sweep
+// pool, then hands each point's outcomes, in point order, to addRows, which
+// formats that point's rows into t. A point may hold several drive-bys (a
+// shaped/baseline pair, one read per stack size or seed). Experiment
+// definitions are static, so a failed drive-by is a programmer error and
+// panics; a cancelled ctx panics with the typed roserr.ErrReadCancelled,
+// which cmd/rosbench recovers into a clean exit.
+func runPoints[P any](ctx context.Context, t *Table, points []P, driveBys func(P) []sim.DriveBy,
+	addRows func(t *Table, p P, outs []*sim.Outcome)) *Table {
+	var cfgs []sim.DriveBy
+	ends := make([]int, len(points))
+	for i, p := range points {
+		cfgs = append(cfgs, driveBys(p)...)
+		ends[i] = len(cfgs)
+	}
+	outs, _, err := sweep.MapCtx(ctx, cfgs, 0, sim.RunContext)
+	mustSucceed(t.ID, err)
+	start := 0
+	for i, p := range points {
+		addRows(t, p, outs[start:ends[i]])
+		start = ends[i]
+	}
+	return t
+}
+
+// mustSucceed panics with err, logged first with the table it cut short.
+// The sweep pool has already logged each failing point with its index.
+func mustSucceed(id string, err error) {
 	if err != nil {
-		obs.Logger().Error("experiments: drive-by failed",
-			"bits", cfg.Bits, "seed", cfg.Seed, "standoff", cfg.Standoff, "err", err)
+		obs.Logger().Error("experiments: reads failed", "table", id, "err", err)
 		panic(err)
 	}
-	return out
 }
 
-// runAll executes independent drive-bys on a worker pool, preserving order.
-// The pool has already logged each failing point with its index; like
-// mustRun, failures (including cancellation) surface as a panic carrying the
-// typed error.
-func runAll(ctx context.Context, cfgs []sim.DriveBy) []*sim.Outcome {
-	outs, _, err := sweep.MapCtx(ctx, cfgs, 0, func(ctx context.Context, cfg sim.DriveBy) (*sim.Outcome, error) {
-		return sim.RunContext(ctx, cfg)
-	})
-	if err != nil {
-		obs.Logger().Error("experiments: sweep failed",
-			"points", len(cfgs), "err", err)
-		panic(err)
-	}
-	return outs
-}
-
-// snrCell formats an SNR, marking failed reads.
-func snrCell(o *sim.Outcome) string {
-	if !o.Detected || math.IsInf(o.SNRdB, -1) {
+// dbCell formats a decibel value, marking a lost read or a failed decode
+// (-Inf) as "lost".
+func dbCell(ok bool, v float64) string {
+	if !ok || math.IsInf(v, -1) {
 		return "lost"
 	}
-	return f1(o.SNRdB)
+	return f1(v)
 }
 
-// rssCell formats a median RSS.
-func rssCell(o *sim.Outcome) string {
-	if !o.Detected || math.IsInf(o.MedianRSSdBm, -1) {
-		return "lost"
-	}
-	return f1(o.MedianRSSdBm)
+// snrCell formats a drive-by's decoding SNR.
+func snrCell(o *sim.Outcome) string { return dbCell(o.Detected, o.SNRdB) }
+
+// snrRow adds a point's row: its value and the SNR of its one drive-by.
+func snrRow(t *Table, v float64, outs []*sim.Outcome) {
+	t.AddRow(f1(v), snrCell(outs[0]))
+}
+
+// snrBitsRow is snrRow with the decoded bits appended.
+func snrBitsRow(t *Table, v float64, outs []*sim.Outcome) {
+	t.AddRow(f1(v), snrCell(outs[0]), outs[0].Bits)
 }
 
 // Fig14 regenerates Fig 14: RSS and decoding SNR vs elevation angle for
 // beam-shaped tags and the unshaped baseline, radar fixed 3 m away.
 func Fig14(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:    "Fig 14",
 		Title: "elevation misalignment, 3 m standoff: beam shaping vs baseline",
 		Columns: []string{"elevation (deg)", "shaped RSS (dBm)", "baseline RSS (dBm)",
 			"shaped SNR (dB)", "baseline SNR (dB)"},
 		Notes: "paper: shaped tags stay > 15 dB SNR across 0-4 deg; the " +
 			"baseline varies wildly and dips to ~10 dB",
-	}
-	degs := []float64{0, 1, 2, 3, 4}
-	var cfgs []sim.DriveBy
-	for _, deg := range degs {
+	}, []float64{0, 1, 2, 3, 4}, func(deg float64) []sim.DriveBy {
 		h := 3 * math.Tan(geom.Rad(deg))
-		cfgs = append(cfgs,
-			sim.DriveBy{BeamShaped: true, HeightOffset: h, Seed: 140 + int64(deg*10)},
-			sim.DriveBy{BeamShaped: false, HeightOffset: h, Seed: 140 + int64(deg*10)})
-	}
-	outs := runAll(ctx, cfgs)
-	for i, deg := range degs {
-		shaped, base := outs[2*i], outs[2*i+1]
-		t.AddRow(f1(deg), rssCell(shaped), rssCell(base), snrCell(shaped), snrCell(base))
-	}
-	return t
+		return []sim.DriveBy{
+			{BeamShaped: true, HeightOffset: h, Seed: 140 + int64(deg*10)},
+			{BeamShaped: false, HeightOffset: h, Seed: 140 + int64(deg*10)},
+		}
+	}, func(t *Table, deg float64, outs []*sim.Outcome) {
+		shaped, base := outs[0], outs[1]
+		t.AddRow(f1(deg), dbCell(shaped.Detected, shaped.MedianRSSdBm), dbCell(base.Detected, base.MedianRSSdBm),
+			snrCell(shaped), snrCell(base))
+	})
 }
 
 // Fig15 regenerates Fig 15: RSS and SNR vs radar-to-tag distance for tags
 // with 8, 16 and 32 PSVAAs per stack.
 func Fig15(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:    "Fig 15",
 		Title: "radar-to-tag distance sweep for 8/16/32-module stacks",
 		Columns: []string{"distance (m)", "RSS 8 (dBm)", "RSS 16", "RSS 32",
@@ -96,113 +102,87 @@ func Fig15(ctx context.Context) *Table {
 		Notes: "paper: RSS follows the d^-4 law; 8/16/32-module tags decodable " +
 			"to ~4/5/6 m; the 32-module tag pays a near-field SNR penalty " +
 			"(its far field is ~6 m), so 8/16 show statistically higher SNR",
-	}
-	dists := []float64{2, 3, 4, 5, 6}
-	mods := []int{8, 16, 32}
-	var cfgs []sim.DriveBy
-	for _, d := range dists {
-		for _, mod := range mods {
+	}, []float64{2, 3, 4, 5, 6}, func(d float64) []sim.DriveBy {
+		var cfgs []sim.DriveBy
+		for _, mod := range []int{8, 16, 32} {
 			cfgs = append(cfgs, sim.DriveBy{
 				BeamShaped: true, StackModules: mod, Standoff: d,
 				Seed: 150 + int64(d*10) + int64(mod),
 			})
 		}
-	}
-	outs := runAll(ctx, cfgs)
-	for i, d := range dists {
+		return cfgs
+	}, func(t *Table, d float64, outs []*sim.Outcome) {
 		row := []string{f1(d)}
-		group := outs[i*len(mods) : (i+1)*len(mods)]
-		for _, o := range group {
-			row = append(row, rssCell(o))
+		for _, o := range outs {
+			row = append(row, dbCell(o.Detected, o.MedianRSSdBm))
 		}
-		for _, o := range group {
+		for _, o := range outs {
 			row = append(row, snrCell(o))
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+		t.AddRow(row...)
+	})
 }
 
 // Fig16a regenerates Fig 16a: two tags side by side at spread angles of
 // 10-30 degrees.
 func Fig16a(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Fig 16a",
 		Title:   "adjacent-tag interference vs spread angle (two tags, 3 m)",
 		Columns: []string{"spread angle (deg)", "SNR (dB)"},
 		Notes:   "paper: SNR only slightly increases with spread angle, staying well above 15 dB",
-	}
-	angles := []float64{10, 15, 20, 25, 30}
-	var cfgs []sim.DriveBy
-	for _, a := range angles {
-		cfgs = append(cfgs, sim.DriveBy{BeamShaped: true, SecondTagSpreadDeg: a, Seed: 160 + int64(a)})
-	}
-	outs := runAll(ctx, cfgs)
-	for i, a := range angles {
-		t.AddRow(f1(a), snrCell(outs[i]))
-	}
-	return t
+	}, []float64{10, 15, 20, 25, 30}, func(a float64) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, SecondTagSpreadDeg: a, Seed: 160 + int64(a)}}
+	}, snrRow)
 }
 
 // Fig16b regenerates Fig 16b: a second interrogating radar 1-3 m away.
 func Fig16b(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Fig 16b",
 		Title:   "adjacent-radar interference vs radar separation",
 		Columns: []string{"separation (m)", "SNR (dB)"},
 		Notes: "paper: SNR slightly increases with separation and stays above " +
 			"15 dB even at 1 m (retroreflection suppresses cross-radar paths)",
-	}
-	seps := []float64{1, 1.5, 2, 2.5, 3}
-	var cfgs []sim.DriveBy
-	for _, s := range seps {
-		cfgs = append(cfgs, sim.DriveBy{BeamShaped: true, InterfererSeparation: s, Seed: 161 + int64(s*10)})
-	}
-	outs := runAll(ctx, cfgs)
-	for i, s := range seps {
-		t.AddRow(f1(s), snrCell(outs[i]))
-	}
-	return t
+	}, []float64{1, 1.5, 2, 2.5, 3}, func(s float64) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, InterfererSeparation: s, Seed: 161 + int64(s*10)}}
+	}, snrRow)
 }
 
 // Fig16c regenerates Fig 16c: decoding under fog.
 func Fig16c(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Fig 16c",
 		Title:   "decoding SNR under fog",
 		Columns: []string{"fog level", "SNR (dB)"},
 		Notes:   "paper: median SNR stays above 15 dB at every fog level",
-	}
-	for _, fog := range []em.FogLevel{em.FogClear, em.FogLight, em.FogHeavy} {
-		out := mustRun(ctx, sim.DriveBy{BeamShaped: true, Fog: fog, Seed: 162 + int64(fog)})
-		t.AddRow(fog.String(), snrCell(out))
-	}
-	return t
+	}, []em.FogLevel{em.FogClear, em.FogLight, em.FogHeavy}, func(fog em.FogLevel) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, Fog: fog, Seed: 162 + int64(fog)}}
+	}, func(t *Table, fog em.FogLevel, outs []*sim.Outcome) {
+		t.AddRow(fog.String(), snrCell(outs[0]))
+	})
 }
 
 // Fig16d regenerates Fig 16d: decoding vs relative self-tracking error.
 func Fig16d(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Fig 16d",
 		Title:   "decoding SNR vs relative tracking error",
 		Columns: []string{"tracking error (%)", "SNR (dB)", "bits"},
 		Notes: "paper: ~20 dB below 6% error, decreasing beyond as the coding " +
 			"peaks distort",
-	}
-	pcts := []float64{0, 2, 4, 6, 8, 10}
-	var cfgs []sim.DriveBy
-	for _, pct := range pcts {
+	}, []float64{0, 2, 4, 6, 8, 10}, func(pct float64) []sim.DriveBy {
+		var cfgs []sim.DriveBy
 		for s := int64(0); s < 3; s++ {
 			cfgs = append(cfgs, sim.DriveBy{BeamShaped: true, TrackingError: pct / 100, Seed: 163 + s})
 		}
-	}
-	outs := runAll(ctx, cfgs)
-	for i, pct := range pcts {
+		return cfgs
+	}, func(t *Table, pct float64, outs []*sim.Outcome) {
 		// Median over three drift realizations (the paper reports
 		// medians across repeated reads).
 		var snrs []float64
 		bits := ""
-		for _, out := range outs[3*i : 3*i+3] {
+		for _, out := range outs {
 			if out.Detected && !math.IsInf(out.SNRdB, -1) {
 				snrs = append(snrs, out.SNRdB)
 				bits = out.Bits
@@ -210,55 +190,38 @@ func Fig16d(ctx context.Context) *Table {
 		}
 		if len(snrs) == 0 {
 			t.AddRow(f1(pct), "lost", "")
-			continue
+			return
 		}
-		t.AddRow(f1(pct), f1(median(snrs)), bits)
-	}
-	return t
+		t.AddRow(f1(pct), f1(dsp.Median(snrs)), bits)
+	})
 }
 
 // Fig17 regenerates Fig 17: decoding vs the angular field of view over which
 // the RCS is sampled.
 func Fig17(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Fig 17",
 		Title:   "decoding SNR vs angular field of view",
 		Columns: []string{"FoV (deg)", "SNR (dB)", "bits"},
 		Notes: "paper: SNR rises from 20 to ~80 deg and dips slightly at 100 " +
 			"(samples beyond the radar's 60 deg antenna FoV are noise); 60 deg " +
 			"suffices",
-	}
-	fovs := []float64{20, 40, 60, 80, 100}
-	var cfgs []sim.DriveBy
-	for _, fov := range fovs {
-		cfgs = append(cfgs, sim.DriveBy{BeamShaped: true, FoVDeg: fov, Seed: 170})
-	}
-	outs := runAll(ctx, cfgs)
-	for i, fov := range fovs {
-		t.AddRow(f1(fov), snrCell(outs[i]), outs[i].Bits)
-	}
-	return t
+	}, []float64{20, 40, 60, 80, 100}, func(fov float64) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, FoVDeg: fov, Seed: 170}}
+	}, snrBitsRow)
 }
 
 // Fig18 regenerates Fig 18: decoding vs vehicle speed.
 func Fig18(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Fig 18",
 		Title:   "decoding SNR vs vehicle speed",
 		Columns: []string{"speed (mph)", "SNR (dB)", "bits"},
 		Notes: "paper: SNR varies with driving dynamics but consistently " +
 			"exceeds 14 dB; Doppler is negligible",
-	}
-	mphs := []float64{10, 15, 20, 25, 30}
-	var cfgs []sim.DriveBy
-	for _, mph := range mphs {
-		cfgs = append(cfgs, sim.DriveBy{BeamShaped: true, Speed: geom.MPH(mph), Seed: 180 + int64(mph)})
-	}
-	outs := runAll(ctx, cfgs)
-	for i, mph := range mphs {
-		t.AddRow(f1(mph), snrCell(outs[i]), outs[i].Bits)
-	}
-	return t
+	}, []float64{10, 15, 20, 25, 30}, func(mph float64) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, Speed: geom.MPH(mph), Seed: 180 + int64(mph)}}
+	}, snrBitsRow)
 }
 
 // LinkBudget regenerates the Sec 5.3 / Sec 8 link-budget table.

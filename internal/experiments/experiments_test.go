@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
 
 	"ros/internal/em"
+	"ros/internal/roserr"
 )
 
 // cellFloat parses a numeric table cell.
@@ -243,5 +245,37 @@ func TestFig16cShape(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Log("\n" + tab.String())
+	}
+}
+
+// TestCancelledGeneratorsPanicTyped runs every generator that reads with an
+// already-cancelled context: each must stop and panic with an error matching
+// roserr.ErrReadCancelled (cmd/rosbench recovers it into a clean exit)
+// rather than finish its reads. The generators listed below compute their
+// tables without a read and are not run.
+func TestCancelledGeneratorsPanicTyped(t *testing.T) {
+	noReads := map[string]bool{
+		"Fig 3": true, "Fig 4a": true, "Fig 4b": true, "Fig 5": true,
+		"Fig 6": true, "Fig 8": true, "Fig 10": true,
+		"Link budget": true, "Capacity": true, "Pair bound": true,
+		"Extension: circular polarization": true, "Extension: ASK modulation": true,
+		"Extension: near-field focusing": true, "Extension: elevation monopulse": true,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, g := range Registry() {
+		if noReads[g.ID] {
+			continue
+		}
+		t.Run(g.ID, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				err, _ := r.(error)
+				if !errors.Is(err, roserr.ErrReadCancelled) {
+					t.Errorf("recovered %v, want an error matching ErrReadCancelled", r)
+				}
+			}()
+			g.Run(ctx)
+		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"ros/internal/beamshape"
 	"ros/internal/coding"
 	"ros/internal/em"
 	"ros/internal/geom"
@@ -123,22 +122,23 @@ func ExtensionNFFA(ctx context.Context) *Table {
 // vehicle shadows part of the pass; longer blockers erode the usable angular
 // view until the read fails, and a redundant tag down the road restores it.
 func ExtensionOcclusion(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Extension: occlusion",
 		Title:   "Sec 7.3 blockage: parked vehicle between the lane and the tag",
 		Columns: []string{"blocker half-length (m)", "single tag", "with redundant tag +8 m"},
 		Notes: "paper Sec 7.3: decoding fails when the tag is fully blocked; " +
 			"installing redundant RoS tags along the road restores the read",
-	}
-	for _, half := range []float64{0, 0.5, 1.5, 3, 4.5} {
-		single := mustRun(ctx, sim.DriveBy{BeamShaped: true, BlockerHalfLength: half, Seed: 700})
-		spare := mustRun(ctx, sim.DriveBy{
-			BeamShaped: true, BlockerHalfLength: half, Seed: 700,
-			RedundantTagOffset: 8, HalfSpan: 12, FrameBudget: 520,
-		})
-		t.AddRow(f1(half), snrCell(single), snrCell(spare))
-	}
-	return t
+	}, []float64{0, 0.5, 1.5, 3, 4.5}, func(half float64) []sim.DriveBy {
+		return []sim.DriveBy{
+			{BeamShaped: true, BlockerHalfLength: half, Seed: 700},
+			{
+				BeamShaped: true, BlockerHalfLength: half, Seed: 700,
+				RedundantTagOffset: 8, HalfSpan: 12, FrameBudget: 520,
+			},
+		}
+	}, func(t *Table, half float64, outs []*sim.Outcome) {
+		t.AddRow(f1(half), snrCell(outs[0]), snrCell(outs[1]))
+	})
 }
 
 // ExtensionElevation exercises the IWR1443's elevated transmitter: phase
@@ -157,18 +157,7 @@ func ExtensionElevation(ctx context.Context) *Table {
 	e := radar.TI1443Elevation()
 	rng := rand.New(rand.NewSource(900))
 	for _, h := range []float64{-0.5, 0, 0.5, 1.0, 1.5} {
-		bits, err := coding.ParseBits("1111")
-		if err != nil {
-			panic(err)
-		}
-		layout, err := coding.NewLayout(bits, coding.DefaultDelta())
-		if err != nil {
-			panic(err)
-		}
-		tag, err := scene.NewTag(layout, beamshape.Shaped(32), geom.Vec3{Z: h})
-		if err != nil {
-			panic(err)
-		}
+		tag := tag1111(geom.Vec3{Z: h})
 		sc := &scene.Scene{Tags: []*scene.Tag{tag}}
 		radarPos := geom.Vec3{Y: 3.5}
 		scat := sc.Scatterers(radarPos, geom.Vec3{}, scene.ModeDecode, e.FrontEnd, e.CenterFrequency, rng)
@@ -193,78 +182,56 @@ func ExtensionElevation(ctx context.Context) *Table {
 // tag — Sec 1's premise: "A vehicle passing by the tag can localize it,
 // measure its reflection pattern, and decode the embedded information."
 func ExtensionLocalization(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Extension: localization",
 		Title:   "tag localization error across pass distances",
 		Columns: []string{"distance (m)", "position error (cm)", "SNR (dB)"},
 		Notes: "the merged point cloud's weighted centroid localizes the tag " +
 			"to centimeters at lane distances, the precision the decode's " +
 			"u-resampling relies on",
-	}
-	dists := []float64{2, 3, 4, 5}
-	var cfgs []sim.DriveBy
-	for _, d := range dists {
-		cfgs = append(cfgs, sim.DriveBy{BeamShaped: true, Standoff: d, Seed: 910 + int64(d)})
-	}
-	outs := runAll(ctx, cfgs)
-	for i, d := range dists {
-		out := outs[i]
+	}, []float64{2, 3, 4, 5}, func(d float64) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, Standoff: d, Seed: 910 + int64(d)}}
+	}, func(t *Table, d float64, outs []*sim.Outcome) {
+		out := outs[0]
 		if !out.Detected {
 			t.AddRow(f1(d), "lost", "")
-			continue
+			return
 		}
 		errM := out.Detection.Objects[out.Detection.TagIndex].Centroid.Norm()
 		t.AddRow(f1(d), f1(errM*100), snrCell(out))
-	}
-	return t
+	})
 }
 
 // ExtensionRain sweeps precipitation (Sec 7.3 quotes 3.2 dB/100 m at
 // 100 mm/h): like fog, rain barely dents a 79 GHz link at tag ranges.
 func ExtensionRain(ctx context.Context) *Table {
-	t := &Table{
+	return runPoints(ctx, &Table{
 		ID:      "Extension: rain",
 		Title:   "decoding SNR under rain",
 		Columns: []string{"rain (mm/h)", "SNR (dB)"},
 		Notes: "Sec 7.3: heavy rain costs ~3.2 dB per 100 m one-way — " +
 			"negligible over a 3 m read, the radar's whole advantage over " +
 			"cameras in weather",
-	}
-	rates := []float64{0, 25, 100}
-	var cfgs []sim.DriveBy
-	for _, r := range rates {
-		cfgs = append(cfgs, sim.DriveBy{BeamShaped: true, RainMMPerHour: r, Seed: 920})
-	}
-	outs := runAll(ctx, cfgs)
-	for i, r := range rates {
-		t.AddRow(f1(r), snrCell(outs[i]))
-	}
-	return t
+	}, []float64{0, 25, 100}, func(r float64) []sim.DriveBy {
+		return []sim.DriveBy{{BeamShaped: true, RainMMPerHour: r, Seed: 920}}
+	}, snrRow)
 }
 
 // ExtensionCommercialRange reads tags at multi-lane distances with the
 // Sec 8 commercial front end on a long-range chirp.
 func ExtensionCommercialRange(ctx context.Context) *Table {
-	t := &Table{
+	rcfg := radar.Commercial()
+	return runPoints(ctx, &Table{
 		ID:      "Extension: commercial range",
 		Title:   "Sec 8 commercial front end: reads far beyond the TI radar",
 		Columns: []string{"distance (m)", "SNR (dB)", "bits"},
 		Notes: "the TI evaluation radar dies at ~7 m; the commercial link " +
 			"budget (NF 9 dB, EIRP 50 dBm) reads the same tag tens of meters " +
 			"out, matching the 52 m bound of Sec 8",
-	}
-	rcfg := radar.Commercial()
-	dists := []float64{5, 10, 20, 30}
-	var cfgs []sim.DriveBy
-	for _, d := range dists {
-		cfgs = append(cfgs, sim.DriveBy{
+	}, []float64{5, 10, 20, 30}, func(d float64) []sim.DriveBy {
+		return []sim.DriveBy{{
 			BeamShaped: true, Standoff: d, Radar: &rcfg,
 			Speed: 10, Seed: 930 + int64(d),
-		})
-	}
-	outs := runAll(ctx, cfgs)
-	for i, d := range dists {
-		t.AddRow(f1(d), snrCell(outs[i]), outs[i].Bits)
-	}
-	return t
+		}}
+	}, snrBitsRow)
 }

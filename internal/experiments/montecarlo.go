@@ -36,7 +36,7 @@ func MonteCarloBER(ctx context.Context) *Table {
 
 	const reads = 120
 	patterns := []string{"1011", "0111", "1101", "1110", "1001", "0101", "0011", "1111"}
-	for _, boost := range []float64{0, 6, 8, 10} {
+	return runPoints(ctx, t, []float64{0, 6, 8, 10}, func(boost float64) []sim.DriveBy {
 		rcfg := radar.TI1443()
 		rcfg.FrontEnd.NoiseFigureDB += boost
 		cfgs := make([]sim.DriveBy, reads)
@@ -49,18 +49,19 @@ func MonteCarloBER(ctx context.Context) *Table {
 				Seed:         int64(9000 + i),
 			}
 		}
-		outs := runAll(ctx, cfgs)
-
+		return cfgs
+	}, func(t *Table, boost float64, outs []*sim.Outcome) {
 		bitsTotal, bitErrors, missed := 0, 0, 0
 		var snrs []float64
 		for i, out := range outs {
-			if !out.Detected || len(out.Bits) != len(cfgs[i].Bits) {
+			want := patterns[i%len(patterns)]
+			if !out.Detected || len(out.Bits) != len(want) {
 				missed++
 				continue
 			}
 			for j := range out.Bits {
 				bitsTotal++
-				if out.Bits[j] != cfgs[i].Bits[j] {
+				if out.Bits[j] != want[j] {
 					bitErrors++
 				}
 			}
@@ -75,12 +76,11 @@ func MonteCarloBER(ctx context.Context) *Table {
 		}
 		medCell, ookCell := "n/a", "n/a"
 		if len(snrs) > 0 {
-			medSNR := median(snrs)
+			medSNR := dsp.Median(snrs)
 			medCell = f1(medSNR)
 			ookCell = fmt.Sprintf("%.4f", dsp.OOKBerFromDB(medSNR))
 		}
 		t.AddRow(f1(boost), itoa(reads), itoa(missed), itoa(bitsTotal),
 			itoa(bitErrors), measured, medCell, ookCell)
-	}
-	return t
+	})
 }

@@ -8,49 +8,46 @@ import (
 	"ros/internal/beamshape"
 	"ros/internal/coding"
 	"ros/internal/detect"
+	"ros/internal/dsp"
 	"ros/internal/em"
 	"ros/internal/geom"
 	"ros/internal/obs"
 	"ros/internal/radar"
 	"ros/internal/scene"
+	"ros/internal/sweep"
 )
 
 // fig11Scene builds the Fig 11 illustration: a "1111" tag on one tripod and
 // a bare tripod 1 m away.
 func fig11Scene(rng *rand.Rand) *scene.Scene {
-	bits, err := coding.ParseBits("1111")
-	if err != nil {
-		panic(err)
-	}
-	layout, err := coding.NewLayout(bits, coding.DefaultDelta())
-	if err != nil {
-		panic(err)
-	}
-	tag, err := scene.NewTag(layout, beamshape.Shaped(32), geom.Vec3{})
-	if err != nil {
-		panic(err)
-	}
 	return &scene.Scene{
-		Tags:    []*scene.Tag{tag},
+		Tags:    []*scene.Tag{tag1111(geom.Vec3{})},
 		Clutter: []*scene.Object{scene.NewObject(scene.ClassTripod, geom.Vec3{X: 1}, rng)},
 	}
 }
 
-// runPipeline drives the Fig 11 pass and returns the pipeline result. The
-// seed roots the pipeline's per-frame noise streams.
-func runPipeline(sc *scene.Scene, seed int64) *detect.Result {
-	p := detect.NewPipeline(radar.TI1443())
+// tag1111 builds the "1111" tag on the shaped 32-module stack at pos.
+func tag1111(pos geom.Vec3) *scene.Tag {
+	layout, err := coding.NewLayout([]bool{true, true, true, true}, coding.DefaultDelta())
+	if err != nil {
+		panic(err)
+	}
+	tag, err := scene.NewTag(layout, beamshape.Shaped(32), pos)
+	if err != nil {
+		panic(err)
+	}
+	return tag
+}
+
+// runPipeline drives the Fig 11 pass under ctx. The seed roots the
+// pipeline's per-frame noise streams.
+func runPipeline(ctx context.Context, sc *scene.Scene, seed int64) (*detect.Result, error) {
 	frames := 260
 	truth := make([]geom.Vec3, frames)
 	for i := range truth {
 		truth[i] = geom.Vec3{X: -4 + 8*float64(i)/float64(frames-1), Y: 3}
 	}
-	res, err := p.Run(sc, truth, truth, geom.Vec3{X: 2}, seed)
-	if err != nil {
-		obs.Logger().Error("experiments: Fig 11 pipeline failed", "seed", seed, "err", err)
-		panic(err)
-	}
-	return res
+	return detect.NewPipeline(radar.TI1443()).RunContext(ctx, sc, truth, truth, geom.Vec3{X: 2}, seed)
 }
 
 // Fig11 regenerates Fig 11: detecting and decoding a tag next to a tripod —
@@ -65,7 +62,8 @@ func Fig11(ctx context.Context) *Table {
 			"around 6, 7.5, 9, 10.5 lambda, tripod spectrum shows none",
 	}
 	rng := rand.New(rand.NewSource(11))
-	res := runPipeline(fig11Scene(rng), 11)
+	res, err := runPipeline(ctx, fig11Scene(rng), 11)
+	mustSucceed(t.ID, err)
 
 	var tag, tripod *detect.ObjectReport
 	for i := range res.Objects {
@@ -136,13 +134,22 @@ func Fig13(ctx context.Context) *Table {
 		scene.ClassParkingMeter, scene.ClassStreetLamp, scene.ClassRoadSign,
 		scene.ClassHuman, scene.ClassTree,
 	}
+	// The scenes draw from one shared stream, so build them serially before
+	// the passes run on the pool.
 	rng := rand.New(rand.NewSource(13))
+	scenes := make([]*scene.Scene, len(classes))
+	for i, cl := range classes {
+		scenes[i] = fig11Scene(rng)
+		scenes[i].Clutter = []*scene.Object{scene.NewObject(cl, geom.Vec3{X: 1.2, Y: -0.2}, rng)}
+	}
+	results, _, err := sweep.RunCtx(ctx, len(scenes), 0, func(ctx context.Context, i int) (*detect.Result, error) {
+		return runPipeline(ctx, scenes[i], 1300+int64(i))
+	})
+	mustSucceed(t.ID, err)
 	misses, falseAlarms := 0, 0
 	var tagLoss, tagExtent []float64
 	for i, cl := range classes {
-		sc := fig11Scene(rng)
-		sc.Clutter = []*scene.Object{scene.NewObject(cl, geom.Vec3{X: 1.2, Y: -0.2}, rng)}
-		res := runPipeline(sc, 1300+int64(i))
+		res := results[i]
 		var tag, other *detect.ObjectReport
 		for i := range res.Objects {
 			o := &res.Objects[i]
@@ -168,25 +175,9 @@ func Fig13(ctx context.Context) *Table {
 		}
 	}
 	if len(tagLoss) > 0 {
-		t.AddRow("RoS tag (median over runs)", f1(median(tagLoss)), f3(median(tagExtent)), "yes")
+		t.AddRow("RoS tag (median over runs)", f1(dsp.Median(tagLoss)), f3(dsp.Median(tagExtent)), "yes")
 	}
 	t.AddRow("misses", itoa(misses), "", "")
 	t.AddRow("false alarms", itoa(falseAlarms), "", "")
 	return t
-}
-
-func median(x []float64) float64 {
-	s := append([]float64(nil), x...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	if len(s) == 0 {
-		return 0
-	}
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }

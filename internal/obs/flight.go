@@ -113,7 +113,7 @@ const DefaultFlightSize = 256
 // reads: 1 in 8.
 const flightSampleEvery = 8
 
-// DefaultFlight is the process-wide flight recorder, wired into sim.Run and
+// DefaultFlight is the process-wide flight recorder, wired into sim.RunContext and
 // served at /debug/flight.
 var DefaultFlight = NewFlight(DefaultFlightSize)
 

@@ -29,7 +29,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ros/internal/obs"
@@ -132,16 +131,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a point-in-time copy of one client's counters, for harness
-// reporting (the obs metrics aggregate across clients).
-type Stats struct {
-	Attempts  int64 // HTTP attempts sent
-	Retries   int64 // attempts that were retries
-	Throttles int64 // 429/503 backpressure responses observed
-	FastFails int64 // calls refused by an open breaker
-	Opens     int64 // breaker open transitions
-}
-
 // Client is a self-healing JSON-over-HTTP client. Safe for concurrent use.
 type Client struct {
 	cfg  Config
@@ -150,12 +139,6 @@ type Client struct {
 	mu       sync.Mutex
 	rng      uint64
 	breakers map[string]*breaker
-
-	attempts  atomic.Int64
-	retries   atomic.Int64
-	throttles atomic.Int64
-	fastFails atomic.Int64
-	opens     atomic.Int64
 
 	// Test seams: wall clock and context-aware sleep.
 	now   func() time.Time
@@ -186,17 +169,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Stats snapshots the client's counters.
-func (c *Client) Stats() Stats {
-	return Stats{
-		Attempts:  c.attempts.Load(),
-		Retries:   c.retries.Load(),
-		Throttles: c.throttles.Load(),
-		FastFails: c.fastFails.Load(),
-		Opens:     c.opens.Load(),
-	}
-}
-
 // Do POSTs in as JSON to path and decodes the 200 response into out (skipped
 // when out is nil), retrying transient failures and failing fast behind an
 // open breaker. The returned error wraps the matching roserr sentinel (or
@@ -220,7 +192,6 @@ func (c *Client) Do(ctx context.Context, path string, in, out any) error {
 				}
 			}
 			mRetries.Inc()
-			c.retries.Add(1)
 			if err := c.sleep(ctx, delay); err != nil {
 				return fmt.Errorf("rosclient: retry wait: %w: last error: %w", err, lastErr)
 			}
@@ -308,7 +279,6 @@ func (c *Client) reportBreaker(path string, err error) {
 	}
 	if b.failure(c.now()) {
 		mBreakerOpens.Inc()
-		c.opens.Add(1)
 		obs.Logger().Warn("rosclient: circuit opened", "path", path, "err", err)
 	}
 }
@@ -321,7 +291,6 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte) ([]byte,
 	c.mu.Unlock()
 	if allowErr != nil {
 		mFastFails.Inc()
-		c.fastFails.Add(1)
 		return nil, 0, allowErr
 	}
 	payload, retryAfter, err := c.once(ctx, path, body)
@@ -332,7 +301,6 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte) ([]byte,
 // once sends one request and classifies the response.
 func (c *Client) once(ctx context.Context, path string, body []byte) ([]byte, time.Duration, error) {
 	mAttempts.Inc()
-	c.attempts.Add(1)
 	actx := ctx
 	if c.cfg.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
@@ -389,18 +357,15 @@ func (c *Client) statusError(status int, payload []byte) error {
 	if sentinel := roserr.ForKind(kind); sentinel != nil {
 		if errors.Is(sentinel, roserr.ErrOverload) || errors.Is(sentinel, roserr.ErrDraining) {
 			mThrottledResp.Inc()
-			c.throttles.Add(1)
 		}
 		return fmt.Errorf("rosclient: %s (http %d): %w", message, status, sentinel)
 	}
 	switch {
 	case status == http.StatusTooManyRequests:
 		mThrottledResp.Inc()
-		c.throttles.Add(1)
 		return fmt.Errorf("rosclient: %s: %w", message, roserr.ErrOverload)
 	case status == http.StatusServiceUnavailable:
 		mThrottledResp.Inc()
-		c.throttles.Add(1)
 		return fmt.Errorf("rosclient: %s: %w", message, roserr.ErrDraining)
 	case status >= 500:
 		return fmt.Errorf("%w: %s (http %d)", ErrTransport, message, status)

@@ -158,6 +158,7 @@ func TestRetryAfterHonored(t *testing.T) {
 		return nil
 	}
 	var out struct{}
+	retries, throttles := mRetries.Value(), mThrottledResp.Value()
 	if err := c.Do(context.Background(), "/v1/read", map[string]any{}, &out); err != nil {
 		t.Fatalf("Do: %v", err)
 	}
@@ -169,8 +170,8 @@ func TestRetryAfterHonored(t *testing.T) {
 	if slept[0] != 90*time.Millisecond {
 		t.Fatalf("waited %v, want the 90ms MaxRetryAfter cap", slept[0])
 	}
-	if got := c.Stats(); got.Retries != 1 || got.Throttles != 1 {
-		t.Fatalf("stats = %+v, want 1 retry / 1 throttle", got)
+	if r, th := mRetries.Value()-retries, mThrottledResp.Value()-throttles; r != 1 || th != 1 {
+		t.Fatalf("%d retries / %d throttles, want 1 / 1", r, th)
 	}
 }
 
@@ -221,14 +222,15 @@ func TestBreakerFastFail(t *testing.T) {
 	c.now = func() time.Time { return now }
 
 	// 3 attempts (1 + 2 retries) all 5xx: breaker opens at the threshold.
+	opens := mBreakerOpens.Value()
 	if err := c.Do(context.Background(), "/v1/read", map[string]any{}, nil); !errors.Is(err, ErrTransport) {
 		t.Fatalf("err = %v, want ErrTransport for a 5xx", err)
 	}
 	if n := hits.Load(); n != 3 {
 		t.Fatalf("server hit %d times, want 3", n)
 	}
-	if got := c.Stats(); got.Opens != 1 {
-		t.Fatalf("stats = %+v, want 1 breaker open", got)
+	if got := mBreakerOpens.Value() - opens; got != 1 {
+		t.Fatalf("%d breaker opens, want 1", got)
 	}
 
 	// Open breaker: the next call fails fast, zero network traffic.

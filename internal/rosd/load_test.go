@@ -65,7 +65,8 @@ type tenantReport struct {
 type loadReport struct {
 	Reads int
 	// Overloads counts backpressure responses the client observed (429
-	// overload and 503 draining, each retried within loadMaxRetries).
+	// overload and 503 draining, each retried within loadMaxRetries): the
+	// run's growth of ros_rosclient_throttled_total.
 	Overloads int
 	// Errors counts reads that returned a typed per-request error
 	// (throttled reads included).
@@ -109,6 +110,7 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 	}
 	defer srv.Close()
 	evictionsBefore := snapCounter("ros_rosd_engine_evictions_total")
+	throttledBefore := snapCounter("ros_rosclient_throttled_total")
 
 	client := rosclient.New(rosclient.Config{
 		BaseURL:     "http://" + srv.Addr(),
@@ -233,7 +235,7 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 	close(batches)
 	wg.Wait()
 
-	report.Overloads = int(client.Stats().Throttles)
+	report.Overloads = int(snapCounter("ros_rosclient_throttled_total") - throttledBefore)
 	if firstErr != nil {
 		return report, firstErr
 	}

@@ -163,9 +163,6 @@ type DriveBy struct {
 	// internal/fault); nil injects nothing. Fault decisions draw from a
 	// salted seed stream, so they never perturb the physics randomness.
 	Fault *fault.Config
-	// MaxFrameLoss is the tolerated fraction of frames lost before the pass
-	// fails with roserr.ErrFrameCorrupt; 0 uses the pipeline default (0.5).
-	MaxFrameLoss float64
 	// Engine, when non-nil, supplies the resource handle all memoized state
 	// of the pass — the synthesis plan, the scene-response memo — is drawn
 	// from and accounted against; nil uses engine.Default(). Frame buffers
@@ -199,8 +196,6 @@ func (d DriveBy) Validate() error {
 		return fmt.Errorf("sim: %w: negative frame budget %d", roserr.ErrConfig, d.FrameBudget)
 	case d.Workers < 0:
 		return fmt.Errorf("sim: %w: negative worker count %d", roserr.ErrConfig, d.Workers)
-	case d.MaxFrameLoss < 0 || d.MaxFrameLoss > 1 || math.IsNaN(d.MaxFrameLoss):
-		return fmt.Errorf("sim: %w: max frame loss %g outside [0, 1]", roserr.ErrConfig, d.MaxFrameLoss)
 	}
 	if d.Fault != nil {
 		if err := d.Fault.Validate(); err != nil {
@@ -338,11 +333,6 @@ func buildStack(modules int, shaped bool) *stack.Stack {
 		return beamshape.Shaped(modules)
 	}
 	return stack.NewUniform(modules)
-}
-
-// Run executes the pass without cancellation; see RunContext.
-func Run(cfg DriveBy) (*Outcome, error) {
-	return RunContext(context.Background(), cfg)
 }
 
 // RunContext executes the pass under ctx. Cancellation is cooperative at
@@ -491,7 +481,6 @@ func RunContext(ctx context.Context, cfg DriveBy) (_ *Outcome, rerr error) {
 		p.ForceTagNear = &geom.Vec2{}
 	}
 	p.Workers = cfg.Workers
-	p.MaxFrameLoss = cfg.MaxFrameLoss
 	p.Engine = eng
 	var inj *fault.Injector
 	if cfg.Fault != nil {

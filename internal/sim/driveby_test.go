@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestBaselinePassDecodes(t *testing.T) {
-	out, err := Run(DriveBy{Bits: "1111", BeamShaped: true, Seed: 1})
+	out, err := RunContext(context.Background(), DriveBy{Bits: "1111", BeamShaped: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestBaselinePassDecodes(t *testing.T) {
 
 func TestMixedBitsPass(t *testing.T) {
 	for _, bits := range []string{"1010", "1001"} {
-		out, err := Run(DriveBy{Bits: bits, BeamShaped: true, Seed: 2})
+		out, err := RunContext(context.Background(), DriveBy{Bits: bits, BeamShaped: true, Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestMixedBitsPass(t *testing.T) {
 }
 
 func TestClutterDoesNotBreakDecoding(t *testing.T) {
-	out, err := Run(DriveBy{Bits: "1111", BeamShaped: true, WithClutter: true, Seed: 3})
+	out, err := RunContext(context.Background(), DriveBy{Bits: "1111", BeamShaped: true, WithClutter: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestBeamShapingHelpsAtElevationOffset(t *testing.T) {
 	h := 3 * math.Tan(el)
 	var shapedRSS, baselineRSS []float64
 	for seed := int64(1); seed <= 6; seed++ {
-		shaped, err := Run(DriveBy{BeamShaped: true, HeightOffset: h, Seed: seed})
+		shaped, err := RunContext(context.Background(), DriveBy{BeamShaped: true, HeightOffset: h, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseline, err := Run(DriveBy{BeamShaped: false, HeightOffset: h, Seed: seed})
+		baseline, err := RunContext(context.Background(), DriveBy{BeamShaped: false, HeightOffset: h, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestRSSFallsWithDistance(t *testing.T) {
 	// Fig 15a: the received RSS follows the d^-4 law.
 	var prev = math.Inf(1)
 	for _, d := range []float64{2, 3, 4} {
-		out, err := Run(DriveBy{BeamShaped: true, Standoff: d, Seed: 5})
+		out, err := RunContext(context.Background(), DriveBy{BeamShaped: true, Standoff: d, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,20 +117,20 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(DriveBy{Bits: "10x"}); err == nil {
+	if _, err := RunContext(context.Background(), DriveBy{Bits: "10x"}); err == nil {
 		t.Error("invalid bits accepted")
 	}
-	if _, err := Run(DriveBy{Speed: 500}); err == nil {
+	if _, err := RunContext(context.Background(), DriveBy{Speed: 500}); err == nil {
 		t.Error("too-fast pass (too few frames) accepted")
 	}
 }
 
 func TestDeterministicOutcome(t *testing.T) {
-	a, err := Run(DriveBy{BeamShaped: true, Seed: 7})
+	a, err := RunContext(context.Background(), DriveBy{BeamShaped: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(DriveBy{BeamShaped: true, Seed: 7})
+	b, err := RunContext(context.Background(), DriveBy{BeamShaped: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +142,11 @@ func TestDeterministicOutcome(t *testing.T) {
 func TestFoVTruncationDegrades(t *testing.T) {
 	// Fig 17's mechanism at the sim level: a 20-degree view cannot resolve
 	// the coding peaks as well as the full view.
-	narrow, err := Run(DriveBy{BeamShaped: true, FoVDeg: 20, Seed: 21})
+	narrow, err := RunContext(context.Background(), DriveBy{BeamShaped: true, FoVDeg: 20, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Run(DriveBy{BeamShaped: true, FoVDeg: 100, Seed: 21})
+	wide, err := RunContext(context.Background(), DriveBy{BeamShaped: true, FoVDeg: 100, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestFoVTruncationDegrades(t *testing.T) {
 }
 
 func TestSecondTagStillDecodes(t *testing.T) {
-	out, err := Run(DriveBy{BeamShaped: true, SecondTagSpreadDeg: 25, Seed: 22})
+	out, err := RunContext(context.Background(), DriveBy{BeamShaped: true, SecondTagSpreadDeg: 25, Seed: 22})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +169,11 @@ func TestSecondTagStillDecodes(t *testing.T) {
 }
 
 func TestInterfererCostsALittle(t *testing.T) {
-	clean, err := Run(DriveBy{BeamShaped: true, Seed: 23})
+	clean, err := RunContext(context.Background(), DriveBy{BeamShaped: true, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jammed, err := Run(DriveBy{BeamShaped: true, InterfererSeparation: 1, Seed: 23})
+	jammed, err := RunContext(context.Background(), DriveBy{BeamShaped: true, InterfererSeparation: 1, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestInterfererCostsALittle(t *testing.T) {
 }
 
 func TestFullBlockageLosesTag(t *testing.T) {
-	out, err := Run(DriveBy{BeamShaped: true, BlockerHalfLength: 6, Seed: 24})
+	out, err := RunContext(context.Background(), DriveBy{BeamShaped: true, BlockerHalfLength: 6, Seed: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestFullBlockageLosesTag(t *testing.T) {
 }
 
 func TestRedundantTagSurvivesBlockage(t *testing.T) {
-	out, err := Run(DriveBy{
+	out, err := RunContext(context.Background(), DriveBy{
 		BeamShaped: true, BlockerHalfLength: 6, RedundantTagOffset: 8,
 		HalfSpan: 12, FrameBudget: 520, Seed: 24,
 	})
@@ -210,7 +211,7 @@ func TestRedundantTagSurvivesBlockage(t *testing.T) {
 }
 
 func TestGroundMultipathUsuallySurvives(t *testing.T) {
-	out, err := Run(DriveBy{BeamShaped: true, GroundMultipath: true, Seed: 25})
+	out, err := RunContext(context.Background(), DriveBy{BeamShaped: true, GroundMultipath: true, Seed: 25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"log/slog"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // TestRunSpanTree checks that a pass produces the documented trace shape and
 // that the Stats view is exactly the flattened span tree.
 func TestRunSpanTree(t *testing.T) {
-	out, err := Run(DriveBy{BeamShaped: true, Seed: 7})
+	out, err := RunContext(context.Background(), DriveBy{BeamShaped: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestRunSpanTree(t *testing.T) {
 // ros_engine_cache_entries{engine="default"}; no per-package cache gauge
 // exists any more.
 func TestDefaultEngineOwnsCaches(t *testing.T) {
-	if _, err := Run(DriveBy{StackModules: 8, FrameBudget: 64, Seed: 3}); err != nil {
+	if _, err := RunContext(context.Background(), DriveBy{StackModules: 8, FrameBudget: 64, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	resident := map[string]float64{}
@@ -88,7 +89,7 @@ func TestObsLoggerSwap(t *testing.T) {
 	var buf bytes.Buffer
 	prev := obs.SetLogger(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
 	defer obs.SetLogger(prev)
-	if _, err := Run(DriveBy{BeamShaped: true, Seed: 7}); err != nil {
+	if _, err := RunContext(context.Background(), DriveBy{BeamShaped: true, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("detect: run complete")) {

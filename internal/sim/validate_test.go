@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -35,7 +36,6 @@ func TestDriveByValidateRejections(t *testing.T) {
 		{"FoV above 180", DriveBy{FoVDeg: 200}},
 		{"negative frame budget", DriveBy{FrameBudget: -1}},
 		{"negative workers", DriveBy{Workers: -1}},
-		{"frame loss above 1", DriveBy{MaxFrameLoss: 2}},
 		{"bad fault config", DriveBy{Fault: &fault.Config{FrameDropRate: 1.5}}},
 		{"bad radar override", DriveBy{Radar: &badRadar}},
 	}
@@ -55,7 +55,7 @@ func TestDriveByValidateRejections(t *testing.T) {
 // TestRunRejectsInvalidConfig asserts Run surfaces validation failures as
 // typed errors before any synthesis work happens.
 func TestRunRejectsInvalidConfig(t *testing.T) {
-	_, err := Run(DriveBy{Bits: "1011", Speed: -1})
+	_, err := RunContext(context.Background(), DriveBy{Bits: "1011", Speed: -1})
 	if err == nil {
 		t.Fatal("Run accepted a negative speed")
 	}
